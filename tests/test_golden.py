@@ -1,0 +1,107 @@
+"""Golden digests: SHA-256 of seeded outputs at fixed inputs.
+
+Any change to a random stream, a draw order or the floating-point work
+behind the map bytes, the CLI tables or the synthesized taps shows up here
+as a changed digest.  A refactor that means to keep behaviour must leave
+every digest alone; a change that means to move outputs updates them and
+says why.  The pinned values hold for one numpy build: SIMD transcendental
+functions may round differently on another CPU or numpy version.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors,
+                    dynamic_cir, loads_scene, spawn_clusters, trace_static_mpcs)
+from dcmkit.cli import main
+
+from conftest import ROOM_SCENE
+
+TX = "1,1,1.5"
+LOC = ((1.0, 1.0, 1.5), (2.5, 2.0, 1.5))
+
+GOLDEN = {
+    "build":
+        "f1859b4f229c3e4fcf075ed75cbca0d79da3e94c16978063ddfca7db279105d6",
+    "update":
+        "290bbdb1fda4841ea8914cd16d3ccd5a362e2b1349781331f7112bc75e16a8a6",
+    "simulate":
+        "c08f55066e682cb821e8029c34ac04539d9529a8e9bebba8ad6a4681c3763e1b",
+    "stats_fcf":
+        "41801c4b91ed5f5ddff212322ee9ef62c405ba3a0b54951702d4ce58d20d53af",
+    "dynamic_cir":
+        "44f59b1803155b3492b19a7769da5326b127241616ab2f5aaec8667834611693",
+    "narrowband_series":
+        "38d5659164bae707167d0d2b47bb1f2db6818bcda50069d6b8f9e212867b6d9b",
+}
+
+
+def _sha(*chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk if isinstance(chunk, bytes) else chunk.encode())
+    return h.hexdigest()
+
+
+def tilted_pattern(elevation, azimuth):
+    """Element response with both polarizations, so every XPR term counts."""
+    f_v = np.cos(elevation) * (1.0 + 0.25 * np.cos(azimuth))
+    f_h = 0.5 * np.sin(azimuth) + 0.2 * np.sin(elevation)
+    return f_v, f_h
+
+
+def _array(n: int) -> AntennaArray:
+    return AntennaArray(n_elements=n, orientation=(0.3, 1.1), pattern=tilted_pattern)
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    (root / "room.scene").write_text(ROOM_SCENE)
+    out = root / "room.dcm"
+    assert main(["build", "--scene", str(root / "room.scene"), "--tx", TX,
+                 "--origin", "2,2,1.5", "--shape", "2,2,1", "--spacing", "0.5",
+                 "--max-order", "2", "--seed", "4", "--out", str(out)]) == 0
+    runs = {
+        "update": ["update", "--t", "0.25", "--seed", "7"],
+        "simulate": ["simulate", "--seed", "2", "--t0", "0.1",
+                     "--duration", "0.2", "--dt", "1e-3"],
+        "stats_fcf": ["stats", "fcf", "--seed", "3", "--ensemble", "6",
+                      "--df-count", "24", "--df-step", "2e6"],
+    }
+    texts = {"build": out.read_bytes()}
+    for name, argv in runs.items():
+        target = root / f"{name}.csv"
+        assert main([*argv, "--map", str(out), "--at", "2.5,2,1.5",
+                     "--out", str(target)]) == 0
+        texts[name] = target.read_bytes()
+    return texts
+
+
+@pytest.mark.parametrize("name", ["build", "update", "simulate", "stats_fcf"])
+def test_cli_output_digest(cli_outputs, name):
+    assert _sha(cli_outputs[name]) == GOLDEN[name]
+
+
+def test_dynamic_cir_digest():
+    cfg = GbsmConfig(seed=5)
+    clusters = spawn_clusters(cfg, LOC)
+    taps = dynamic_cir(clusters, _array(2), _array(3), 0.3, cfg)
+    chunks = []
+    for key in sorted(taps):
+        chunks += [repr(key), taps[key].delays.tobytes(), taps[key].amps.tobytes(),
+                   "\n".join(taps[key].kinds)]
+    assert _sha(*chunks) == GOLDEN["dynamic_cir"]
+
+
+def test_narrowband_series_digest():
+    room = loads_scene(ROOM_SCENE)
+    mpcs = trace_static_mpcs(room, LOC[0], LOC[1], max_order=2)
+    model = ChannelModel(tuple(mpcs), KFactors.from_split(2.0, 4.0),
+                         GbsmConfig(seed=9, copolar_imbalance=0.8),
+                         tx_array=_array(2), rx_array=_array(2), location=LOC)
+    t_grid = 0.05 + np.arange(700) * 1e-3
+    series = model.narrowband_series(t_grid, pair=(1, 1), chunk=256)
+    assert _sha(series.tobytes()) == GOLDEN["narrowband_series"]
