@@ -13,8 +13,8 @@ from .scene import (Facet, Material, Scene, SceneError, load_scene,
                     loads_scene, scene_text_hash)
 from .raytrace import (Mpc, direction_angles, fresnel_coefficients,
                        friis_path_gain, trace_static_mpcs, unit_from_angles)
-from .gbsm import (AntennaArray, ClusterRay, DynamicCluster, GbsmConfig, Taps,
-                   cluster_state_at, dynamic_cir, ray_delay, spawn_clusters)
+from .gbsm import (AntennaArray, ClusterSet, GbsmConfig, Taps, dynamic_cir,
+                   spawn_clusters)
 from .hybrid import (ChannelModel, ChannelSnapshot, KFactors, LargeScaleFading,
                      apply_lsf, combine_cir, compose_k, ctf, mixing_weights,
                      rician_params, static_branch_split, static_cir)
@@ -33,19 +33,18 @@ from .dcm import (DcmLookupError, DcmMap, DcmRecord, MatchResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaArray", "ChannelModel", "ChannelSnapshot", "ClusterRay",
-    "CorrelationQuery", "DcmLookupError", "DcmMap", "DcmRecord",
-    "DynamicCluster", "Facet", "GbsmConfig", "KFactors", "LargeScaleFading",
+    "AntennaArray", "ChannelModel", "ChannelSnapshot", "ClusterSet",
+    "CorrelationQuery", "DcmLookupError", "DcmMap", "DcmRecord", "Facet", "GbsmConfig", "KFactors", "LargeScaleFading",
     "LcrInputs", "MatchResult", "Material", "Mpc", "Psd", "Scene",
     "SceneError", "Taps", "angular_psd", "apply_lsf", "average_delay_psd",
-    "branch_power_coefficients", "build_map", "cdf_at", "cluster_state_at",
+    "branch_power_coefficients", "build_map", "cdf_at",
     "combine_cir", "compose_k", "correlation_moments", "ctf", "delay_psd",
     "direction_angles", "doppler_psd", "doppler_psd_from_lags", "dumps_map",
     "dynamic_cir", "empirical_cdf", "empirical_tacf", "estimate_k_split",
     "fcf_closed_form", "fresnel_coefficients", "friis_path_gain",
     "grid_points", "lcr_analytic", "lcr_empirical", "lcr_time_inputs",
     "load_map", "load_scene", "loads_map", "loads_scene", "match_mpcs",
-    "mixing_weights", "model_from_map", "query", "ray_delay", "rician_params",
+    "mixing_weights", "model_from_map", "query", "rician_params",
     "rms_spread", "save_map", "scene_text_hash", "spawn_clusters",
     "static_branch_split", "static_cir", "stfcf", "trace_static_mpcs",
     "unit_from_angles", "update_snapshot", "worker_count",

@@ -75,46 +75,25 @@ def _write_csv(out: str | None, header: str, rows) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = out + ".tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, out)
+    dcmmod.write_text_atomic(out, text)
 
 
 def _load_config(path: str | None) -> dict:
+    """Scatter config overrides from a JSON object; GbsmConfig checks the types."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    pair_fields = {"anchor_range", "elevation_range", "azimuth_range"}
-    int_fields = {"n_clusters", "rays_per_cluster", "seed"}
-    out = {}
-    for key, value in cfg.items():
-        if key in pair_fields:
-            if not isinstance(value, (list, tuple)) or len(value) != 2:
-                raise ValueError(f"config field {key} must be a 2-element array")
-            out[key] = tuple(float(v) for v in value)
-        elif key in int_fields:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"config field {key} must be an integer")
-            out[key] = value
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[key] = float(value)
-        else:
-            raise ValueError(f"config field {key} must be a number")
-    return out
+    return cfg
 
 
 def _gbsm_from_args(args) -> GbsmConfig:
     overrides = _load_config(getattr(args, "config", None))
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    try:
-        return GbsmConfig().with_overrides(**overrides)
-    except TypeError as exc:
-        raise ValueError(f"bad config field: {exc}") from None
+    return GbsmConfig().with_overrides(**overrides)
 
 
 def _build_points(args) -> list[tuple[float, float, float]]:

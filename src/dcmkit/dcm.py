@@ -10,20 +10,21 @@ trace.
 Maps persist to a line-oriented text format (magic `DCMv1`).  All floats
 are written with 17 significant digits, and records are canonicalized
 through an encode/decode fixpoint at build time, so save, load and save
-again produce byte-identical files.  Writes go to a temporary file that is
-atomically renamed over the target.
+again produce byte-identical files.  Writes go to a fresh temporary file
+that is atomically renamed over the target.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .gbsm import AntennaArray, GbsmConfig
+from .gbsm import AntennaArray, GbsmConfig, config_field
 from .hybrid import ChannelModel, ChannelSnapshot, KFactors
 from .raytrace import Mpc, trace_static_mpcs
 from .scene import Scene
@@ -33,9 +34,6 @@ MAGIC = "DCMv1"
 DEFAULT_K_STATIC = 10.0 ** 0.3   # 3 dB
 DEFAULT_K_DYNAMIC = 10.0         # 10 dB
 MATCH_SCALES = (3.125e-9, math.radians(5.0))
-
-_INT_FIELDS = {"n_clusters", "rays_per_cluster", "seed"}
-_PAIR_FIELDS = {"anchor_range", "elevation_range", "azimuth_range"}
 
 
 class DcmLookupError(LookupError):
@@ -371,10 +369,10 @@ def _record_lines(rec: DcmRecord) -> list[str]:
     return lines
 
 
-def _parse_floats(text: str, n: int, where: str) -> tuple[float, ...]:
+def _parse_floats(text: str, n: int) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != n:
-        raise ValueError(f"{where}: expected {n} comma-separated values")
+        raise ValueError(f"expected {n} comma-separated values")
     return tuple(float(p) for p in parts)
 
 
@@ -388,24 +386,24 @@ def _clamped_angles(el_deg: float, az_deg: float) -> tuple[float, float]:
     return el, az
 
 
-def _parse_mpc(line: str, where: str) -> Mpc:
+def _parse_mpc(line: str) -> Mpc:
     fields_ = {}
     for token in line.split()[1:]:
         if "=" not in token:
-            raise ValueError(f"{where}: malformed token {token!r}")
+            raise ValueError(f"malformed token {token!r}")
         key, val = token.split("=", 1)
         fields_[key] = val
     try:
         kind = fields_["kind"]
         delay = float(fields_["delay_ns"]) * 1e-9
         power = 10.0 ** (float(fields_["power_db"]) / 10.0)
-        aod = _clamped_angles(*_parse_floats(fields_["aod"], 2, where))
-        aoa = _clamped_angles(*_parse_floats(fields_["aoa"], 2, where))
-        phases = _parse_floats(fields_["phases"], 4, where)
+        aod = _clamped_angles(*_parse_floats(fields_["aod"], 2))
+        aoa = _clamped_angles(*_parse_floats(fields_["aoa"], 2))
+        phases = _parse_floats(fields_["phases"], 4)
         xpr_db = float(fields_["xpr_db"])
-        xpr = math.inf if math.isinf(xpr_db) else 10.0 ** (xpr_db / 10.0)
+        xpr = math.inf if xpr_db == math.inf else 10.0 ** (xpr_db / 10.0)
     except KeyError as exc:
-        raise ValueError(f"{where}: missing field {exc.args[0]}") from None
+        raise ValueError(f"missing field {exc.args[0]}") from None
     return Mpc(delay=delay, power=power, aod=aod, aoa=aoa,
                phases=phases, xpr=xpr, kind=kind)
 
@@ -419,7 +417,7 @@ def _canonical_record(rec: DcmRecord, limit: int = 32) -> DcmRecord:
     """
     text = "\n".join(_record_lines(rec))
     for _ in range(limit):
-        mpcs = tuple(_parse_mpc(line, "canonicalize")
+        mpcs = tuple(_parse_mpc(line)
                      for line in text.splitlines() if line.startswith("mpc "))
         rec = replace(rec, mpcs=mpcs)
         text2 = "\n".join(_record_lines(rec))
@@ -437,10 +435,10 @@ def dumps_map(dcm: DcmMap) -> str:
              "[gbsm]"]
     for f in fields(GbsmConfig):
         value = getattr(dcm.gbsm, f.name)
-        if f.name in _INT_FIELDS:
-            lines.append("%s=%d" % (f.name, value))
-        elif f.name in _PAIR_FIELDS:
+        if isinstance(value, tuple):
             lines.append("%s=%s" % (f.name, _fmt_vec(value)))
+        elif isinstance(value, int):
+            lines.append("%s=%d" % (f.name, value))
         else:
             lines.append("%s=%s" % (f.name, _fmt(value)))
     for rec in dcm.records.values():
@@ -448,12 +446,24 @@ def dumps_map(dcm: DcmMap) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _config_text(text: str):
+    """A [gbsm] value as written: an int, a float, or comma-separated values."""
+    if "," in text:
+        return [_config_text(part) for part in text.split(",")]
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def loads_map(text: str) -> DcmMap:
+    """Parse a map; any malformed line raises ValueError naming its number."""
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC:
         raise ValueError(f"not a channel map file (missing {MAGIC} header)")
-    header: dict[str, str] = {}
+    header: dict = {}
     gbsm_kw: dict = {}
+    gbsm_line = None
     records: dict[tuple, DcmRecord] = {}
     section = None
     current: dict | None = None
@@ -463,72 +473,84 @@ def loads_map(text: str) -> DcmMap:
             return
         for need in ("tx", "rx", "ks", "kd"):
             if need not in current:
-                raise ValueError(f"record missing {need}=")
+                raise ValueError(f"line {current['line']}: record missing {need}=")
         rec = DcmRecord(tx=current["tx"], rx=current["rx"],
                         k_s=current["ks"], k_d=current["kd"],
                         mpcs=tuple(current["mpcs"]))
         records[rec.rx] = rec
 
     for no, line in enumerate(lines[1:], start=2):
-        where = f"line {no}"
         if not line.strip():
             continue
-        if line == "[map]":
-            section = "map"
+        if line in ("[map]", "[gbsm]", "[record]"):
+            section = line[1:-1]
+            if section == "gbsm":
+                gbsm_line = no
+            elif section == "record":
+                finish()
+                current = {"mpcs": [], "line": no}
             continue
-        if line == "[gbsm]":
-            section = "gbsm"
-            continue
-        if line == "[record]":
-            finish()
-            current = {"mpcs": []}
-            section = "record"
-            continue
-        if section == "map":
+        try:
             key, _, val = line.partition("=")
-            header[key] = val
-        elif section == "gbsm":
-            key, _, val = line.partition("=")
-            if key in _INT_FIELDS:
-                gbsm_kw[key] = int(val)
-            elif key in _PAIR_FIELDS:
-                gbsm_kw[key] = _parse_floats(val, 2, where)
-            else:
-                gbsm_kw[key] = float(val)
-        elif section == "record":
-            assert current is not None
-            if line.startswith("mpc "):
-                current["mpcs"].append(_parse_mpc(line, where))
-            else:
-                key, _, val = line.partition("=")
-                if key in ("tx", "rx"):
-                    current[key] = _parse_floats(val, 3, where)
+            if section == "map":
+                header[key] = {"frequency": float, "max_order": int}.get(key, str)(val)
+            elif section == "gbsm":
+                gbsm_kw[key] = config_field(key, _config_text(val))
+            elif section == "record":
+                assert current is not None
+                if line.startswith("mpc "):
+                    current["mpcs"].append(_parse_mpc(line))
+                elif key in ("tx", "rx"):
+                    current[key] = _parse_floats(val, 3)
                 elif key in ("ks", "kd"):
                     current[key] = float(val)
                 else:
-                    raise ValueError(f"{where}: unknown record field {key!r}")
-        else:
-            raise ValueError(f"{where}: content before any section header")
+                    raise ValueError(f"unknown record field {key!r}")
+            else:
+                raise ValueError("content before any section header")
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"line {no}: {exc}") from None
     finish()
+    try:
+        gbsm = GbsmConfig(**gbsm_kw)
+    except ValueError as exc:
+        raise ValueError(f"line {gbsm_line}: [gbsm] {exc}") from None
 
     try:
-        frequency = float(header["frequency"])
-        max_order = int(header["max_order"])
-        scene_hash = header["scene"]
+        return DcmMap(frequency=header["frequency"], max_order=header["max_order"],
+                      scene_hash=header["scene"], gbsm=gbsm, records=records)
     except KeyError as exc:
         raise ValueError(f"map header missing {exc.args[0]}=") from None
-    return DcmMap(frequency=frequency, max_order=max_order,
-                  scene_hash=scene_hash, gbsm=GbsmConfig(**gbsm_kw),
-                  records=records)
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ASCII text so readers see the old file or the new one, never a mix.
+
+    The text goes to a fresh temporary file in the target's directory,
+    which is then renamed over the target; concurrent writers never share
+    a temporary name.  The file gets the mode a plain open() would give.
+    """
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               suffix=".tmp", dir=os.path.dirname(path) or ".")
+    try:
+        with open(fd, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def save_map(dcm: DcmMap, path) -> None:
-    """Serialize atomically: write a sibling temp file, then rename over."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dumps_map(dcm))
-    os.replace(tmp, path)
+    """Serialize atomically (see `write_text_atomic`)."""
+    write_text_atomic(path, dumps_map(dcm))
 
 
 def load_map(path) -> DcmMap:

@@ -12,7 +12,8 @@ always produces the same ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
@@ -65,7 +66,11 @@ class GbsmConfig:
     Cluster powers follow a single-slope exponential decay over excess delay
     with log-normal per-cluster shadowing, then normalize to unit total.
     Rays split a cluster's power uniformly.  Angles are radians, delays
-    seconds, distances meters.
+    seconds, distances meters.  Field annotations are the one statement of
+    the field types: construction converts every value to its field's type
+    (int, float or a pair of floats) and rejects bools, strings and wrong
+    shapes with a ValueError, so map files and JSON overrides share one
+    check.
     """
 
     n_clusters: int = 15
@@ -85,6 +90,8 @@ class GbsmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _FIELD_TYPES:
+            object.__setattr__(self, name, config_field(name, getattr(self, name)))
         if self.n_clusters < 0:
             raise ValueError(f"n_clusters must be >= 0, got {self.n_clusters}")
         if self.rays_per_cluster < 1:
@@ -105,64 +112,102 @@ class GbsmConfig:
         return replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class ClusterRay:
-    aod_offset: tuple[float, float]
-    aoa_offset: tuple[float, float]
-    fraction: float
-    phases: tuple[float, float, float, float]
-    xpr: float
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 
 
-@dataclass(frozen=True)
-class DynamicCluster:
-    """One moving twin-anchored cluster.
+def config_field(name: str, value):
+    """`value` as the type of GbsmConfig field `name`.
 
-    `power` is this cluster's share of the total dynamic power (shares sum
-    to one across an ensemble); ray fractions sum to one within a cluster.
-    Velocities are (speed, elevation, azimuth).
+    Raises ValueError for an unknown field and for a value of the wrong
+    type: bools, strings, non-integers for int fields, anything but two
+    numbers for pair fields.
+    """
+    kind = _FIELD_TYPES.get(name)
+    if kind is None:
+        raise ValueError(f"unknown config fields: {name}")
+    if isinstance(value, bool):
+        pass
+    elif kind is int:
+        if isinstance(value, _INTEGERS):
+            return int(value)
+    elif kind is float:
+        if isinstance(value, _REALS):
+            return float(value)
+    elif (isinstance(value, (list, tuple)) and len(value) == 2
+          and not any(isinstance(v, bool) or not isinstance(v, _REALS) for v in value)):
+        return float(value[0]), float(value[1])
+    what = {int: "an integer", float: "a number"}.get(kind, "a pair of numbers")
+    raise ValueError(f"config field {name} must be {what}, got {value!r}")
+
+
+_FIELD_TYPES = typing.get_type_hints(GbsmConfig)
+
+
+@dataclass(frozen=True, eq=False)
+class ClusterSet:
+    """An ensemble of C moving twin-anchored clusters of m rays each.
+
+    Per-cluster arrays lead with C: `power` is each cluster's share of the
+    total dynamic power (shares sum to one), `d_t0`/`d_r0` are the anchor
+    distances, `aod`/`aoa` the anchor directions as (elevation, azimuth)
+    rows, `velocity_a`/`velocity_z` the anchor velocity vectors in m/s and
+    `virtual_delay` the delay of the unobserved bounce.  Per-ray arrays lead
+    with (C, m): angle offsets (C, m, 2), phases (C, m, 4) and linear XPR.
+    Rays split their cluster's power evenly.  The ray anchors at t = 0,
+    `tx_anchor`/`rx_anchor` of shape (C, m, 3) in meters from the link
+    ends, are derived once on construction.
     """
 
-    id: int
-    power: float
-    d_t0: float
-    aod: tuple[float, float]
-    d_r0: float
-    aoa: tuple[float, float]
-    velocity_a: tuple[float, float, float]
-    velocity_z: tuple[float, float, float]
-    virtual_delay: float
-    rays: tuple[ClusterRay, ...]
+    power: np.ndarray
+    d_t0: np.ndarray
+    aod: np.ndarray
+    d_r0: np.ndarray
+    aoa: np.ndarray
+    velocity_a: np.ndarray
+    velocity_z: np.ndarray
+    virtual_delay: np.ndarray
+    aod_offset: np.ndarray
+    aoa_offset: np.ndarray
+    phases: np.ndarray
+    xpr: np.ndarray
+    tx_anchor: np.ndarray = field(init=False, repr=False)
+    rx_anchor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        total = math.fsum(r.fraction for r in self.rays)
-        if self.rays and abs(total - 1.0) > 1e-9:
-            raise ValueError(f"ray power fractions sum to {total}, expected 1")
-        if self.power < 0.0:
+        if np.any(self.power < 0.0):
             raise ValueError("cluster power must be >= 0")
-        if self.virtual_delay < 0.0:
+        if np.any(self.virtual_delay < 0.0):
             raise ValueError("virtual delay must be >= 0")
+        object.__setattr__(self, "tx_anchor", self.d_t0[:, None, None]
+                           * _ray_directions(self.aod, self.aod_offset))
+        object.__setattr__(self, "rx_anchor", self.d_r0[:, None, None]
+                           * _ray_directions(self.aoa, self.aoa_offset))
+
+    def __len__(self) -> int:
+        return len(self.power)
+
+    @property
+    def rays_per_cluster(self) -> int:
+        return self.xpr.shape[1]
+
+    @property
+    def ray_power(self) -> np.ndarray:
+        """Power of every ray, (C, m)."""
+        m = self.rays_per_cluster
+        return np.repeat(self.power[:, None] * (1.0 / m), m, axis=1)
 
 
-@dataclass(frozen=True)
-class ClusterState:
-    """Per-ray anchor positions at a fixed time, relative to the link ends."""
-
-    tx_anchors: np.ndarray  # (n_rays, 3), meters from the tx reference point
-    rx_anchors: np.ndarray
-
-
-def _velocity_vector(speed_el_az) -> np.ndarray:
-    speed, el, az = speed_el_az
+def _velocity(speed: float, el: float, az: float) -> tuple[float, float, float]:
     ce = math.cos(el)
-    return speed * np.array([ce * math.cos(az), ce * math.sin(az), math.sin(el)])
+    return speed * (ce * math.cos(az)), speed * (ce * math.sin(az)), speed * math.sin(el)
 
 
-def _ray_directions(base: tuple[float, float], offsets: np.ndarray) -> np.ndarray:
-    el = np.clip(base[0] + offsets[:, 0], -math.pi / 2, math.pi / 2)
-    az = base[1] + offsets[:, 1]
+def _ray_directions(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    el = np.clip(base[:, None, 0] + offsets[:, :, 0], -math.pi / 2, math.pi / 2)
+    az = base[:, None, 1] + offsets[:, :, 1]
     ce = np.cos(el)
-    return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=1)
+    return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=-1)
 
 
 def _location_words(location) -> list[int]:
@@ -170,84 +215,92 @@ def _location_words(location) -> list[int]:
     return [int(w) for w in pts.view(np.uint64)]
 
 
-def spawn_clusters(config: GbsmConfig, location) -> tuple[DynamicCluster, ...]:
+def spawn_clusters(config: GbsmConfig, location) -> ClusterSet:
     """Draw a cluster ensemble for a (tx, rx) location pair.
 
     Streams derive from (config.seed, location, cluster index), so clusters
     are reproducible individually and the ensemble is order-independent.
     """
     loc = _location_words(location)
-    raw = []
-    for n in range(config.n_clusters):
+    n, m = config.n_clusters, config.rays_per_cluster
+    speed = config.cluster_speed
+    scalars, offsets, phases, xpr = [], [], [], []
+    for c in range(n):
         rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([config.seed & 0xFFFFFFFFFFFFFFFF, *loc, n])))
+            np.random.SeedSequence([config.seed & 0xFFFFFFFFFFFFFFFF, *loc, c])))
         d_t = rng.uniform(*config.anchor_range)
         aod = (rng.uniform(*config.elevation_range), rng.uniform(*config.azimuth_range))
         d_r = rng.uniform(*config.anchor_range)
         aoa = (rng.uniform(*config.elevation_range), rng.uniform(*config.azimuth_range))
-        vel_a = (config.cluster_speed, math.asin(rng.uniform(-1.0, 1.0)),
-                 rng.uniform(-math.pi, math.pi))
-        vel_z = (config.cluster_speed, math.asin(rng.uniform(-1.0, 1.0)),
-                 rng.uniform(-math.pi, math.pi))
+        vel_a = _velocity(speed, math.asin(rng.uniform(-1.0, 1.0)),
+                          rng.uniform(-math.pi, math.pi))
+        vel_z = _velocity(speed, math.asin(rng.uniform(-1.0, 1.0)),
+                          rng.uniform(-math.pi, math.pi))
         virtual = rng.exponential(config.virtual_delay_mean)
         shadow_db = rng.normal(0.0, config.shadow_std_db)
-        m = config.rays_per_cluster
-        offsets = rng.laplace(0.0, config.angle_spread_intra, size=(m, 4))
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=(m, 4))
-        xpr_db = rng.normal(config.xpr_mean_db, config.xpr_std_db, size=m)
-        rays = tuple(
-            ClusterRay(
-                aod_offset=(float(offsets[i, 0]), float(offsets[i, 1])),
-                aoa_offset=(float(offsets[i, 2]), float(offsets[i, 3])),
-                fraction=1.0 / m,
-                phases=tuple(float(p) for p in phases[i]),
-                xpr=float(10.0 ** (xpr_db[i] / 10.0)),
-            ) for i in range(m))
-        raw.append((n, d_t, aod, d_r, aoa, vel_a, vel_z, virtual, shadow_db, rays))
+        scalars.append((d_t, d_r, virtual, shadow_db, *aod, *aoa, *vel_a, *vel_z))
+        offsets.append(rng.laplace(0.0, config.angle_spread_intra, size=(m, 4)))
+        phases.append(rng.uniform(0.0, 2.0 * math.pi, size=(m, 4)))
+        # one scalar power per ray: the array form of 10 ** x rounds differently
+        xpr.append([10.0 ** (x / 10.0)
+                    for x in rng.normal(config.xpr_mean_db, config.xpr_std_db, size=m)])
 
-    if not raw:
-        return ()
-    delays = np.array([(r[1] + r[3]) / SPEED_OF_LIGHT + r[7] for r in raw])
-    excess = delays - delays.min()
-    weights = np.exp(-excess / config.delay_decay) \
-        * 10.0 ** (np.array([r[8] for r in raw]) / 10.0)
+    cols = np.array(scalars, dtype=float).reshape(n, 14)
+    d_t, d_r, virtual, shadow_db = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
+    delays = (d_t + d_r) / SPEED_OF_LIGHT + virtual
+    excess = delays - delays.min(initial=math.inf)
+    weights = np.exp(-excess / config.delay_decay) * 10.0 ** (shadow_db / 10.0)
     weights /= weights.sum()
-    return tuple(
-        DynamicCluster(
-            id=n, power=float(weights[i]), d_t0=d_t, aod=aod, d_r0=d_r, aoa=aoa,
-            velocity_a=vel_a, velocity_z=vel_z, virtual_delay=virtual, rays=rays,
-        )
-        for i, (n, d_t, aod, d_r, aoa, vel_a, vel_z, virtual, _sh, rays) in enumerate(raw))
+    offsets = np.array(offsets, dtype=float).reshape(n, m, 4)
+    return ClusterSet(
+        power=weights, d_t0=d_t, aod=cols[:, 4:6], d_r0=d_r, aoa=cols[:, 6:8],
+        velocity_a=cols[:, 8:11], velocity_z=cols[:, 11:14], virtual_delay=virtual,
+        aod_offset=offsets[:, :, 0:2], aoa_offset=offsets[:, :, 2:4],
+        phases=np.array(phases, dtype=float).reshape(n, m, 4),
+        xpr=np.array(xpr, dtype=float).reshape(n, m))
 
 
-def cluster_state_at(cluster: DynamicCluster, t: float) -> ClusterState:
-    """Anchor positions after moving for t seconds at constant velocity."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    aod_off = np.array([r.aod_offset for r in cluster.rays])
-    aoa_off = np.array([r.aoa_offset for r in cluster.rays])
-    tx_anchors = cluster.d_t0 * _ray_directions(cluster.aod, aod_off) \
-        + _velocity_vector(cluster.velocity_a) * t
-    rx_anchors = cluster.d_r0 * _ray_directions(cluster.aoa, aoa_off) \
-        + _velocity_vector(cluster.velocity_z) * t
-    return ClusterState(tx_anchors, rx_anchors)
+def ray_delays(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset):
+    """Delays of every ray once its anchors have moved on to t + dt.
 
-
-def ray_delay(cluster: DynamicCluster, ray: int, t: float,
-              tx_offset=None, rx_offset=None) -> float:
-    """Propagation delay of one ray: end-to-anchor legs plus virtual delay.
-
-    `tx_offset`/`rx_offset` are antenna element positions relative to the
-    link reference points.
+    `dt` is a grid of Q time offsets; `tx_offset`/`rx_offset` are antenna
+    element positions relative to the link ends, one (3,) vector or one per
+    grid point (Q, 3).  Returns the delays (R, Q) of the R = C m rays in
+    cluster-major order, end-to-anchor legs plus virtual delay, and per end
+    the element-to-anchor vectors (R, Q, 3) with their lengths (R, Q).
     """
-    if not 0 <= ray < len(cluster.rays):
-        raise ValueError(f"ray index {ray} out of range")
-    state = cluster_state_at(cluster, t)
-    l_t = np.zeros(3) if tx_offset is None else np.asarray(tx_offset, dtype=float)
-    l_r = np.zeros(3) if rx_offset is None else np.asarray(rx_offset, dtype=float)
-    d_t = float(np.linalg.norm(state.tx_anchors[ray] - l_t))
-    d_r = float(np.linalg.norm(state.rx_anchors[ray] - l_r))
-    return (d_t + d_r) / SPEED_OF_LIGHT + cluster.virtual_delay
+    dt = np.asarray(dt, dtype=float)
+    m = clusters.rays_per_cluster
+    legs = []
+    for anchor, velocity, offset in ((clusters.tx_anchor, clusters.velocity_a, tx_offset),
+                                     (clusters.rx_anchor, clusters.velocity_z, rx_offset)):
+        vel = np.repeat(velocity, m, axis=0)
+        rel = (anchor.reshape(-1, 3) + vel * t)[:, None, :] \
+            + vel[:, None, :] * dt[None, :, None] - offset
+        legs.append((rel, np.linalg.norm(rel, axis=2)))
+    (_, d_t), (_, d_r) = legs
+    virtual = np.repeat(clusters.virtual_delay, m)
+    return (d_t + d_r) / SPEED_OF_LIGHT + virtual[:, None], legs[0], legs[1]
+
+
+def ray_taps(clusters: ClusterSet, t: float, dt, tx_array: AntennaArray,
+             rx_array: AntennaArray, pair: tuple[int, int], config: GbsmConfig):
+    """Delays and complex amplitudes (R, Q) of every ray for one antenna pair.
+
+    Anchors move on to t + dt as in `ray_delays`.  Amplitude is sqrt(ray
+    power) times the polarization mix of the element patterns and the
+    carrier phase exp(j 2 pi f_c tau).
+    """
+    delays, (rel_t, d_t), (rel_r, d_r) = ray_delays(
+        clusters, t, dt, tx_array.element_offset(pair[0]),
+        rx_array.element_offset(pair[1]))
+    f_tx = tx_array.pattern(*_angles_of(rel_t, d_t))
+    f_rx = rx_array.pattern(*_angles_of(rel_r, d_r))
+    gains = _pol_mix(f_rx, f_tx, clusters.phases.reshape(-1, 1, 4),
+                     clusters.xpr.reshape(-1, 1), config.copolar_imbalance)
+    amps = np.sqrt(clusters.ray_power).reshape(-1, 1) * gains \
+        * np.exp(2j * math.pi * config.carrier_frequency * delays)
+    return delays, amps
 
 
 @dataclass
@@ -281,71 +334,38 @@ class Taps:
 
 
 def _angles_of(vectors: np.ndarray, norms: np.ndarray):
-    el = np.arcsin(np.clip(vectors[:, 2] / norms, -1.0, 1.0))
-    az = np.arctan2(vectors[:, 1], vectors[:, 0])
+    el = np.arcsin(np.clip(vectors[..., 2] / norms, -1.0, 1.0))
+    az = np.arctan2(vectors[..., 1], vectors[..., 0])
     return el, az
 
 
 def _pol_mix(f_rx, f_tx, phases: np.ndarray, xpr: np.ndarray, mu: float) -> np.ndarray:
+    """Polarization mix of element responses; phases (..., 4) broadcast with xpr."""
     rv, rh = f_rx
     tv, th = f_tx
     inv = 1.0 / xpr
-    return (rv * (np.exp(1j * phases[:, 0]) * tv
-                  + np.sqrt(mu * inv) * np.exp(1j * phases[:, 1]) * th)
-            + rh * (np.sqrt(inv) * np.exp(1j * phases[:, 2]) * tv
-                    + math.sqrt(mu) * np.exp(1j * phases[:, 3]) * th))
+    return (rv * (np.exp(1j * phases[..., 0]) * tv
+                  + np.sqrt(mu * inv) * np.exp(1j * phases[..., 1]) * th)
+            + rh * (np.sqrt(inv) * np.exp(1j * phases[..., 2]) * tv
+                    + math.sqrt(mu) * np.exp(1j * phases[..., 3]) * th))
 
 
-def dynamic_cir(clusters, tx_array: AntennaArray, rx_array: AntennaArray,
-                t: float, config: GbsmConfig) -> dict:
+def dynamic_cir(clusters: ClusterSet, tx_array: AntennaArray,
+                rx_array: AntennaArray, t: float, config: GbsmConfig) -> dict:
     """Dynamic-part impulse response taps per antenna pair (v, u).
 
-    Tap amplitude is sqrt(cluster power * ray fraction) times the
-    polarization mix of the element patterns and the carrier phase
-    exp(j 2 pi f_c tau).  The expected total power over all taps is one by
-    construction (unit patterns).
+    Taps are the rays of `ray_taps` at time t, tagged `dyn:<cluster>:<ray>`.
+    The expected total power over all taps is one by construction (unit
+    patterns).
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    fc = config.carrier_frequency
-    mu = config.copolar_imbalance
-
-    if not clusters:
-        return {(v, u): Taps.empty()
-                for v in range(tx_array.n_elements)
-                for u in range(rx_array.n_elements)}
-
-    tx_anchor, rx_anchor, power, virtual, phases, xpr, kinds = [], [], [], [], [], [], []
-    for cl in clusters:
-        state = cluster_state_at(cl, t)
-        tx_anchor.append(state.tx_anchors)
-        rx_anchor.append(state.rx_anchors)
-        power.append([cl.power * r.fraction for r in cl.rays])
-        virtual.append([cl.virtual_delay] * len(cl.rays))
-        phases.append([r.phases for r in cl.rays])
-        xpr.append([r.xpr for r in cl.rays])
-        kinds.extend(f"dyn:{cl.id}:{m}" for m in range(len(cl.rays)))
-    tx_anchor = np.concatenate(tx_anchor)
-    rx_anchor = np.concatenate(rx_anchor)
-    amp_scale = np.sqrt(np.concatenate(power))
-    virtual = np.concatenate(virtual)
-    phases = np.concatenate(phases)
-    xpr = np.concatenate(xpr)
-    kinds = tuple(kinds)
-
+    kinds = tuple(f"dyn:{c}:{r}" for c in range(len(clusters))
+                  for r in range(clusters.rays_per_cluster))
     out = {}
     for v in range(tx_array.n_elements):
-        l_v = tx_array.element_offset(v)
-        dep = tx_anchor - l_v
-        d_t = np.linalg.norm(dep, axis=1)
-        f_tx = tx_array.pattern(*_angles_of(dep, d_t))
         for u in range(rx_array.n_elements):
-            l_u = rx_array.element_offset(u)
-            arr = rx_anchor - l_u
-            d_r = np.linalg.norm(arr, axis=1)
-            f_rx = rx_array.pattern(*_angles_of(arr, d_r))
-            delays = (d_t + d_r) / SPEED_OF_LIGHT + virtual
-            amps = amp_scale * _pol_mix(f_rx, f_tx, phases, xpr, mu) \
-                * np.exp(2j * math.pi * fc * delays)
-            out[(v, u)] = Taps(delays, amps, kinds)
+            delays, amps = ray_taps(clusters, t, (0.0,), tx_array, rx_array,
+                                    (v, u), config)
+            out[(v, u)] = Taps(delays[:, 0], amps[:, 0], kinds)
     return out

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from .gbsm import (AntennaArray, GbsmConfig, Taps, _pol_mix, _velocity_vector,
-                   cluster_state_at, dynamic_cir, spawn_clusters)
-from .raytrace import Mpc, friis_path_gain, unit_from_angles
+from .gbsm import (AntennaArray, GbsmConfig, Taps, _pol_mix, dynamic_cir,
+                   ray_taps, spawn_clusters)
+from .raytrace import Mpc, friis_path_gain
 
 REL_TOL = 1e-12
 
@@ -305,47 +305,9 @@ class ChannelModel:
         if not clusters or w_d == 0.0:
             return out
 
-        fc = self.gbsm.carrier_frequency
-        mu = self.gbsm.copolar_imbalance
-        l_v = self.tx_array.element_offset(pair[0])
-        l_u = self.rx_array.element_offset(pair[1])
-        a_t, a_r, v_t, v_r, scale, virt, ph, xpr = _flatten_clusters(clusters)
         for lo in range(0, len(t_grid), chunk):
             ts = t_grid[lo:lo + chunk]
-            rel_t = a_t[:, None, :] + v_t[:, None, :] * ts[None, :, None] - l_v
-            rel_r = a_r[:, None, :] + v_r[:, None, :] * ts[None, :, None] - l_u
-            d_t = np.linalg.norm(rel_t, axis=2)
-            d_r = np.linalg.norm(rel_r, axis=2)
-            f_tx = self.tx_array.pattern(
-                np.arcsin(np.clip(rel_t[:, :, 2] / d_t, -1, 1)),
-                np.arctan2(rel_t[:, :, 1], rel_t[:, :, 0]))
-            f_rx = self.rx_array.pattern(
-                np.arcsin(np.clip(rel_r[:, :, 2] / d_r, -1, 1)),
-                np.arctan2(rel_r[:, :, 1], rel_r[:, :, 0]))
-            inv = 1.0 / xpr[:, None]
-            g = (f_rx[0] * (np.exp(1j * ph[:, None, 0]) * f_tx[0]
-                            + np.sqrt(mu * inv) * np.exp(1j * ph[:, None, 1]) * f_tx[1])
-                 + f_rx[1] * (np.sqrt(inv) * np.exp(1j * ph[:, None, 2]) * f_tx[0]
-                              + math.sqrt(mu) * np.exp(1j * ph[:, None, 3]) * f_tx[1]))
-            tau = (d_t + d_r) / SPEED_OF_LIGHT + virt[:, None]
-            amps = scale[:, None] * g * np.exp(2j * math.pi * fc * tau)
+            amps = ray_taps(clusters, 0.0, ts, self.tx_array, self.rx_array,
+                            pair, self.gbsm)[1]
             out[lo:lo + len(ts)] += w_d * amps.sum(axis=0)
         return out
-
-
-def _flatten_clusters(clusters):
-    a_t, a_r, v_t, v_r, scale, virt, ph, xpr = [], [], [], [], [], [], [], []
-    for cl in clusters:
-        state = cluster_state_at(cl, 0.0)
-        m = len(cl.rays)
-        a_t.append(state.tx_anchors)
-        a_r.append(state.rx_anchors)
-        v_t.append(np.tile(_velocity_vector(cl.velocity_a), (m, 1)))
-        v_r.append(np.tile(_velocity_vector(cl.velocity_z), (m, 1)))
-        scale.extend(math.sqrt(cl.power * r.fraction) for r in cl.rays)
-        virt.extend([cl.virtual_delay] * m)
-        ph.extend(r.phases for r in cl.rays)
-        xpr.extend(r.xpr for r in cl.rays)
-    return (np.concatenate(a_t), np.concatenate(a_r),
-            np.concatenate(v_t), np.concatenate(v_r),
-            np.array(scale), np.array(virt), np.array(ph), np.array(xpr))

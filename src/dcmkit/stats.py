@@ -29,8 +29,9 @@ import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.special import erf, roots_legendre
 
-from .hybrid import (ChannelModel, KFactors, _flatten_clusters, mixing_weights,
-                     rician_params, static_branch_split)
+from .gbsm import ray_delays
+from .hybrid import (ChannelModel, KFactors, mixing_weights, rician_params,
+                     static_branch_split)
 from .raytrace import unit_from_angles
 
 DEFAULT_ENSEMBLE = 200
@@ -127,10 +128,12 @@ class LcrInputs:
 
 def branch_power_coefficients(k: KFactors, has_los: bool, has_nlos: bool
                               ) -> tuple[float, float, float]:
-    """Power shares (LoS, static reflections, dynamic), summing to one.
+    """Power shares (LoS, static reflections, dynamic).
 
     Matches the synthesis path exactly, including the degenerate
-    normalization when a static sub-branch is absent.
+    normalization when a static sub-branch is absent.  The shares sum to
+    one whenever at least one static path exists; with no static path at
+    all the static power is dropped and the sum is the dynamic share w_d².
     """
     w_s, w_d = mixing_weights(k.k_s, k.k_d)
     a_l, a_s = static_branch_split(k.k_s, has_los, has_nlos)
@@ -151,25 +154,21 @@ def _ensemble_seed(base_seed: int, member: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _as_grid(x, q: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return np.full(q, float(arr))
-    if len(arr) != q:
+def _offset_grids(dloc, *offsets) -> list[np.ndarray]:
+    """Broadcast scalar or 1-D offsets and a (3,) or (Q, 3) receiver
+    displacement to one grid of Q points; returns [dloc, *offsets]."""
+    dloc = np.asarray(dloc, dtype=float)
+    arrays = [np.asarray(x, dtype=float) for x in offsets]
+    q = max([a.size for a in arrays] + [len(dloc) if dloc.ndim > 1 else 1])
+    if any(a.ndim and len(a) != q for a in arrays):
         raise ValueError("offset grids must share one length")
-    return arr
+    return [np.broadcast_to(dloc, (q, 3))] + [np.broadcast_to(a, (q,)) for a in arrays]
 
 
 def _static_corr_grid(model: ChannelModel, dr_t, dr_r, df, dloc, f=None):
     """Closed-form (LoS, static) branch correlations over offset grids."""
-    q = max(np.size(dr_t), np.size(dr_r), np.size(df),
-            np.shape(np.atleast_2d(dloc))[0] if np.ndim(dloc) > 1 else 1)
-    dr_t = _as_grid(dr_t, q)
-    dr_r = _as_grid(dr_r, q)
-    df = _as_grid(df, q)
-    dloc = np.asarray(dloc, dtype=float)
-    if dloc.ndim == 1:
-        dloc = np.tile(dloc, (q, 1))
+    dloc, dr_t, dr_r, df = _offset_grids(dloc, dr_t, dr_r, df)
+    q = len(df)
     fc = model.gbsm.carrier_frequency
     f_base = fc if f is None else f
 
@@ -207,41 +206,25 @@ def _dynamic_corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc,
     All offsets share one cluster ensemble, so differences across the grid
     (finite-difference derivatives, lag spectra) stay smooth.
     """
-    q = max(np.size(dr_t), np.size(dr_r), np.size(dt), np.size(df),
-            np.shape(np.atleast_2d(dloc))[0] if np.ndim(dloc) > 1 else 1)
-    dr_t = _as_grid(dr_t, q)
-    dr_r = _as_grid(dr_r, q)
-    dt = _as_grid(dt, q)
-    df = _as_grid(df, q)
-    dloc = np.asarray(dloc, dtype=float)
-    if dloc.ndim == 1:
-        dloc = np.tile(dloc, (q, 1))
+    dloc, dr_t, dr_r, dt, df = _offset_grids(dloc, dr_t, dr_r, dt, df)
+    q = len(df)
     fc = model.gbsm.carrier_frequency
     f_base = fc if f is None else f
     if model.gbsm.n_clusters == 0:
         return np.zeros(q, dtype=complex)
 
-    axis_t = model.tx_array.axis
-    axis_r = model.rx_array.axis
+    # offset side: elements displaced along the axes, rx moved by dloc
+    off_t = model.tx_array.axis[None, :] * dr_t[:, None]
+    off_r = model.rx_array.axis[None, :] * dr_r[:, None] + dloc
+    origin = np.zeros(3)
     acc = np.zeros(q, dtype=complex)
     for member in range(ensemble):
         clusters = model.spawn(_ensemble_seed(model.gbsm.seed, member))
-        a_t, a_r, v_t, v_r, scale, virt, _ph, _xpr = _flatten_clusters(clusters)
-        p = scale ** 2
-        pos_t = a_t + v_t * t
-        pos_r = a_r + v_r * t
-        tau0 = (np.linalg.norm(pos_t, axis=1)
-                + np.linalg.norm(pos_r, axis=1)) / SPEED_OF_LIGHT + virt
-        # offset side: elements displaced along the axes, rx moved by dloc
-        pt = pos_t[:, None, :] + v_t[:, None, :] * dt[None, :, None] \
-            - axis_t[None, None, :] * dr_t[None, :, None]
-        pr = pos_r[:, None, :] + v_r[:, None, :] * dt[None, :, None] \
-            - axis_r[None, None, :] * dr_r[None, :, None] - dloc[None, :, :]
-        tau1 = (np.linalg.norm(pt, axis=2)
-                + np.linalg.norm(pr, axis=2)) / SPEED_OF_LIGHT + virt[:, None]
+        tau0 = ray_delays(clusters, t, (0.0,), origin, origin)[0]
+        tau1 = ray_delays(clusters, t, dt, off_t, off_r)[0]
         phase = tau1 * (2.0 * fc - f_base - df)[None, :] \
-            - tau0[:, None] * (2.0 * fc - f_base)
-        acc += p @ np.exp(2j * math.pi * phase)
+            - tau0 * (2.0 * fc - f_base)
+        acc += clusters.ray_power.reshape(-1) @ np.exp(2j * math.pi * phase)
     return acc / ensemble
 
 
@@ -249,7 +232,9 @@ def stfcf(model: ChannelModel, query: CorrelationQuery) -> complex:
     """Space-time-frequency correlation at one offset tuple.
 
     Branch-weighted sum of the closed-form static correlations and the
-    Monte-Carlo dynamic correlation.  All offsets zero gives 1 exactly.
+    Monte-Carlo dynamic correlation.  All offsets zero gives the summed
+    branch powers: 1 exactly when the model has a static path, w_d² when it
+    has none (see `branch_power_coefficients`).
     """
     c_l, c_s, c_d = _model_coefficients(model)
     r_los, r_nlos = _static_corr_grid(
@@ -272,7 +257,8 @@ def fcf_closed_form(model: ChannelModel, df_grid,
 
     Static parts are exact tap sums sum_k P_k exp(-j 2 pi df tau_k); the
     dynamic part averages the same expression over cluster ensembles.
-    FCF(0) = 1 exactly.
+    FCF(0) = 1 exactly when the model has a static path; with none it is
+    the dynamic share w_d² (see `branch_power_coefficients`).
     """
     df_grid = np.asarray(df_grid, dtype=float)
     c_l, c_s, c_d = _model_coefficients(model)

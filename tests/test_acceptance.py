@@ -22,7 +22,7 @@ from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc,
                     rms_spread, save_map, dumps_map, doppler_psd,
                     trace_static_mpcs, update_snapshot)
 from dcmkit.cli import main as cli_main
-from dcmkit.gbsm import ray_delay
+from dcmkit.gbsm import ray_delays
 from dcmkit.stats import (CorrelationQuery, LcrInputs, angular_psd,
                           branch_power_coefficients, delay_psd, stfcf)
 
@@ -414,18 +414,24 @@ def test_criterion_8_calibration():
             for p in static]
         model = ChannelModel(tuple(static), k, GbsmConfig(seed=30_000 + i),
                              location=(tx, true_loc))
-        for cl in model.spawn():
-            for r, ry in enumerate(cl.rays):
-                el = min(max(cl.aoa[0] + ry.aoa_offset[0], -math.pi / 2),
+        cl = model.spawn()
+        m = cl.rays_per_cluster
+        delays = ray_delays(cl, 0.0, (0.0,), np.zeros(3), np.zeros(3))[0]
+        for c in range(len(cl)):
+            for r in range(m):
+                aod_off = cl.aod_offset[c, r]
+                aoa_off = cl.aoa_offset[c, r]
+                el = min(max(cl.aoa[c, 0] + aoa_off[0], -math.pi / 2),
                          math.pi / 2)
-                el_d = min(max(cl.aod[0] + ry.aod_offset[0], -math.pi / 2),
+                el_d = min(max(cl.aod[c, 0] + aod_off[0], -math.pi / 2),
                            math.pi / 2)
                 reference.append(Mpc(
-                    delay=ray_delay(cl, r, 0.0),
-                    power=c_d * cl.power * ry.fraction,
-                    aod=(el_d, _wrap(cl.aod[1] + ry.aod_offset[1])),
-                    aoa=(el, _wrap(cl.aoa[1] + ry.aoa_offset[1])),
-                    phases=ry.phases, xpr=ry.xpr, kind=f"dyn:{cl.id}:{r}"))
+                    delay=float(delays[c * m + r, 0]),
+                    power=c_d * float(cl.power[c]) * (1.0 / m),
+                    aod=(el_d, _wrap(cl.aod[c, 1] + aod_off[1])),
+                    aoa=(el, _wrap(cl.aoa[c, 1] + aoa_off[1])),
+                    phases=tuple(cl.phases[c, r].tolist()),
+                    xpr=float(cl.xpr[c, r]), kind=f"dyn:{c}:{r}"))
         match = match_mpcs(reference, query(dcm, g).mpcs)
         est = estimate_k_split(match, reference)
         ks_seed.append(est.k_s)

@@ -107,6 +107,33 @@ def test_update_out_file_matches_stdout(built_map, workdir, capsys):
     assert not (workdir / "update.csv.tmp").exists()
 
 
+def test_out_file_ignores_a_stale_temp_name(built_map, workdir, capsys):
+    target = workdir / "stale.csv"
+    (workdir / "stale.csv.tmp").mkdir()
+    argv = ["update", "--map", str(built_map), "--at", "2,2,1.5", "--seed", "3"]
+    rc, out, _ = run(capsys, argv + ["--out", str(target)])
+    assert rc == 0 and out == ""
+    assert target.read_text() == run(capsys, argv)[1]
+    assert (workdir / "stale.csv.tmp").is_dir()
+    assert not list(workdir.glob("stale.csv.*.tmp"))
+
+
+def test_malformed_map_exits_one_with_line(built_map, workdir, capsys):
+    text = built_map.read_text()
+    cases = {
+        "unknown gbsm key": text.replace("[gbsm]\n", "[gbsm]\nbogus_knob=3\n"),
+        "bad gbsm number": text.replace("\nseed=0\n", "\nseed=zero\n"),
+        "bad mpc number": text.replace("delay_ns=", "delay_ns=x", 1),
+    }
+    for label, bad_text in cases.items():
+        bad = workdir / "bad.dcm"
+        bad.write_text(bad_text)
+        rc, _, err = run(capsys, ["update", "--map", str(bad), "--at", "2,2,1.5",
+                                  "--seed", "1"])
+        assert rc == 1, label
+        assert err.startswith("error: line ") and "Traceback" not in err, label
+
+
 def test_update_accepts_config_overrides(built_map, workdir, capsys):
     cfg = workdir / "overrides.json"
     cfg.write_text(json.dumps({"n_clusters": 2, "rays_per_cluster": 1}))

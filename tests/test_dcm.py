@@ -268,6 +268,54 @@ def test_loads_map_error_reporting():
     with pytest.raises(ValueError, match="expected 3"):
         loads_map(good.replace("rx=1,0,0", "rx=1,0"))
 
+    # every bad value names its line: [gbsm] keys and numbers, mpc fields
+    head = "DCMv1\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n[gbsm]\n"
+    record = ("[record]\ntx=0,0,0\nrx=1,0,0\nks=2\nkd=4\n"
+              "mpc kind=los delay_ns=100 power_db=-87.26 aod=0,0 aoa=0,0 "
+              "phases=0,0,0,0 xpr_db=inf\n")
+    loads_map(head + "n_clusters=3\nanchor_range=30,40\n" + record)
+    bad_gbsm = {
+        "bogus_knob=3": "unknown config fields: bogus_knob",
+        "n_clusters=three": "could not convert",
+        "n_clusters=1.5": "must be an integer",
+        "cluster_speed=1,2": "must be a number",
+        "anchor_range=30": "must be a pair",
+    }
+    for line, message in bad_gbsm.items():
+        with pytest.raises(ValueError, match=f"line 7: .*{message}"):
+            loads_map(head + line + "\n" + record)
+    # values of the right type but out of range name the [gbsm] header
+    with pytest.raises(ValueError, match="line 6: .*n_clusters must be >= 0"):
+        loads_map(head + "n_clusters=-1\n" + record)
+    bad_mpc = {
+        "delay_ns=100": "delay_ns=abc",
+        "power_db=-87.26": "power_db=4000",
+        "aoa=0,0": "aoa=0,x",
+        "phases=0,0,0,0": "phases=0,0",
+        "xpr_db=inf": "xpr_db=-inf",
+        "delay_ns=100 ": "delay_ns=-100 ",
+        "kind=los": "kind=weird",
+    }
+    for field_text, bad in bad_mpc.items():
+        with pytest.raises(ValueError, match="line 12: "):
+            loads_map(head + record.replace(field_text, bad))
+    with pytest.raises(ValueError, match="line 4: "):
+        loads_map(head.replace("max_order=1", "max_order=x") + record)
+    with pytest.raises(ValueError, match="line 7: record missing kd="):
+        loads_map(head + record.replace("kd=4\n", ""))
+
+
+def test_save_map_ignores_a_stale_temp_name(room_scene, tmp_path):
+    dmap = build_map(room_scene, TX, POINTS[:1], max_order=1)
+    target = tmp_path / "room.dcm"
+    (tmp_path / "room.dcm.tmp").mkdir()
+    save_map(dmap, target)
+    assert target.read_text() == dumps_map(dmap)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["room.dcm", "room.dcm.tmp"]
+    plain = tmp_path / "plain"
+    plain.write_text("x")
+    assert target.stat().st_mode == plain.stat().st_mode
+
 
 def test_mpc_lines_roundtrip_units():
     # delays in ns, powers in dB, angles in degrees; infinities intact

@@ -1,33 +1,50 @@
 """Stochastic cluster generator: determinism, power bookkeeping, kinematics."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from dcmkit import (AntennaArray, ClusterRay, DynamicCluster, GbsmConfig, Taps,
-                    cluster_state_at, dynamic_cir, ray_delay, spawn_clusters)
+from dcmkit import (AntennaArray, ClusterSet, GbsmConfig, Taps, dynamic_cir,
+                    spawn_clusters)
+from dcmkit.gbsm import ray_delays
 
 LOC = ((0.0, 0.0, 0.0), (50.0, 0.0, 0.0))
+ORIGIN = np.zeros(3)
 
 
 def one_ray_cluster(d_t=50.0, d_r=65.0, aod=(0.0, 0.0), aoa=(0.0, math.pi / 2),
                     vel_a=(0.0, 0.0, 0.0), vel_z=(0.0, 0.0, 0.0),
                     virtual=0.0, power=1.0):
-    ray = ClusterRay(aod_offset=(0.0, 0.0), aoa_offset=(0.0, 0.0),
-                     fraction=1.0, phases=(0.0, 0.0, 0.0, 0.0), xpr=math.inf)
-    return DynamicCluster(id=0, power=power, d_t0=d_t, aod=aod, d_r0=d_r,
-                          aoa=aoa, velocity_a=vel_a, velocity_z=vel_z,
-                          virtual_delay=virtual, rays=(ray,))
+    return ClusterSet(power=np.array([power]), d_t0=np.array([d_t]),
+                      aod=np.array([aod]), d_r0=np.array([d_r]),
+                      aoa=np.array([aoa]), velocity_a=np.array([vel_a]),
+                      velocity_z=np.array([vel_z]),
+                      virtual_delay=np.array([virtual]),
+                      aod_offset=np.zeros((1, 1, 2)),
+                      aoa_offset=np.zeros((1, 1, 2)),
+                      phases=np.zeros((1, 1, 4)), xpr=np.full((1, 1), math.inf))
+
+
+def ray_delay(cl, t, tx_offset=ORIGIN):
+    """Delay of the first ray at time t."""
+    return float(ray_delays(cl, t, (0.0,), tx_offset, ORIGIN)[0][0, 0])
+
+
+def same(a: ClusterSet, b: ClusterSet) -> bool:
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(ClusterSet))
 
 
 def test_spawn_is_deterministic():
     cfg = GbsmConfig(seed=42)
-    assert spawn_clusters(cfg, LOC) == spawn_clusters(cfg, LOC)
-    assert spawn_clusters(cfg, LOC) != spawn_clusters(cfg.with_overrides(seed=43), LOC)
+    assert same(spawn_clusters(cfg, LOC), spawn_clusters(cfg, LOC))
+    assert not same(spawn_clusters(cfg, LOC),
+                    spawn_clusters(cfg.with_overrides(seed=43), LOC))
     other = ((0.0, 0.0, 0.0), (51.0, 0.0, 0.0))
-    assert spawn_clusters(cfg, LOC) != spawn_clusters(cfg, other)
+    assert not same(spawn_clusters(cfg, LOC), spawn_clusters(cfg, other))
 
 
 def test_cluster_streams_are_order_independent():
@@ -36,23 +53,21 @@ def test_cluster_streams_are_order_independent():
     cfg15 = GbsmConfig(seed=9, n_clusters=15)
     a = spawn_clusters(cfg5, LOC)
     b = spawn_clusters(cfg15, LOC)
-    for i in range(5):
-        assert a[i].aod == b[i].aod
-        assert a[i].d_t0 == b[i].d_t0
-        assert a[i].rays == b[i].rays
+    for name in ("aod", "d_t0", "aod_offset", "aoa_offset", "phases", "xpr"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)[:5])
         # powers renormalize across the ensemble, so those differ
-    assert abs(sum(c.power for c in a) - 1.0) < 1e-12
-    assert abs(sum(c.power for c in b) - 1.0) < 1e-12
+    assert abs(sum(a.power) - 1.0) < 1e-12
+    assert abs(sum(b.power) - 1.0) < 1e-12
 
 
 def test_cluster_power_normalization():
     clusters = spawn_clusters(GbsmConfig(seed=3), LOC)
     assert len(clusters) == 15
-    assert abs(math.fsum(c.power for c in clusters) - 1.0) < 1e-12
-    for c in clusters:
-        assert c.power > 0.0
-        assert abs(math.fsum(r.fraction for r in c.rays) - 1.0) < 1e-12
-        assert len(c.rays) == 10
+    assert abs(math.fsum(clusters.power) - 1.0) < 1e-12
+    assert np.all(clusters.power > 0.0)
+    for power, rays in zip(clusters.power, clusters.ray_power):
+        assert abs(math.fsum(rays) / power - 1.0) < 1e-12
+        assert len(rays) == 10
 
 
 def test_draws_respect_configured_ranges():
@@ -60,48 +75,53 @@ def test_draws_respect_configured_ranges():
                      anchor_range=(30.0, 40.0),
                      elevation_range=(-0.1, 0.1),
                      azimuth_range=(0.5, 1.0))
-    for c in spawn_clusters(cfg, LOC):
-        assert 30.0 <= c.d_t0 <= 40.0
-        assert 30.0 <= c.d_r0 <= 40.0
-        assert -0.1 <= c.aod[0] <= 0.1
-        assert 0.5 <= c.aod[1] <= 1.0
-        assert 0.5 <= c.aoa[1] <= 1.0
-        assert c.virtual_delay >= 0.0
+    c = spawn_clusters(cfg, LOC)
+    assert np.all((30.0 <= c.d_t0) & (c.d_t0 <= 40.0))
+    assert np.all((30.0 <= c.d_r0) & (c.d_r0 <= 40.0))
+    assert np.all((-0.1 <= c.aod[:, 0]) & (c.aod[:, 0] <= 0.1))
+    assert np.all((0.5 <= c.aod[:, 1]) & (c.aod[:, 1] <= 1.0))
+    assert np.all((0.5 <= c.aoa[:, 1]) & (c.aoa[:, 1] <= 1.0))
+    assert np.all(c.virtual_delay >= 0.0)
 
 
 def test_speed_scales_velocities_without_redrawing():
     slow = spawn_clusters(GbsmConfig(seed=5, cluster_speed=0.5), LOC)
     fast = spawn_clusters(GbsmConfig(seed=5, cluster_speed=1.0), LOC)
-    for a, b in zip(slow, fast):
-        assert a.aod == b.aod and a.aoa == b.aoa
-        assert a.power == b.power
-        assert a.virtual_delay == b.virtual_delay
-        assert a.velocity_a[1:] == b.velocity_a[1:]  # same direction draws
-        assert b.velocity_a[0] == 2.0 * a.velocity_a[0]
-        assert b.velocity_z[0] == 2.0 * a.velocity_z[0]
+    assert np.array_equal(slow.aod, fast.aod) and np.array_equal(slow.aoa, fast.aoa)
+    assert np.array_equal(slow.power, fast.power)
+    assert np.array_equal(slow.virtual_delay, fast.virtual_delay)
+    # same direction draws, twice the speed
+    assert np.array_equal(fast.velocity_a, 2.0 * slow.velocity_a)
+    assert np.array_equal(fast.velocity_z, 2.0 * slow.velocity_z)
 
 
 def test_anchor_displacement_is_speed_times_time():
-    cluster = spawn_clusters(GbsmConfig(seed=1, n_clusters=1), LOC)[0]
-    before = cluster_state_at(cluster, 0.0)
-    after = cluster_state_at(cluster, 1.0)
-    moved_tx = np.linalg.norm(after.tx_anchors - before.tx_anchors, axis=1)
-    moved_rx = np.linalg.norm(after.rx_anchors - before.rx_anchors, axis=1)
+    cluster = spawn_clusters(GbsmConfig(seed=1, n_clusters=1), LOC)
+    _, (tx_before, _), (rx_before, _) = ray_delays(cluster, 0.0, (0.0,), ORIGIN, ORIGIN)
+    _, (tx_after, _), (rx_after, _) = ray_delays(cluster, 1.0, (0.0,), ORIGIN, ORIGIN)
+    moved_tx = np.linalg.norm(tx_after - tx_before, axis=2)
+    moved_rx = np.linalg.norm(rx_after - rx_before, axis=2)
     assert np.allclose(moved_tx, 0.5, atol=1e-12)
     assert np.allclose(moved_rx, 0.5, atol=1e-12)
+    # a time offset moves the anchors like the base time does
+    _, (tx_later, _), _ = ray_delays(cluster, 0.0, (1.0,), ORIGIN, ORIGIN)
+    assert np.allclose(tx_later, tx_after, atol=1e-12)
     with pytest.raises(ValueError):
-        cluster_state_at(cluster, -0.1)
+        dynamic_cir(cluster, AntennaArray(), AntennaArray(), -0.1,
+                    GbsmConfig(n_clusters=1))
 
 
 def test_ray_delay_matches_geometry():
     cl = one_ray_cluster(virtual=25e-9)
     expected = (50.0 + 65.0) / C0 + 25e-9
-    assert abs(ray_delay(cl, 0, 0.0) - expected) < 1e-18
+    assert abs(ray_delay(cl, 0.0) - expected) < 1e-18
     # element offsets shorten or stretch the legs
-    shifted = ray_delay(cl, 0, 0.0, tx_offset=(1.0, 0.0, 0.0))
+    shifted = ray_delay(cl, 0.0, tx_offset=(1.0, 0.0, 0.0))
     assert abs(shifted - ((49.0 + 65.0) / C0 + 25e-9)) < 1e-18
     with pytest.raises(ValueError):
-        ray_delay(cl, 5, 0.0)
+        one_ray_cluster(power=-1.0)
+    with pytest.raises(ValueError):
+        one_ray_cluster(virtual=-1e-9)
 
 
 def test_radial_recession_doppler():
@@ -109,15 +129,15 @@ def test_radial_recession_doppler():
     cl = one_ray_cluster(aod=(0.0, 0.0), aoa=(0.0, 0.0),
                          vel_a=(0.5, 0.0, 0.0), vel_z=(0.5, 0.0, 0.0))
     h = 1e-3
-    rate = (ray_delay(cl, 0, h) - ray_delay(cl, 0, 0.0)) / h
+    rate = (ray_delay(cl, h) - ray_delay(cl, 0.0)) / h
     assert abs(rate - 1.0 / C0) < 1e-9 / C0
     # carrier phase drift in the synthesized taps matches -f_c * rate
     # taps keep exp(+j 2 pi f_c tau): a growing delay advances the phase at
     # +f_c/c m/s; the spectral transform maps that to negative Doppler
     cfg = GbsmConfig(n_clusters=1, rays_per_cluster=1)
     arr = AntennaArray()
-    t0 = dynamic_cir((cl,), arr, arr, 0.0, cfg)[(0, 0)]
-    t1 = dynamic_cir((cl,), arr, arr, h, cfg)[(0, 0)]
+    t0 = dynamic_cir(cl, arr, arr, 0.0, cfg)[(0, 0)]
+    t1 = dynamic_cir(cl, arr, arr, h, cfg)[(0, 0)]
     phase_step = np.angle(t1.amps[0] / t0.amps[0])
     drift = phase_step / (2.0 * math.pi * h)
     expected = cfg.carrier_frequency / C0
@@ -147,8 +167,9 @@ def test_dynamic_cir_covers_all_pairs():
 
 def test_empty_cluster_list():
     cfg = GbsmConfig(n_clusters=0)
-    assert spawn_clusters(cfg, LOC) == ()
-    out = dynamic_cir((), AntennaArray(), AntennaArray(), 0.0, cfg)
+    clusters = spawn_clusters(cfg, LOC)
+    assert len(clusters) == 0
+    out = dynamic_cir(clusters, AntennaArray(), AntennaArray(), 0.0, cfg)
     assert len(out[(0, 0)]) == 0
     assert out[(0, 0)].power == 0.0
 
