@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
@@ -105,8 +105,7 @@ class GbsmConfig:
             raise ValueError(f"bad anchor_range {self.anchor_range}")
 
     def with_overrides(self, **kwargs) -> "GbsmConfig":
-        known = {f.name for f in fields(self)}
-        unknown = sorted(set(kwargs) - known)
+        unknown = sorted(set(kwargs) - _FIELD_TYPES.keys())
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
         return replace(self, **kwargs)
@@ -126,17 +125,15 @@ def config_field(name: str, value):
     kind = _FIELD_TYPES.get(name)
     if kind is None:
         raise ValueError(f"unknown config fields: {name}")
-    if isinstance(value, bool):
-        pass
-    elif kind is int:
-        if isinstance(value, _INTEGERS):
+    if not isinstance(value, bool):
+        if kind is int and isinstance(value, _INTEGERS):
             return int(value)
-    elif kind is float:
-        if isinstance(value, _REALS):
+        if kind is float and isinstance(value, _REALS):
             return float(value)
-    elif (isinstance(value, (list, tuple)) and len(value) == 2
-          and not any(isinstance(v, bool) or not isinstance(v, _REALS) for v in value)):
-        return float(value[0]), float(value[1])
+        if (kind not in (int, float) and isinstance(value, (list, tuple))
+                and len(value) == 2
+                and all(isinstance(v, _REALS) and not isinstance(v, bool) for v in value)):
+            return float(value[0]), float(value[1])
     what = {int: "an integer", float: "a number"}.get(kind, "a pair of numbers")
     raise ValueError(f"config field {name} must be {what}, got {value!r}")
 
