@@ -1,11 +1,12 @@
 """Golden digests: SHA-256 of seeded outputs at fixed inputs.
 
 Any change to a random stream, a draw order or the floating-point work
-behind the map bytes, the CLI tables or the synthesized taps shows up here
-as a changed digest.  A refactor that means to keep behaviour must leave
-every digest alone; a change that means to move outputs updates them and
-says why.  The pinned values hold for one numpy build: SIMD transcendental
-functions may round differently on another CPU or numpy version.
+behind the traced paths, the map bytes, the CLI tables or the synthesized
+taps shows up here as a changed digest.  A refactor that means to keep
+behaviour must leave every digest alone; a change that means to move
+outputs updates them and says why.  The pinned values hold for one numpy
+build: SIMD transcendental functions may round differently on another CPU
+or numpy version.
 """
 
 import hashlib
@@ -14,13 +15,20 @@ import numpy as np
 import pytest
 
 from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors,
-                    dynamic_cir, loads_scene, spawn_clusters, trace_static_mpcs)
+                    build_map, dumps_map, dynamic_cir, loads_scene,
+                    spawn_clusters, trace_static_mpcs)
 from dcmkit.cli import main
 
 from conftest import ROOM_SCENE
+from test_acceptance import _panel_field_scene
 
 TX = "1,1,1.5"
 LOC = ((1.0, 1.0, 1.5), (2.5, 2.0, 1.5))
+# Order-3 receivers on the acceptance-7 panel field; their kept paths by
+# order (los, 1, 2, 3) are 1,2,3,1 / 1,1,0,2 / 1,2,4,1 / 0,0,0,0 / 0,1,1,1.
+PANEL_TX = (0.5, 0.5, 5.0)
+PANEL_RX = ((-1.0, -8.0, 1.5), (-2.75, 2.5, 1.5), (7.75, 4.25, 1.5),
+            (4.25, -6.25, 1.5), (6.0, -6.25, 1.5))
 
 GOLDEN = {
     "build":
@@ -35,6 +43,10 @@ GOLDEN = {
         "44f59b1803155b3492b19a7769da5326b127241616ab2f5aaec8667834611693",
     "narrowband_series":
         "38d5659164bae707167d0d2b47bb1f2db6818bcda50069d6b8f9e212867b6d9b",
+    "panel_trace":
+        "ef3f1943ded800f7e6710d51cb538fc11743fe5f0ed2536538645c7d607b5d83",
+    "panel_map":
+        "d3d141b8f156b3e0bd0463ca8f8db72460ac55d66205424022b1e9359975261b",
 }
 
 
@@ -105,3 +117,23 @@ def test_narrowband_series_digest():
     t_grid = 0.05 + np.arange(700) * 1e-3
     series = model.narrowband_series(t_grid, pair=(1, 1), chunk=256)
     assert _sha(series.tobytes()) == GOLDEN["narrowband_series"]
+
+
+@pytest.fixture(scope="module")
+def panel_scene():
+    return _panel_field_scene()
+
+
+def test_panel_trace_digest(panel_scene):
+    chunks = []
+    for rx in PANEL_RX:
+        for m in trace_static_mpcs(panel_scene, PANEL_TX, rx, max_order=3):
+            chunks.append(repr((m.delay, m.power, m.aod, m.aoa, m.phases,
+                                m.xpr, m.kind, m.facets)))
+        chunks.append("\n")
+    assert _sha(*chunks) == GOLDEN["panel_trace"]
+
+
+def test_panel_map_digest(panel_scene):
+    dmap = build_map(panel_scene, PANEL_TX, PANEL_RX, max_order=3)
+    assert _sha(dumps_map(dmap)) == GOLDEN["panel_map"]
