@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
@@ -207,9 +208,17 @@ def _ray_directions(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=-1)
 
 
-def _location_words(location) -> list[int]:
-    pts = np.asarray(location, dtype=np.float64).reshape(-1)
-    return [int(w) for w in pts.view(np.uint64)]
+def _entropy_words(values) -> list[int]:
+    """The uint32 words SeedSequence makes of non-negative ints: low first,
+    as few as hold the value, one zero word for zero."""
+    words = []
+    for v in values:
+        words.append(v & 0xFFFFFFFF)
+        v >>= 32
+        while v:
+            words.append(v & 0xFFFFFFFF)
+            v >>= 32
+    return words
 
 
 def spawn_clusters(config: GbsmConfig, location) -> ClusterSet:
@@ -218,29 +227,36 @@ def spawn_clusters(config: GbsmConfig, location) -> ClusterSet:
     Streams derive from (config.seed, location, cluster index), so clusters
     are reproducible individually and the ensemble is order-independent.
     """
-    loc = _location_words(location)
+    loc = np.asarray(location, dtype=np.float64).reshape(-1).view(np.uint64)
     n, m = config.n_clusters, config.rays_per_cluster
     speed = config.cluster_speed
+    # SeedSequence([seed, *loc, c]) of cluster c, given as its uint32 words:
+    # the same pool, without converting every int for every cluster
+    head = _entropy_words([config.seed & 0xFFFFFFFFFFFFFFFF, *(int(w) for w in loc)])
+    # a cluster's ten uniform draws in one call: each is low + (high - low)
+    # times the next double, the same numbers as ten scalar calls
+    lows, highs = np.array([config.anchor_range, config.elevation_range,
+                            config.azimuth_range, config.anchor_range,
+                            config.elevation_range, config.azimuth_range,
+                            (-1.0, 1.0), (-math.pi, math.pi),
+                            (-1.0, 1.0), (-math.pi, math.pi)], dtype=float).T
     scalars, offsets, phases, xpr = [], [], [], []
     for c in range(n):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([config.seed & 0xFFFFFFFFFFFFFFFF, *loc, c])))
-        d_t = rng.uniform(*config.anchor_range)
-        aod = (rng.uniform(*config.elevation_range), rng.uniform(*config.azimuth_range))
-        d_r = rng.uniform(*config.anchor_range)
-        aoa = (rng.uniform(*config.elevation_range), rng.uniform(*config.azimuth_range))
-        vel_a = _velocity(speed, math.asin(rng.uniform(-1.0, 1.0)),
-                          rng.uniform(-math.pi, math.pi))
-        vel_z = _velocity(speed, math.asin(rng.uniform(-1.0, 1.0)),
-                          rng.uniform(-math.pi, math.pi))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            np.array(head + _entropy_words([c]), dtype=np.uint32))))
+        d_t, el_t, az_t, d_r, el_r, az_r, sin_a, az_a, sin_z, az_z = \
+            rng.uniform(lows, highs).tolist()
+        vel_a = _velocity(speed, math.asin(sin_a), az_a)
+        vel_z = _velocity(speed, math.asin(sin_z), az_z)
         virtual = rng.exponential(config.virtual_delay_mean)
         shadow_db = rng.normal(0.0, config.shadow_std_db)
-        scalars.append((d_t, d_r, virtual, shadow_db, *aod, *aoa, *vel_a, *vel_z))
+        scalars.append((d_t, d_r, virtual, shadow_db, el_t, az_t, el_r, az_r,
+                        *vel_a, *vel_z))
         offsets.append(rng.laplace(0.0, config.angle_spread_intra, size=(m, 4)))
         phases.append(rng.uniform(0.0, 2.0 * math.pi, size=(m, 4)))
         # one scalar power per ray: the array form of 10 ** x rounds differently
-        xpr.append([10.0 ** (x / 10.0)
-                    for x in rng.normal(config.xpr_mean_db, config.xpr_std_db, size=m)])
+        xpr.append([10.0 ** (x / 10.0) for x in
+                    rng.normal(config.xpr_mean_db, config.xpr_std_db, size=m).tolist()])
 
     cols = np.array(scalars, dtype=float).reshape(n, 14)
     d_t, d_r, virtual, shadow_db = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
@@ -347,6 +363,11 @@ def _pol_mix(f_rx, f_tx, phases: np.ndarray, xpr: np.ndarray, mu: float) -> np.n
                     + math.sqrt(mu) * np.exp(1j * phases[..., 3]) * th))
 
 
+@lru_cache(maxsize=8)
+def _ray_kinds(n_clusters: int, rays: int) -> tuple[str, ...]:
+    return tuple(f"dyn:{c}:{r}" for c in range(n_clusters) for r in range(rays))
+
+
 def dynamic_cir(clusters: ClusterSet, tx_array: AntennaArray,
                 rx_array: AntennaArray, t: float, config: GbsmConfig) -> dict:
     """Dynamic-part impulse response taps per antenna pair (v, u).
@@ -357,8 +378,7 @@ def dynamic_cir(clusters: ClusterSet, tx_array: AntennaArray,
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    kinds = tuple(f"dyn:{c}:{r}" for c in range(len(clusters))
-                  for r in range(clusters.rays_per_cluster))
+    kinds = _ray_kinds(len(clusters), clusters.rays_per_cluster)
     out = {}
     for v in range(tx_array.n_elements):
         for u in range(rx_array.n_elements):

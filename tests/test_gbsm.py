@@ -47,6 +47,23 @@ def test_spawn_is_deterministic():
     assert not same(spawn_clusters(cfg, LOC), spawn_clusters(cfg, other))
 
 
+def test_cluster_streams_follow_their_seed_sequence():
+    # cluster c draws from SeedSequence([seed & (2**64 - 1), *location words, c])
+    from dcmkit.gbsm import _entropy_words
+    values = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 7 << 40]
+    assert np.array_equal(
+        np.random.SeedSequence(values).pool,
+        np.random.SeedSequence(np.array(_entropy_words(values), dtype=np.uint32)).pool)
+    loc = ((0.0, -0.0, 1.5), (2.5e-310, -3.0, 1e300))  # zero, subnormal, sign bits
+    for seed in (0, 5, -1, 2**70 + 3):
+        cfg = GbsmConfig(seed=seed, n_clusters=3)
+        words = np.asarray(loc, dtype=np.float64).reshape(-1).view(np.uint64)
+        for c in range(3):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                [seed & 0xFFFFFFFFFFFFFFFF, *(int(w) for w in words), c])))
+            assert spawn_clusters(cfg, loc).d_t0[c] == rng.uniform(*cfg.anchor_range)
+
+
 def test_cluster_streams_are_order_independent():
     # cluster n draws the same values no matter how many siblings exist
     cfg5 = GbsmConfig(seed=9, n_clusters=5)
