@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C0
 from scipy.constants import epsilon_0
 
@@ -168,6 +170,147 @@ def test_oracle_equivalence_random_scenes():
             delay, power = expected[(m.kind, m.facets)]
             assert abs(m.delay - delay) <= 1e-12
             assert abs(m.power - power) <= 1e-9 * power
+
+
+_MATS = (Material("m0", eps_r=5.31, sigma=0.0326), Material("m1", eps_r=3.0, sigma=0.4))
+
+
+def _rect(center, u, v, material):
+    c, u, v = (np.asarray(x, dtype=float) for x in (center, u, v))
+    return Facet([c - u - v, c + u - v, c + u + v, c - u + v], material)
+
+
+def _log_uniform(draw, lo, hi):
+    return 10.0 ** -draw(st.floats(-math.log10(hi), -math.log10(lo)))
+
+
+def _step(length, start, direction, size):
+    """length, shortened so start + length * direction stays in the box."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.where(direction > 0.0, size - 0.01 - start, 0.01 - start) / direction
+    room = room[direction != 0.0].min()
+    return min(length, 0.9 * room) if room > 0.0 else length
+
+
+def _panel(draw, size, material):
+    """A random rectangle inside the box [0, size]."""
+    center = np.array([draw(st.floats(0.1, 0.9)) for _ in range(3)]) * size
+    yaw = draw(st.floats(0.0, math.pi))
+    tilt = draw(st.floats(-0.6, 0.6))
+    width, height = draw(st.floats(0.2, 1.5)), draw(st.floats(0.2, 1.2))
+    u = width * np.array([math.cos(yaw), math.sin(yaw), 0.0])
+    v = height * np.array([-math.sin(yaw) * math.sin(tilt),
+                           math.cos(yaw) * math.sin(tilt), math.cos(tilt)])
+    fit = min(_step(1.0, center, su * u + sv * v, size)
+              for su in (-1.0, 1.0) for sv in (-1.0, 1.0))
+    return _rect(center, fit * u, fit * v, material)
+
+
+def _sliver(draw, size):
+    """tx, a mirror panel f, a panel g and rx such that the path
+    tx -> f -> g -> rx meets g on the rim of what the pruning tests keep.
+
+    - "beam": the hit on f lies 1e-6..1e-2 m inside an edge, and g reaches
+      into the beam from tx's image through f by 1e-6..1e-2 m or not at all.
+    - "plane": g stands across f's plane and reaches 1e-6..2e-2 m onto its
+      real side.
+    - "slack": the hit on f lies 1e-10..9e-10 m outside an edge, inside the
+      tracer's slack, tx sits 1e-6..1e-4 m off f and g lies wholly outside
+      the beam, by up to ~1e-3 m.  A pruning margin that does not grow with
+      the distance from the image loses this path.
+    """
+    mode = draw(st.sampled_from(["beam", "plane", "slack"]))
+    wall = _panel(draw, size, _MATS[0])
+    verts = wall.vertices
+    i = draw(st.integers(0, len(verts) - 1))
+    a, b = verts[i], verts[(i + 1) % len(verts)]
+    along = (b - a) / np.linalg.norm(b - a)
+    inward = np.cross(wall.normal, along)
+    inward *= np.sign(inward @ (wall.centroid - a))
+    if mode == "slack":
+        inset, standoff, reach = -_log_uniform(draw, 1e-10, 9e-10), (1e-6, 1e-4), 0.0
+    else:
+        inset, standoff = _log_uniform(draw, 1e-6, 1e-2), (1e-6, 2.0)
+        reach = draw(st.sampled_from([0.0, 1.0])) * _log_uniform(draw, 1e-6, 1e-2)
+    hit = a + draw(st.floats(0.05, 0.95)) * (b - a) + inset * inward
+    real = wall.normal * draw(st.sampled_from([-1.0, 1.0]))
+    way = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)]) + 1.5 * real
+    way -= min(0.0, way @ real) * real  # stay on the real side
+    way /= np.linalg.norm(way)
+    tx = hit + _step(_log_uniform(draw, *standoff), hit, way, size) * way
+    image = _mirror(tx, wall)
+    ray = (hit - image) / np.linalg.norm(hit - image)
+    if mode == "plane":
+        out = -real
+        q = hit + _log_uniform(draw, 1e-6, 1e-2) / abs(ray @ real) * ray
+    else:
+        out = np.cross(a - image, along)
+        out *= -np.sign(out @ (wall.centroid - image))
+        out /= np.linalg.norm(out)
+        q = hit + _step(draw(st.floats(0.2, 1.5)), hit, ray, size) * ray
+    depth, width = draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0))
+    panel = _rect(q + 0.5 * (depth - reach) * out, 0.5 * (depth + reach) * out,
+                  width * along, _MATS[1])
+    bounce = ray - 2.0 * (ray @ panel.normal) * panel.normal
+    rx = q + _step(draw(st.floats(0.1, 1.0)), q, bounce, size) * bounce
+    return tx, [wall, panel], rx
+
+
+@st.composite
+def _box_with_panels(draw):
+    """A closed box with 0-4 inner panels and tx/rx inside: 6-12 facets.
+
+    Half the draws put tx or rx anywhere, or within 1e-3 m of a facet plane
+    or edge; the other half add a pair of panels from _sliver."""
+    size = np.array([draw(st.floats(2.0, 6.0)) for _ in range(3)])
+    half = size / 2.0
+    axes = np.eye(3)
+    facets = []
+    for k in range(3):
+        u, v = axes[(k + 1) % 3] * half[(k + 1) % 3], axes[(k + 2) % 3] * half[(k + 2) % 3]
+        for end in (0.0, 1.0):
+            facets.append(_rect(half + (end - 0.5) * size[k] * axes[k], u, v, _MATS[0]))
+    for _ in range(draw(st.integers(0, 4))):
+        facets.append(_panel(draw, size, _MATS[len(facets) % 2]))
+
+    def endpoint():
+        p = np.array([draw(st.floats(0.05, 0.95)) for _ in range(3)]) * size
+        snap = draw(st.sampled_from(["free", "plane", "edge"]))
+        if snap == "free":
+            return p
+        facet = facets[draw(st.integers(0, len(facets) - 1))]
+        near = draw(st.floats(1e-6, 1e-3))
+        if snap == "plane":  # on the side of the box center
+            near *= np.sign(facet.normal @ half - facet.offset)
+            return p - (p @ facet.normal - facet.offset - near) * facet.normal
+        i = draw(st.integers(0, len(facet.vertices) - 1))
+        a, b = facet.vertices[i], facet.vertices[(i + 1) % len(facet.vertices)]
+        side = np.cross(facet.normal, b - a)
+        side *= draw(st.sampled_from([-1.0, 1.0])) / np.linalg.norm(side)
+        return a + draw(st.floats(0.0, 1.0)) * (b - a) + near * (side + 0.01 * (half - a))
+
+    if draw(st.booleans()):
+        tx, pair, rx = _sliver(draw, size)
+        facets += pair
+    else:
+        tx, rx = endpoint(), endpoint()
+    if np.linalg.norm(rx - tx) < 0.1:
+        rx = rx + 0.5
+    return Scene(tuple(facets), {m.name: m for m in _MATS}, "box"), tx, rx
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_box_with_panels())
+def test_tree_matches_oracle_at_order_three(case):
+    """The pruned image tree loses no path the exhaustive search finds."""
+    scene, tx, rx = case
+    expected = _oracle_paths(scene, tx, rx, 3, 5.5e9)
+    got = trace_static_mpcs(scene, tx, rx, max_order=3, frequency=5.5e9)
+    assert {(m.kind, m.facets) for m in got} == set(expected)
+    for m in got:
+        delay, power = expected[(m.kind, m.facets)]
+        assert abs(m.delay - delay) <= 1e-12
+        assert abs(m.power - power) <= 1e-9 * power
 
 
 # ---------------------------------------------------------------------------
