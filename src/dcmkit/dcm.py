@@ -477,6 +477,9 @@ def loads_map(text: str) -> DcmMap:
         rec = DcmRecord(tx=current["tx"], rx=current["rx"],
                         k_s=current["ks"], k_d=current["kd"],
                         mpcs=tuple(current["mpcs"]))
+        if rec.rx in records:
+            raise ValueError(f"line {current['line']}: duplicate record at "
+                             f"rx={_fmt_vec(rec.rx)}")
         records[rec.rx] = rec
 
     for no, line in enumerate(lines[1:], start=2):

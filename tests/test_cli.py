@@ -134,6 +134,17 @@ def test_malformed_map_exits_one_with_line(built_map, workdir, capsys):
         assert err.startswith("error: line ") and "Traceback" not in err, label
 
 
+def test_duplicate_record_exits_one(built_map, workdir, capsys):
+    text = built_map.read_text()
+    first = text.split("[record]\n")[1]
+    bad = workdir / "dup.dcm"
+    bad.write_text(text + "[record]\n" + first)
+    rc, out, err = run(capsys, ["query", "--map", str(bad), "--at", "2,2,1.5"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: line ") and "duplicate record at rx=" in err
+    assert "Traceback" not in err
+
+
 def test_update_accepts_config_overrides(built_map, workdir, capsys):
     cfg = workdir / "overrides.json"
     cfg.write_text(json.dumps({"n_clusters": 2, "rays_per_cluster": 1}))

@@ -303,6 +303,10 @@ def test_loads_map_error_reporting():
         loads_map(head.replace("max_order=1", "max_order=x") + record)
     with pytest.raises(ValueError, match="line 7: record missing kd="):
         loads_map(head + record.replace("kd=4\n", ""))
+    # a second record at the same location is an error, not a replacement
+    with pytest.raises(ValueError, match="line 13: duplicate record at rx=1,0,0$"):
+        loads_map(head + record + record.replace("ks=2", "ks=7"))
+    loads_map(head + record + record.replace("rx=1,0,0", "rx=1,0,1e-9"))
 
 
 def test_save_map_ignores_a_stale_temp_name(room_scene, tmp_path):
