@@ -102,8 +102,12 @@ class GbsmConfig:
                 raise ValueError(f"{name} must be > 0")
         if self.cluster_speed < 0.0:
             raise ValueError("cluster_speed must be >= 0")
-        if self.anchor_range[0] <= 0.0 or self.anchor_range[1] < self.anchor_range[0]:
+        if self.anchor_range[0] <= 0.0:
             raise ValueError(f"bad anchor_range {self.anchor_range}")
+        for name in ("anchor_range", "elevation_range", "azimuth_range"):
+            low, high = getattr(self, name)
+            if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+                raise ValueError(f"bad {name} {(low, high)}")
 
     def with_overrides(self, **kwargs) -> "GbsmConfig":
         unknown = sorted(set(kwargs) - _FIELD_TYPES.keys())
@@ -233,19 +237,20 @@ def spawn_clusters(config: GbsmConfig, location) -> ClusterSet:
     # SeedSequence([seed, *loc, c]) of cluster c, given as its uint32 words:
     # the same pool, without converting every int for every cluster
     head = _entropy_words([config.seed & 0xFFFFFFFFFFFFFFFF, *(int(w) for w in loc)])
-    # a cluster's ten uniform draws in one call: each is low + (high - low)
-    # times the next double, the same numbers as ten scalar calls
+    # a cluster's ten uniform draws from one call: numpy's uniform(low, high)
+    # is low + (high - low) * random(), the product rounded before the sum
     lows, highs = np.array([config.anchor_range, config.elevation_range,
                             config.azimuth_range, config.anchor_range,
                             config.elevation_range, config.azimuth_range,
                             (-1.0, 1.0), (-math.pi, math.pi),
                             (-1.0, 1.0), (-math.pi, math.pi)], dtype=float).T
+    spans = highs - lows
     scalars, offsets, phases, xpr = [], [], [], []
     for c in range(n):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             np.array(head + _entropy_words([c]), dtype=np.uint32))))
         d_t, el_t, az_t, d_r, el_r, az_r, sin_a, az_a, sin_z, az_z = \
-            rng.uniform(lows, highs).tolist()
+            (lows + spans * rng.random(10)).tolist()
         vel_a = _velocity(speed, math.asin(sin_a), az_a)
         vel_z = _velocity(speed, math.asin(sin_z), az_z)
         virtual = rng.exponential(config.virtual_delay_mean)

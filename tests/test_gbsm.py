@@ -225,6 +225,11 @@ def test_config_validation():
         GbsmConfig(anchor_range=(0.0, 10.0))
     with pytest.raises(ValueError):
         GbsmConfig(cluster_speed=-1.0)
+    # uniform draws need finite ranges with low <= high
+    for name, bad in (("anchor_range", (20.0, math.inf)), ("elevation_range", (0.2, 0.1)),
+                      ("azimuth_range", (-math.inf, 0.0)), ("azimuth_range", (0.0, math.nan))):
+        with pytest.raises(ValueError, match=f"bad {name}"):
+            GbsmConfig(**{name: bad})
     cfg = GbsmConfig().with_overrides(n_clusters=7, seed=99)
     assert cfg.n_clusters == 7 and cfg.seed == 99
     assert GbsmConfig().n_clusters == 15
