@@ -38,6 +38,7 @@ Per-bounce loss uses the polarization-averaged squared reflection magnitude
 is carried by its per-path phases and cross-polarization ratio instead of by
 the scalar power.
 """
+
 from __future__ import annotations
 
 import hashlib
@@ -307,20 +308,22 @@ def _children(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray):
     f = seq[:, -1]
     img = imgs[:, -1]
     verts = geom.verts                                        # (n, V, 3)
-    side = np.einsum("pk,pk->p", img, geom.normals[f]) - geom.offsets[f]
-    sign = np.sign(side)
+    normal, offset = geom.normals[f], geom.offsets[f]
+    side = np.einsum("pk,pk->p", img, normal) - offset
+    sign = np.sign(side)[:, None, None]
     # plane side: some vertex of g on the real side of f, opposite the image
-    level = np.einsum("pk,gvk->pgv", geom.normals[f], verts) - geom.offsets[f][:, None, None]
-    keep = (sign[:, None, None] * level < _PRUNE_SLACK).any(axis=2)
+    level = np.einsum("pk,gvk->pgv", normal, verts) - offset[:, None, None]
+    keep = (sign * level < _PRUNE_SLACK).any(axis=2)
     # beam: the planes through the image and each edge of f, normals toward f
-    walls = np.cross(geom.verts[f] - img[:, None, :], geom.edges[f]) * -sign[:, None, None]
+    walls = np.cross(verts[f] - img[:, None, :], geom.edges[f]) * -sign
     norm = np.linalg.norm(walls, axis=2, keepdims=True)
     walls /= np.where(norm > 0.0, norm, 1.0)                  # (p, V, 3)
     height = np.einsum("pwk,gvk->pwgv", walls, verts) \
         - np.einsum("pwk,pk->pw", walls, img)[:, :, None, None]
     reach = np.linalg.norm(verts[None] - img[:, None, None, :], axis=3)
     with np.errstate(divide="ignore"):
-        margin = _PRUNE_SLACK * (1.0 + (reach + _PRUNE_SLACK) / np.abs(side)[:, None, None])
+        growth = (reach + _PRUNE_SLACK) / np.abs(side)[:, None, None]
+    margin = _PRUNE_SLACK * (1.0 + growth)
     keep &= ~(height < -margin[:, None]).all(axis=3).any(axis=1)
     keep[np.arange(len(f)), f] = False
     return np.nonzero(keep)

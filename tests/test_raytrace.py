@@ -186,7 +186,7 @@ def _log_uniform(draw, lo, hi):
 
 def _step(length, start, direction, size):
     """length, shortened so start + length * direction stays in the box."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         room = np.where(direction > 0.0, size - 0.01 - start, 0.01 - start) / direction
     room = room[direction != 0.0].min()
     return min(length, 0.9 * room) if room > 0.0 else length
