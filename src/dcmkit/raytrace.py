@@ -255,7 +255,9 @@ class _Geometry:
         cand = np.isfinite(t) & (t > tol) & (t < 1.0 - tol)
         if not cand.any():
             return np.zeros(len(a), dtype=bool)
-        hit = a[:, None, :] + t[:, :, None] * d[:, None, :]
+        # non-candidate rows may hold t = +-inf or nan; zero them so the
+        # product stays finite (those rows are masked out below anyway)
+        hit = a[:, None, :] + np.where(cand, t, 0.0)[:, :, None] * d[:, None, :]
         rel = hit[:, :, None, :] - self.verts[None, :, :, :]
         cr = np.cross(self.edges[None, :, :, :], rel)
         s = np.einsum("mfvk,fk->mfv", cr, self.normals) / self.edge_len[None, :, :]
