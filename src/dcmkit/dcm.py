@@ -7,11 +7,13 @@ query returns the stored record and an update composes it with freshly
 spawned dynamic clusters, which costs milliseconds instead of the full
 trace.
 
-Maps persist to a line-oriented text format (magic `DCMv1`).  All floats
-are written with 17 significant digits, and records are canonicalized
-through an encode/decode fixpoint at build time, so save, load and save
-again produce byte-identical files.  Writes go to a fresh temporary file
-that is atomically renamed over the target.
+Maps persist to a line-oriented text format (magic `DCMv2`).  Values are
+stored in SI units (seconds, linear power, radians) and every float is
+written as its shortest round-trip `repr`, so a load returns exactly the
+values that were saved and save, load and save again produce
+byte-identical files.  A map is derived data: a file in another format is
+rejected and has to be rebuilt from its scene.  Writes go to a fresh
+temporary file that is atomically renamed over the target.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .raytrace import Mpc, trace_static_mpcs
 from .scene import Scene
 from .stats import Psd
 
-MAGIC = "DCMv1"
+MAGIC = "DCMv2"
 DEFAULT_K_STATIC = 10.0 ** 0.3   # 3 dB
 DEFAULT_K_DYNAMIC = 10.0         # 10 dB
 MATCH_SCALES = (3.125e-9, math.radians(5.0))
@@ -226,9 +228,8 @@ def _trace_record(args):
     scene, tx, point, max_order, frequency, k_s, k_d = args
     mpcs = trace_static_mpcs(scene, np.asarray(tx), np.asarray(point),
                              max_order=max_order, frequency=frequency)
-    rec = DcmRecord(tx=tuple(tx), rx=tuple(point), k_s=k_s, k_d=k_d,
-                    mpcs=tuple(mpcs))
-    return _canonical_record(rec)
+    return DcmRecord(tx=tuple(tx), rx=tuple(point), k_s=k_s, k_d=k_d,
+                     mpcs=tuple(replace(m, facets=()) for m in mpcs))
 
 
 def build_map(scene: Scene, tx, points, max_order: int = 2,
@@ -335,7 +336,8 @@ def update_snapshot(dcm: DcmMap, location, t: float, seed: int | None = None,
 # persistence
 
 def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+    # float() first: numpy 2 scalars repr as "np.float64(...)"
+    return repr(float(x))
 
 
 def _fmt_vec(vec) -> str:
@@ -343,18 +345,9 @@ def _fmt_vec(vec) -> str:
 
 
 def _mpc_line(m: Mpc) -> str:
-    power_db = 10.0 * math.log10(m.power)
-    xpr_db = math.inf if math.isinf(m.xpr) else 10.0 * math.log10(m.xpr)
-    return ("mpc kind=%s delay_ns=%s power_db=%s aod=%s aoa=%s "
-            "phases=%s xpr_db=%s" % (
-                m.kind,
-                _fmt(m.delay * 1e9),
-                _fmt(power_db),
-                _fmt_vec((math.degrees(m.aod[0]), math.degrees(m.aod[1]))),
-                _fmt_vec((math.degrees(m.aoa[0]), math.degrees(m.aoa[1]))),
-                _fmt_vec(m.phases),
-                _fmt(xpr_db),
-            ))
+    return "mpc kind=%s delay=%s power=%s aod=%s aoa=%s phases=%s xpr=%s" % (
+        m.kind, _fmt(m.delay), _fmt(m.power), _fmt_vec(m.aod),
+        _fmt_vec(m.aoa), _fmt_vec(m.phases), _fmt(m.xpr))
 
 
 def _record_lines(rec: DcmRecord) -> list[str]:
@@ -376,16 +369,6 @@ def _parse_floats(text: str, n: int) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _clamped_angles(el_deg: float, az_deg: float) -> tuple[float, float]:
-    el = math.radians(el_deg)
-    az = math.radians(az_deg)
-    el = min(max(el, -math.pi / 2.0), math.pi / 2.0)
-    az = _wrap_angle(az)
-    if az >= math.pi:
-        az -= 2.0 * math.pi
-    return el, az
-
-
 def _parse_mpc(line: str) -> Mpc:
     fields_ = {}
     for token in line.split()[1:]:
@@ -394,37 +377,13 @@ def _parse_mpc(line: str) -> Mpc:
         key, val = token.split("=", 1)
         fields_[key] = val
     try:
-        kind = fields_["kind"]
-        delay = float(fields_["delay_ns"]) * 1e-9
-        power = 10.0 ** (float(fields_["power_db"]) / 10.0)
-        aod = _clamped_angles(*_parse_floats(fields_["aod"], 2))
-        aoa = _clamped_angles(*_parse_floats(fields_["aoa"], 2))
-        phases = _parse_floats(fields_["phases"], 4)
-        xpr_db = float(fields_["xpr_db"])
-        xpr = math.inf if xpr_db == math.inf else 10.0 ** (xpr_db / 10.0)
+        return Mpc(delay=float(fields_["delay"]), power=float(fields_["power"]),
+                   aod=_parse_floats(fields_["aod"], 2),
+                   aoa=_parse_floats(fields_["aoa"], 2),
+                   phases=_parse_floats(fields_["phases"], 4),
+                   xpr=float(fields_["xpr"]), kind=fields_["kind"])
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]}") from None
-    return Mpc(delay=delay, power=power, aod=aod, aoa=aoa,
-               phases=phases, xpr=xpr, kind=kind)
-
-
-def _canonical_record(rec: DcmRecord, limit: int = 32) -> DcmRecord:
-    """Round the record through its text form until it is a fixpoint.
-
-    Unit conversions (seconds to nanoseconds, linear power to dB, radians
-    to degrees) round; one or two passes make the in-memory values exactly
-    what a load returns, which is what keeps repeated saves byte-identical.
-    """
-    text = "\n".join(_record_lines(rec))
-    for _ in range(limit):
-        mpcs = tuple(_parse_mpc(line)
-                     for line in text.splitlines() if line.startswith("mpc "))
-        rec = replace(rec, mpcs=mpcs)
-        text2 = "\n".join(_record_lines(rec))
-        if text2 == text:
-            return rec
-        text = text2
-    raise RuntimeError("record failed to reach a formatting fixpoint")
 
 
 def dumps_map(dcm: DcmMap) -> str:
@@ -459,8 +418,11 @@ def _config_text(text: str):
 def loads_map(text: str) -> DcmMap:
     """Parse a map; any malformed line raises ValueError naming its number."""
     lines = text.splitlines()
+    if lines and lines[0].startswith("DCMv") and lines[0] != MAGIC:
+        raise ValueError(f"line 1: {lines[0]} map, but only {MAGIC} is read; "
+                         "rebuild it with dcmkit build")
     if not lines or lines[0] != MAGIC:
-        raise ValueError(f"not a channel map file (missing {MAGIC} header)")
+        raise ValueError(f"line 1: not a channel map file (missing {MAGIC} header)")
     header: dict = {}
     gbsm_kw: dict = {}
     gbsm_line = None
@@ -505,8 +467,12 @@ def loads_map(text: str) -> DcmMap:
                     current["mpcs"].append(_parse_mpc(line))
                 elif key in ("tx", "rx"):
                     current[key] = _parse_floats(val, 3)
+                    if not all(map(math.isfinite, current[key])):
+                        raise ValueError(f"{key} must be finite, got {val}")
                 elif key in ("ks", "kd"):
                     current[key] = float(val)
+                    if not current[key] > 0.0:
+                        raise ValueError(f"{key} must be > 0, got {val}")
                 else:
                     raise ValueError(f"unknown record field {key!r}")
             else:

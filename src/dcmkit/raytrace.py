@@ -129,10 +129,12 @@ class Mpc:
     facets: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.delay < 0.0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
-        if self.power < 0.0:
-            raise ValueError(f"power must be >= 0, got {self.power}")
+        if not 0.0 <= self.delay < math.inf:
+            raise ValueError(f"delay must be finite and >= 0, got {self.delay}")
+        if not 0.0 <= self.power < math.inf:
+            raise ValueError(f"power must be finite and >= 0, got {self.power}")
+        if not all(map(math.isfinite, self.phases)):
+            raise ValueError(f"phases must be finite, got {self.phases}")
         if not self.xpr > 0.0:
             raise ValueError(f"xpr must be > 0, got {self.xpr}")
         for name, (el, az) in (("aod", self.aod), ("aoa", self.aoa)):

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, CSV shapes, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -43,7 +44,7 @@ def run(capsys, argv):
 
 def test_build_writes_map_and_reports(built_map):
     text = built_map.read_text()
-    assert text.startswith("DCMv1\n")
+    assert text.startswith("DCMv2\n")
     assert text.count("[record]") == 3
 
 
@@ -123,7 +124,11 @@ def test_malformed_map_exits_one_with_line(built_map, workdir, capsys):
     cases = {
         "unknown gbsm key": text.replace("[gbsm]\n", "[gbsm]\nbogus_knob=3\n"),
         "bad gbsm number": text.replace("\nseed=0\n", "\nseed=zero\n"),
-        "bad mpc number": text.replace("delay_ns=", "delay_ns=x", 1),
+        "bad mpc number": text.replace(" delay=", " delay=x", 1),
+        "nan delay": re.sub(r" delay=\S+", " delay=nan", text, count=1),
+        "infinite power": re.sub(r" power=\S+", " power=inf", text, count=1),
+        "nan rx": re.sub(r"\nrx=[^,]+,", "\nrx=nan,", text, count=1),
+        "nan ks": re.sub(r"\nks=\S+", "\nks=nan", text, count=1),
     }
     for label, bad_text in cases.items():
         bad = workdir / "bad.dcm"
@@ -132,6 +137,15 @@ def test_malformed_map_exits_one_with_line(built_map, workdir, capsys):
                                   "--seed", "1"])
         assert rc == 1, label
         assert err.startswith("error: line ") and "Traceback" not in err, label
+
+
+def test_v1_map_exits_one_asking_for_rebuild(built_map, workdir, capsys):
+    old = workdir / "v1.dcm"
+    old.write_text(built_map.read_text().replace("DCMv2\n", "DCMv1\n", 1))
+    rc, out, err = run(capsys, ["query", "--map", str(old), "--at", "2,2,1.5"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: line 1: DCMv1 map")
+    assert "rebuild it with dcmkit build" in err and "Traceback" not in err
 
 
 def test_duplicate_record_exits_one(built_map, workdir, capsys):

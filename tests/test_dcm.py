@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcmkit import (DcmLookupError, DcmMap, GbsmConfig, KFactors, Mpc,
-                    average_delay_psd, build_map, dumps_map, estimate_k_split,
-                    grid_points, load_map, loads_map, match_mpcs,
-                    model_from_map, query, save_map, update_snapshot,
-                    worker_count)
+from dcmkit import (AntennaArray, ChannelModel, DcmLookupError, DcmMap,
+                    DcmRecord, GbsmConfig, KFactors, Mpc, average_delay_psd,
+                    build_map, dumps_map, estimate_k_split, grid_points,
+                    load_map, loads_map, match_mpcs, model_from_map, query,
+                    save_map, trace_static_mpcs, update_snapshot, worker_count)
 from dcmkit.dcm import MatchResult
 from dcmkit.gbsm import Taps
 from dcmkit.hybrid import ChannelSnapshot
@@ -234,7 +236,7 @@ def test_update_snapshot_static_map_ignores_time(room_scene):
 def test_map_roundtrip_is_byte_stable(room_scene, tmp_path):
     dmap = build_map(room_scene, TX, POINTS, max_order=1)
     text = dumps_map(dmap)
-    assert text.startswith("DCMv1\n")
+    assert text.startswith("DCMv2\n")
     assert text.endswith("\n")
     again = loads_map(text)
     assert again == dmap
@@ -250,29 +252,32 @@ def test_map_roundtrip_is_byte_stable(room_scene, tmp_path):
 
 
 def test_loads_map_error_reporting():
-    with pytest.raises(ValueError, match="DCMv1"):
+    with pytest.raises(ValueError, match="line 1: DCMv1 map, .*rebuild it with "
+                                         "dcmkit build"):
+        loads_map("DCMv1\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n")
+    with pytest.raises(ValueError, match="line 1: .*DCMv2"):
         loads_map("not a map\n")
-    good = ("DCMv1\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n"
+    good = ("DCMv2\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n"
             "[gbsm]\n[record]\ntx=0,0,0\nrx=1,0,0\nks=2\nkd=4\n")
     loads_map(good)  # minimal file parses
     with pytest.raises(ValueError, match="line 8"):
-        loads_map("DCMv1\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n"
+        loads_map("DCMv2\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n"
                   "[gbsm]\n[record]\nbogus=1\n")
     with pytest.raises(ValueError, match="missing rx"):
-        loads_map("DCMv1\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n"
+        loads_map("DCMv2\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n"
                   "[gbsm]\n[record]\ntx=0,0,0\nks=2\nkd=4\n")
     with pytest.raises(ValueError, match="before any section"):
-        loads_map("DCMv1\nfrequency=5.5e9\n")
+        loads_map("DCMv2\nfrequency=5.5e9\n")
     with pytest.raises(ValueError, match="missing frequency"):
-        loads_map("DCMv1\n[map]\nmax_order=1\nscene=abc\n[gbsm]\n")
+        loads_map("DCMv2\n[map]\nmax_order=1\nscene=abc\n[gbsm]\n")
     with pytest.raises(ValueError, match="expected 3"):
         loads_map(good.replace("rx=1,0,0", "rx=1,0"))
 
     # every bad value names its line: [gbsm] keys and numbers, mpc fields
-    head = "DCMv1\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n[gbsm]\n"
+    head = "DCMv2\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n[gbsm]\n"
     record = ("[record]\ntx=0,0,0\nrx=1,0,0\nks=2\nkd=4\n"
-              "mpc kind=los delay_ns=100 power_db=-87.26 aod=0,0 aoa=0,0 "
-              "phases=0,0,0,0 xpr_db=inf\n")
+              "mpc kind=los delay=1e-07 power=1.88e-09 aod=0,0 aoa=0,0 "
+              "phases=0,0,0,0 xpr=inf\n")
     loads_map(head + "n_clusters=3\nanchor_range=30,40\n" + record)
     bad_gbsm = {
         "bogus_knob=3": "unknown config fields: bogus_knob",
@@ -287,26 +292,117 @@ def test_loads_map_error_reporting():
     # values of the right type but out of range name the [gbsm] header
     with pytest.raises(ValueError, match="line 6: .*n_clusters must be >= 0"):
         loads_map(head + "n_clusters=-1\n" + record)
-    bad_mpc = {
-        "delay_ns=100": "delay_ns=abc",
-        "power_db=-87.26": "power_db=4000",
-        "aoa=0,0": "aoa=0,x",
-        "phases=0,0,0,0": "phases=0,0",
-        "xpr_db=inf": "xpr_db=-inf",
-        "delay_ns=100 ": "delay_ns=-100 ",
-        "kind=los": "kind=weird",
-    }
-    for field_text, bad in bad_mpc.items():
+    bad_mpc = [
+        ("delay=1e-07", "delay=abc"),
+        ("power=1.88e-09", "power=inf"),
+        ("aoa=0,0", "aoa=0,x"),
+        ("phases=0,0,0,0", "phases=0,0"),
+        ("xpr=inf", "xpr=-inf"),
+        ("delay=1e-07 ", "delay=-1e-07 "),
+        ("kind=los", "kind=weird"),
+        # non-finite values are rejected, not loaded
+        ("delay=1e-07", "delay=nan"),
+        ("delay=1e-07", "delay=inf"),
+        ("power=1.88e-09", "power=nan"),
+        ("phases=0,0,0,0", "phases=nan,0,0,0"),
+    ]
+    for field_text, bad in bad_mpc:
         with pytest.raises(ValueError, match="line 12: "):
             loads_map(head + record.replace(field_text, bad))
+    bad_record = [
+        ("tx=0,0,0", "tx=0,inf,0", "line 8: tx must be finite"),
+        ("rx=1,0,0", "rx=nan,0,0", "line 9: rx must be finite"),
+        ("ks=2", "ks=nan", "line 10: ks must be > 0"),
+        ("ks=2", "ks=0", "line 10: ks must be > 0"),
+        ("kd=4", "kd=-inf", "line 11: kd must be > 0"),
+    ]
+    for field_text, bad, message in bad_record:
+        with pytest.raises(ValueError, match=message):
+            loads_map(head + record.replace(field_text, bad))
+    loads_map(head + record.replace("ks=2", "ks=inf").replace("kd=4", "kd=inf"))
     with pytest.raises(ValueError, match="line 4: "):
         loads_map(head.replace("max_order=1", "max_order=x") + record)
     with pytest.raises(ValueError, match="line 7: record missing kd="):
         loads_map(head + record.replace("kd=4\n", ""))
     # a second record at the same location is an error, not a replacement
-    with pytest.raises(ValueError, match="line 13: duplicate record at rx=1,0,0$"):
+    with pytest.raises(ValueError, match="line 13: duplicate record at rx=1.0,0.0,0.0$"):
         loads_map(head + record + record.replace("ks=2", "ks=7"))
     loads_map(head + record + record.replace("rx=1,0,0", "rx=1,0,1e-9"))
+
+
+# Floats at the edges of the format: signed zero, the smallest subnormal,
+# magnitudes near 1e+-300 and the largest finite double.
+_EDGES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+          1.7976931348623157e308)
+
+
+def _with_edges(values, strategy):
+    return st.one_of(st.sampled_from(values), strategy)
+
+
+_finite = _with_edges(_EDGES + tuple(-x for x in _EDGES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+_nonneg = _with_edges(_EDGES, st.floats(min_value=0.0, allow_infinity=False))
+_positive = _with_edges(_EDGES[2:] + (math.inf,),
+                        st.floats(min_value=0.0, exclude_min=True))
+_elevation = _with_edges((-math.pi / 2.0, math.pi / 2.0, -0.0),
+                         st.floats(-math.pi / 2.0, math.pi / 2.0))
+_azimuth = _with_edges((-math.pi, math.nextafter(math.pi, 0.0), -0.0),
+                       st.floats(-math.pi, math.pi, exclude_max=True))
+_mpcs = st.builds(Mpc, delay=_nonneg, power=_nonneg,
+                  aod=st.tuples(_elevation, _azimuth),
+                  aoa=st.tuples(_elevation, _azimuth),
+                  phases=st.tuples(_finite, _finite, _finite, _finite),
+                  xpr=_positive,
+                  kind=st.sampled_from(["los", "refl:1", "refl:3", "dyn:2:7"]))
+_records = st.builds(DcmRecord, tx=st.tuples(_finite, _finite, _finite),
+                     rx=st.tuples(_finite, _finite, _finite),
+                     k_s=_positive, k_d=_positive,
+                     mpcs=st.lists(_mpcs, max_size=6).map(tuple))
+
+
+@st.composite
+def _maps(draw):
+    records = draw(st.lists(_records, min_size=1, max_size=4,
+                            unique_by=lambda r: r.rx))
+    gbsm = GbsmConfig(seed=draw(st.integers(-2 ** 70, 2 ** 70)),
+                      cluster_speed=draw(_nonneg), xpr_mean_db=draw(_finite),
+                      elevation_range=tuple(sorted((draw(_elevation),
+                                                    draw(_elevation)))))
+    return DcmMap(frequency=draw(_positive.filter(math.isfinite)),
+                  max_order=draw(st.integers(0, 5)),
+                  scene_hash=draw(st.text("0123456789abcdef", min_size=16,
+                                          max_size=16)),
+                  gbsm=gbsm, records={r.rx: r for r in records})
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_maps())
+def test_map_roundtrip_is_exact(dmap):
+    """Every stored float loads back exactly; a second dump is identical."""
+    text = dumps_map(dmap)
+    again = loads_map(text)
+    assert again == dmap
+    assert dumps_map(again) == text
+
+
+def test_map_static_taps_equal_direct_model(room_scene):
+    """Static taps read through a saved map are bit-equal to a direct trace's."""
+    array = AntennaArray(n_elements=2)
+    k = KFactors.from_split(4.0, 8.0)
+    cfg = GbsmConfig()
+    dmap = loads_map(dumps_map(build_map(room_scene, TX, POINTS, max_order=2,
+                                         k_s=k.k_s, k_d=k.k_d, gbsm=cfg)))
+    for rx in POINTS:
+        via_map = model_from_map(dmap, rx, rx_array=array).static_taps()
+        mpcs = trace_static_mpcs(room_scene, TX, rx, max_order=2,
+                                 frequency=cfg.carrier_frequency)
+        direct = ChannelModel(tuple(mpcs), k, cfg, rx_array=array).static_taps()
+        assert via_map.keys() == direct.keys()
+        for key, taps in direct.items():
+            assert via_map[key].delays.tobytes() == taps.delays.tobytes()
+            assert via_map[key].amps.tobytes() == taps.amps.tobytes()
+            assert via_map[key].kinds == taps.kinds
 
 
 def test_save_map_ignores_a_stale_temp_name(room_scene, tmp_path):
@@ -322,19 +418,24 @@ def test_save_map_ignores_a_stale_temp_name(room_scene, tmp_path):
 
 
 def test_mpc_lines_roundtrip_units():
-    # delays in ns, powers in dB, angles in degrees; infinities intact
-    rec_text = ("DCMv1\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n"
+    # delays in s, powers linear, angles in radians; infinities intact
+    rec_text = ("DCMv2\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n"
                 "[gbsm]\n[record]\ntx=0,0,0\nrx=1,0,0\nks=2\nkd=inf\n"
-                "mpc kind=los delay_ns=100 power_db=-87.26 aod=0,0 aoa=0,0 "
-                "phases=0,0,0,0 xpr_db=inf\n")
+                "mpc kind=los delay=1e-07 power=1.88e-09 aod=0,-0.0 "
+                "aoa=-1.5707963267948966,-3.141592653589793 "
+                "phases=0,0,0,0 xpr=inf\n")
     dmap = loads_map(rec_text)
     rec = dmap.records[(1.0, 0.0, 0.0)]
     assert rec.k_d == math.inf
     m = rec.mpcs[0]
-    assert abs(m.delay - 100e-9) < 1e-18
-    assert abs(10.0 * math.log10(m.power) + 87.26) < 1e-9
+    assert m.delay == 100e-9
+    assert m.power == 1.88e-9
+    assert m.aoa == (-math.pi / 2.0, -math.pi)
+    assert math.copysign(1.0, m.aod[1]) == -1.0
     assert m.xpr == math.inf
-    assert "xpr_db=inf" in dumps_map(dmap)
+    assert ("mpc kind=los delay=1e-07 power=1.88e-09 aod=0.0,-0.0 "
+            "aoa=-1.5707963267948966,-3.141592653589793 "
+            "phases=0.0,0.0,0.0,0.0 xpr=inf\n") in dumps_map(dmap)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ PANEL_RX = ((-1.0, -8.0, 1.5), (-2.75, 2.5, 1.5), (7.75, 4.25, 1.5),
 
 GOLDEN = {
     "build":
-        "f1859b4f229c3e4fcf075ed75cbca0d79da3e94c16978063ddfca7db279105d6",
+        "08775beae08a92dc3daf8a808bedd8381db05dce0ae351d29fc3da9d7893bdff",
     "update":
         "290bbdb1fda4841ea8914cd16d3ccd5a362e2b1349781331f7112bc75e16a8a6",
     "simulate":
@@ -46,7 +46,7 @@ GOLDEN = {
     "panel_trace":
         "ef3f1943ded800f7e6710d51cb538fc11743fe5f0ed2536538645c7d607b5d83",
     "panel_map":
-        "d3d141b8f156b3e0bd0463ca8f8db72460ac55d66205424022b1e9359975261b",
+        "35bd3ae0dcc45f414d525188fa9b441302f3c1f2133bd2902a85f60eee94a00b",
 }
 
 

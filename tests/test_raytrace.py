@@ -490,6 +490,13 @@ def test_mpc_validation():
         Mpc(**{**ok, "delay": -1.0})
     with pytest.raises(ValueError):
         Mpc(**{**ok, "xpr": 0.0})
+    Mpc(**{**ok, "xpr": math.inf})
+    for name, bad in (("delay", math.nan), ("delay", math.inf),
+                      ("power", math.nan), ("power", math.inf),
+                      ("phases", (math.nan, 0.0, 0.0, 0.0)),
+                      ("phases", (0.0, 0.0, 0.0, -math.inf))):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Mpc(**{**ok, name: bad})
     with pytest.raises(ValueError):
         Mpc(**{**ok, "kind": "mystery"})
     with pytest.raises(ValueError):
