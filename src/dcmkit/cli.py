@@ -192,10 +192,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_stats_fcf(args) -> int:
+def _fcf(args):
     model = _model_for(args)
     df = np.arange(args.df_count) * args.df_step
-    values = fcf_closed_form(model, df, ensemble=args.ensemble)
+    return df, fcf_closed_form(model, df, ensemble=args.ensemble)
+
+
+def _cmd_stats_fcf(args) -> int:
+    df, values = _fcf(args)
     rows = [",".join([_fmt(f), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))])
             for f, v in zip(df, values)]
     _write_csv(args.out, "df_hz,fcf_real,fcf_imag,fcf_abs", rows)
@@ -203,9 +207,7 @@ def _cmd_stats_fcf(args) -> int:
 
 
 def _cmd_stats_delay_psd(args) -> int:
-    model = _model_for(args)
-    df = np.arange(args.df_count) * args.df_step
-    values = fcf_closed_form(model, df, ensemble=args.ensemble)
+    df, values = _fcf(args)
     psd = delay_psd(values, df)
     widths = np.gradient(psd.support)
     rows = []
@@ -217,30 +219,24 @@ def _cmd_stats_delay_psd(args) -> int:
     return 0
 
 
-def _cmd_stats_angular(args) -> int:
-    base = _model_for(args, rx_elements=args.rx_elements)
-    spreads = []
-    for s in range(args.samples):
-        model = base.reseeded(args.seed + s)
-        psd = angular_psd(model, n_lags=args.n_lags, ensemble=1)
-        spreads.append(math.degrees(rms_spread(psd)))
+def _spread_cdf(args, base: ChannelModel, header: str, spread_of) -> int:
+    """CSV of the empirical CDF of one spread per reseeded realization."""
+    spreads = [spread_of(base.reseeded(args.seed + s)) for s in range(args.samples)]
     values, probs = empirical_cdf(spreads)
     rows = [",".join([_fmt(v), _fmt(p)]) for v, p in zip(values, probs)]
-    _write_csv(args.out, "spread_deg,cdf", rows)
+    _write_csv(args.out, header, rows)
     return 0
+
+
+def _cmd_stats_angular(args) -> int:
+    base = _model_for(args, rx_elements=args.rx_elements)
+    return _spread_cdf(args, base, "spread_deg,cdf", lambda model: math.degrees(
+        rms_spread(angular_psd(model, n_lags=args.n_lags, ensemble=1))))
 
 
 def _cmd_stats_doppler(args) -> int:
-    base = _model_for(args)
-    spreads = []
-    for s in range(args.samples):
-        model = base.reseeded(args.seed + s)
-        psd = doppler_psd(model, duration=args.duration, dt=args.dt, ensemble=1)
-        spreads.append(rms_spread(psd))
-    values, probs = empirical_cdf(spreads)
-    rows = [",".join([_fmt(v), _fmt(p)]) for v, p in zip(values, probs)]
-    _write_csv(args.out, "spread_hz,cdf", rows)
-    return 0
+    return _spread_cdf(args, _model_for(args), "spread_hz,cdf", lambda model: rms_spread(
+        doppler_psd(model, duration=args.duration, dt=args.dt, ensemble=1)))
 
 
 def _cmd_stats_lcr(args) -> int:
@@ -322,6 +318,16 @@ def _add_map_args(p, seed_required: bool = True) -> None:
     p.add_argument("--out", help="write CSV here instead of stdout")
 
 
+def _add_trace_args(p) -> None:
+    p.add_argument("--scene", required=True, help="scene geometry file")
+    p.add_argument("--tx", required=True, type=_triple, help="transmitter x,y,z")
+    p.add_argument("--points", help="CSV of receiver locations, one x,y,z per line")
+    p.add_argument("--origin", type=_triple, help="grid origin x,y,z")
+    p.add_argument("--shape", type=_triple, help="grid point counts nx,ny,nz")
+    p.add_argument("--spacing", type=float, help="grid spacing in meters")
+    p.add_argument("--max-order", type=int, default=2, help="reflection depth")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcmkit",
@@ -329,14 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="trace static paths over a location grid")
-    p.add_argument("--scene", required=True, help="scene geometry file")
-    p.add_argument("--tx", required=True, type=_triple, help="transmitter x,y,z")
+    _add_trace_args(p)
     p.add_argument("--out", required=True, help="output map path")
-    p.add_argument("--points", help="CSV of receiver locations, one x,y,z per line")
-    p.add_argument("--origin", type=_triple, help="grid origin x,y,z")
-    p.add_argument("--shape", type=_triple, help="grid point counts nx,ny,nz")
-    p.add_argument("--spacing", type=float, help="grid spacing in meters")
-    p.add_argument("--max-order", type=int, default=2, help="reflection depth")
     p.add_argument("--ks-db", type=float, default=3.0,
                    help="line-of-sight to static-reflection power ratio, dB")
     p.add_argument("--kd-db", type=float, default=10.0,
@@ -409,13 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench",
                        help="compare full rebuild against online update timing")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--tx", required=True, type=_triple)
-    p.add_argument("--points")
-    p.add_argument("--origin", type=_triple)
-    p.add_argument("--shape", type=_triple)
-    p.add_argument("--spacing", type=float)
-    p.add_argument("--max-order", type=int, default=2)
+    _add_trace_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rebuilds", type=int, default=5,
                    help="locations to re-trace for the baseline timing")

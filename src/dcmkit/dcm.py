@@ -297,7 +297,8 @@ def model_from_map(dcm: DcmMap, location, seed: int | None = None,
     """Hybrid channel model reconstructed from one stored record.
 
     `overrides` patches fields of the stored dynamic-scatter configuration;
-    `seed` overrides its seed.
+    `seed` overrides its seed.  A carrier other than the map's frequency is
+    rejected, since the stored static paths hold only at that frequency.
     """
     rec = query(dcm, location, tolerance=tolerance)
     cfg = dcm.gbsm
@@ -306,6 +307,8 @@ def model_from_map(dcm: DcmMap, location, seed: int | None = None,
         patch["seed"] = int(seed)
     if patch:
         cfg = cfg.with_overrides(**patch)
+    if cfg.carrier_frequency != dcm.frequency:
+        raise ValueError(_carrier_mismatch(cfg.carrier_frequency, dcm.frequency))
     return ChannelModel(
         static_mpcs=tuple(rec.mpcs),
         k=KFactors.from_split(rec.k_s, rec.k_d),
@@ -425,7 +428,7 @@ def loads_map(text: str) -> DcmMap:
         raise ValueError(f"line 1: not a channel map file (missing {MAGIC} header)")
     header: dict = {}
     gbsm_kw: dict = {}
-    gbsm_line = None
+    gbsm_line = carrier_line = frequency_line = None
     records: dict[tuple, DcmRecord] = {}
     section = None
     current: dict | None = None
@@ -459,8 +462,16 @@ def loads_map(text: str) -> DcmMap:
             key, _, val = line.partition("=")
             if section == "map":
                 header[key] = {"frequency": float, "max_order": int}.get(key, str)(val)
+                if key == "frequency":
+                    frequency_line = no
+                    if not 0.0 < header[key] < math.inf:
+                        raise ValueError(f"frequency must be finite and > 0, got {val}")
+                if key == "max_order" and header[key] < 0:
+                    raise ValueError(f"max_order must be >= 0, got {val}")
             elif section == "gbsm":
                 gbsm_kw[key] = config_field(key, _config_text(val))
+                if key == "carrier_frequency":
+                    carrier_line = no
             elif section == "record":
                 assert current is not None
                 if line.startswith("mpc "):
@@ -486,10 +497,19 @@ def loads_map(text: str) -> DcmMap:
         raise ValueError(f"line {gbsm_line}: [gbsm] {exc}") from None
 
     try:
-        return DcmMap(frequency=header["frequency"], max_order=header["max_order"],
-                      scene_hash=header["scene"], gbsm=gbsm, records=records)
+        dcm = DcmMap(frequency=header["frequency"], max_order=header["max_order"],
+                     scene_hash=header["scene"], gbsm=gbsm, records=records)
     except KeyError as exc:
         raise ValueError(f"map header missing {exc.args[0]}=") from None
+    if gbsm.carrier_frequency != dcm.frequency:
+        raise ValueError(f"line {carrier_line or frequency_line}: [gbsm] "
+                         f"{_carrier_mismatch(gbsm.carrier_frequency, dcm.frequency)}")
+    return dcm
+
+
+def _carrier_mismatch(carrier: float, frequency: float) -> str:
+    return (f"carrier_frequency={_fmt(carrier)} differs from the map "
+            f"frequency={_fmt(frequency)} its static paths were traced at")
 
 
 def write_text_atomic(path, text: str) -> None:

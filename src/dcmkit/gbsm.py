@@ -19,6 +19,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
+from .raytrace import unit_from_angles
+
 DEFAULT_CARRIER = 5.5e9
 
 
@@ -50,9 +52,7 @@ class AntennaArray:
 
     @property
     def axis(self) -> np.ndarray:
-        el, az = self.orientation
-        ce = math.cos(el)
-        return np.array([ce * math.cos(az), ce * math.sin(az), math.sin(el)])
+        return unit_from_angles(*self.orientation)
 
     def element_offset(self, v: int) -> np.ndarray:
         if not 0 <= v < self.n_elements:
@@ -69,9 +69,9 @@ class GbsmConfig:
     Rays split a cluster's power uniformly.  Angles are radians, delays
     seconds, distances meters.  Field annotations are the one statement of
     the field types: construction converts every value to its field's type
-    (int, float or a pair of floats) and rejects bools, strings and wrong
-    shapes with a ValueError, so map files and JSON overrides share one
-    check.
+    (int, float or a pair of floats) and rejects bools, strings, NaN,
+    infinities and wrong shapes with a ValueError, so map files and JSON
+    overrides share one check.
     """
 
     n_clusters: int = 15
@@ -124,8 +124,8 @@ def config_field(name: str, value):
     """`value` as the type of GbsmConfig field `name`.
 
     Raises ValueError for an unknown field and for a value of the wrong
-    type: bools, strings, non-integers for int fields, anything but two
-    numbers for pair fields.
+    type: bools, strings, non-integers for int fields, NaN and infinities
+    for float fields, anything but two numbers for pair fields.
     """
     kind = _FIELD_TYPES.get(name)
     if kind is None:
@@ -134,6 +134,8 @@ def config_field(name: str, value):
         if kind is int and isinstance(value, _INTEGERS):
             return int(value)
         if kind is float and isinstance(value, _REALS):
+            if not math.isfinite(value):
+                raise ValueError(f"config field {name} must be finite, got {value!r}")
             return float(value)
         if (kind not in (int, float) and isinstance(value, (list, tuple))
                 and len(value) == 2
@@ -285,17 +287,22 @@ def ray_delays(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset):
     element positions relative to the link ends, one (3,) vector or one per
     grid point (Q, 3).  Returns the delays (R, Q) of the R = C m rays in
     cluster-major order, end-to-anchor legs plus virtual delay, and per end
-    the element-to-anchor vectors (R, Q, 3) with their lengths (R, Q).
+    the element-to-anchor vectors with their lengths (R, Q).  The vectors
+    are component-major, (3, R, Q): x, y and z are each one contiguous
+    (R, Q) plane.
     """
     dt = np.asarray(dt, dtype=float)
     m = clusters.rays_per_cluster
     legs = []
     for anchor, velocity, offset in ((clusters.tx_anchor, clusters.velocity_a, tx_offset),
                                      (clusters.rx_anchor, clusters.velocity_z, rx_offset)):
-        vel = np.repeat(velocity, m, axis=0)
-        rel = (anchor.reshape(-1, 3) + vel * t)[:, None, :] \
-            + vel[:, None, :] * dt[None, :, None] - offset
-        legs.append((rel, np.linalg.norm(rel, axis=2)))
+        # (anchor + v t) + v dt - offset, one contiguous plane per component
+        vel = np.repeat(velocity, m, axis=0).T[:, :, None]
+        rel = vel * dt
+        rel += anchor.reshape(-1, 3).T[:, :, None] + vel * t
+        rel -= np.asarray(offset, dtype=float).T.reshape(3, 1, -1)
+        x, y, z = rel
+        legs.append((rel, np.sqrt(x * x + y * y + z * z)))
     (_, d_t), (_, d_r) = legs
     virtual = np.repeat(clusters.virtual_delay, m)
     return (d_t + d_r) / SPEED_OF_LIGHT + virtual[:, None], legs[0], legs[1]
@@ -306,8 +313,9 @@ def ray_taps(clusters: ClusterSet, t: float, dt, tx_array: AntennaArray,
     """Delays and complex amplitudes (R, Q) of every ray for one antenna pair.
 
     Anchors move on to t + dt as in `ray_delays`.  Amplitude is sqrt(ray
-    power) times the polarization mix of the element patterns and the
-    carrier phase exp(j 2 pi f_c tau).
+    power) times the polarization mix of the element patterns, read at the
+    angles of the (3, R, Q) element-to-anchor vectors, and the carrier
+    phase exp(j 2 pi f_c tau).
     """
     delays, (rel_t, d_t), (rel_r, d_r) = ray_delays(
         clusters, t, dt, tx_array.element_offset(pair[0]),
@@ -352,8 +360,9 @@ class Taps:
 
 
 def _angles_of(vectors: np.ndarray, norms: np.ndarray):
-    el = np.arcsin(np.clip(vectors[..., 2] / norms, -1.0, 1.0))
-    az = np.arctan2(vectors[..., 1], vectors[..., 0])
+    """(elevation, azimuth) of component-major vectors (3, ...) of length norms."""
+    el = np.arcsin(np.clip(vectors[2] / norms, -1.0, 1.0))
+    az = np.arctan2(vectors[1], vectors[0])
     return el, az
 
 

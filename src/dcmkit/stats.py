@@ -260,14 +260,17 @@ def fcf_closed_form(model: ChannelModel, df_grid,
     FCF(0) = 1 exactly when the model has a static path; with none it is
     the dynamic share w_d² (see `branch_power_coefficients`).
     """
-    df_grid = np.asarray(df_grid, dtype=float)
+    return _corr_grid(model, 0.0, np.asarray(df_grid, dtype=float), t, ensemble)
+
+
+def _corr_grid(model: ChannelModel, dr_r, df, t: float, ensemble: int) -> np.ndarray:
+    """Branch-weighted correlation over receive-element and frequency offsets."""
     c_l, c_s, c_d = _model_coefficients(model)
-    r_los, r_nlos = _static_corr_grid(model, 0.0, 0.0, df_grid, (0.0, 0.0, 0.0))
+    r_los, r_nlos = _static_corr_grid(model, 0.0, dr_r, df, (0.0, 0.0, 0.0))
     out = c_l * r_los + c_s * r_nlos
     if c_d > 0.0:
         out = out + c_d * _dynamic_corr_grid(
-            model, 0.0, 0.0, 0.0, df_grid, (0.0, 0.0, 0.0),
-            t=t, ensemble=ensemble)
+            model, 0.0, dr_r, 0.0, df, (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
     return out
 
 
@@ -384,14 +387,7 @@ def angular_psd(model: ChannelModel, grid=None, rx_array=None,
     lam = SPEED_OF_LIGHT / model.gbsm.carrier_frequency
     dr = np.arange(n_lags) * lam / 4.0
 
-    c_l, c_s, c_d = _model_coefficients(model)
-    r_los, r_nlos = _static_corr_grid(model, 0.0, dr, 0.0, (0.0, 0.0, 0.0))
-    lags = c_l * r_los + c_s * r_nlos
-    if c_d > 0.0:
-        lags = lags + c_d * _dynamic_corr_grid(
-            model, 0.0, dr, 0.0, 0.0, (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
-
-    nu, masses, clipped = _lag_spectrum_masses(lags)
+    nu, masses, clipped = _lag_spectrum_masses(_corr_grid(model, dr, 0.0, t, ensemble))
     # lag phase exp(-j 2 pi q cos/4) meets kernel exp(+j 2 pi q nu), so an
     # arrival at cone angle theta lands at direction cosine 4 nu = cos theta
     cosines = 4.0 * nu
@@ -520,35 +516,36 @@ def correlation_moments(model: ChannelModel, variable: str = "space",
         raise ValueError("no diffuse power: both component ratios infinite")
     kk_s = 0.0 if math.isinf(k.k_s) else k.k / k.k_s
     kk_d = 0.0 if math.isinf(k.k_d) else k.k / k.k_d
-    lam = SPEED_OF_LIGHT / model.gbsm.carrier_frequency
-    if step is None:
-        if variable == "space":
-            step = lam / 100.0
-        else:
-            speed = model.gbsm.cluster_speed
-            if speed <= 0.0:
-                raise ValueError("time moments need a positive cluster speed")
-            step = lam / (100.0 * speed)
-
     if variable == "space":
+        if step is None:
+            step = SPEED_OF_LIGHT / model.gbsm.carrier_frequency / 100.0
         offsets = np.array([0.0, step])
         _r_los, r_nlos = _static_corr_grid(model, 0.0, offsets, 0.0, (0.0, 0.0, 0.0))
         r_dyn = _dynamic_corr_grid(model, 0.0, offsets, 0.0, 0.0,
                                    (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
     elif variable == "time":
-        offsets = np.array([0.0, step])
+        step = _time_step(model) if step is None else step
         r_nlos = np.ones(2, dtype=complex)  # frozen in time
-        r_dyn = _dynamic_corr_grid(model, 0.0, 0.0, offsets, 0.0,
+        r_dyn = _dynamic_corr_grid(model, 0.0, 0.0, np.array([0.0, step]), 0.0,
                                    (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
     else:
         raise ValueError(f"unknown variable {variable!r}")
+    return _lag_moments(kk_s * r_nlos[0] + kk_d * r_dyn[0],
+                        kk_s * r_nlos[1] + kk_d * r_dyn[1], step)
 
-    weighted0 = kk_s * r_nlos[0] + kk_d * r_dyn[0]
-    weighted1 = kk_s * r_nlos[1] + kk_d * r_dyn[1]
-    b0 = float(np.real(weighted0))
-    b1 = float(np.imag(weighted1)) / step
-    b2 = 2.0 * (float(np.real(weighted0)) - float(np.real(weighted1))) / step ** 2
-    return b0, b1, b2
+
+def _time_step(model: ChannelModel) -> float:
+    """Time lag over which the clusters move a hundredth of a wavelength."""
+    speed = model.gbsm.cluster_speed
+    if speed <= 0.0:
+        raise ValueError("time statistics need a positive cluster speed")
+    return SPEED_OF_LIGHT / model.gbsm.carrier_frequency / (100.0 * speed)
+
+
+def _lag_moments(r0: complex, r1: complex, step: float) -> tuple[float, float, float]:
+    """Spectral moments (b0, b1, b2) from a correlation at lags 0 and step."""
+    return (float(np.real(r0)), float(np.imag(r1)) / step,
+            2.0 * (float(np.real(r0)) - float(np.real(r1))) / step ** 2)
 
 
 def lcr_time_inputs(model: ChannelModel, step: float | None = None,
@@ -566,17 +563,10 @@ def lcr_time_inputs(model: ChannelModel, step: float | None = None,
     if sigma2 <= 0.0:
         raise ValueError("no diffuse power: envelope never crosses")
     k = abs(amp) ** 2 / (2.0 * sigma2)
-    if step is None:
-        speed = model.gbsm.cluster_speed
-        if speed <= 0.0:
-            raise ValueError("time statistics need a positive cluster speed")
-        lam = SPEED_OF_LIGHT / model.gbsm.carrier_frequency
-        step = lam / (100.0 * speed)
+    step = _time_step(model) if step is None else step
     r = _dynamic_corr_grid(model, 0.0, 0.0, np.array([0.0, step]), 0.0,
                            (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
-    b0 = float(np.real(r[0]))
-    b1 = float(np.imag(r[1])) / step
-    b2 = 2.0 * (float(np.real(r[0])) - float(np.real(r[1]))) / step ** 2
+    b0, b1, b2 = _lag_moments(r[0], r[1], step)
     return LcrInputs(k=k, b0=b0, b1=b1, b2=max(b2, 0.0))
 
 

@@ -129,6 +129,12 @@ def test_malformed_map_exits_one_with_line(built_map, workdir, capsys):
         "infinite power": re.sub(r" power=\S+", " power=inf", text, count=1),
         "nan rx": re.sub(r"\nrx=[^,]+,", "\nrx=nan,", text, count=1),
         "nan ks": re.sub(r"\nks=\S+", "\nks=nan", text, count=1),
+        "nan frequency": re.sub(r"\nfrequency=\S+", "\nfrequency=nan", text, count=1),
+        "negative max_order": re.sub(r"\nmax_order=\S+", "\nmax_order=-3", text, count=1),
+        "nan gbsm float": re.sub(r"\ncluster_speed=\S+", "\ncluster_speed=nan", text,
+                                 count=1),
+        "carrier mismatch": re.sub(r"\ncarrier_frequency=\S+", "\ncarrier_frequency=28e9",
+                                   text, count=1),
     }
     for label, bad_text in cases.items():
         bad = workdir / "bad.dcm"
@@ -137,6 +143,23 @@ def test_malformed_map_exits_one_with_line(built_map, workdir, capsys):
                                   "--seed", "1"])
         assert rc == 1, label
         assert err.startswith("error: line ") and "Traceback" not in err, label
+
+
+def test_bad_config_override_exits_one(built_map, workdir, capsys):
+    cases = {
+        '{"carrier_frequency": 28e9}': "carrier_frequency=28000000000.0 differs "
+                                       "from the map frequency=5500000000.0",
+        '{"cluster_speed": NaN}': "cluster_speed must be finite",
+    }
+    for text, message in cases.items():
+        cfg = workdir / "override.json"
+        cfg.write_text(text)
+        for cmd in (["update"], ["simulate"], ["stats", "fcf"]):
+            rc, out, err = run(capsys, [*cmd, "--map", str(built_map), "--at", "2,2,1.5",
+                                        "--seed", "1", "--config", str(cfg)])
+            assert rc == 1 and out == "", (text, cmd)
+            assert err.startswith("error: ") and message in err, (text, cmd)
+            assert "Traceback" not in err, (text, cmd)
 
 
 def test_v1_map_exits_one_asking_for_rebuild(built_map, workdir, capsys):

@@ -209,6 +209,12 @@ def test_model_from_map_applies_overrides(room_scene):
     assert model.location == POINTS[0]
     # the stored configuration itself stays untouched
     assert dmap.gbsm.seed == GbsmConfig().seed
+    # the static paths hold at the map's carrier only
+    with pytest.raises(ValueError, match="carrier_frequency=28000000000.0 differs "
+                                         "from the map frequency=5500000000.0"):
+        model_from_map(dmap, POINTS[0], overrides={"carrier_frequency": 28e9})
+    same = model_from_map(dmap, POINTS[0], overrides={"carrier_frequency": 5.5e9})
+    assert same.gbsm == dmap.gbsm
 
 
 def test_update_snapshot_deterministic(room_scene):
@@ -322,6 +328,25 @@ def test_loads_map_error_reporting():
     loads_map(head + record.replace("ks=2", "ks=inf").replace("kd=4", "kd=inf"))
     with pytest.raises(ValueError, match="line 4: "):
         loads_map(head.replace("max_order=1", "max_order=x") + record)
+    # the header's carrier must be a frequency and the order a count
+    for bad in ("nan", "inf", "-inf", "0", "-5.5e9"):
+        with pytest.raises(ValueError, match="line 3: frequency must be finite and > 0"):
+            loads_map(head.replace("frequency=5.5e9", "frequency=" + bad) + record)
+    with pytest.raises(ValueError, match="line 4: max_order must be >= 0"):
+        loads_map(head.replace("max_order=1", "max_order=-3") + record)
+    loads_map(head.replace("max_order=1", "max_order=0") + record)
+    with pytest.raises(ValueError, match="line 7: .*cluster_speed must be finite"):
+        loads_map(head + "cluster_speed=nan\n" + record)
+    # a [gbsm] carrier other than the header's names its own line, or the
+    # header's frequency line when the default carrier is the one that differs
+    with pytest.raises(ValueError, match="line 8: .*carrier_frequency=28000000000.0 "
+                                         "differs from the map frequency=5500000000.0"):
+        loads_map(head + "n_clusters=3\ncarrier_frequency=28e9\n" + record)
+    with pytest.raises(ValueError, match="line 3: .*carrier_frequency=5500000000.0 "
+                                         "differs from the map frequency=28000000000.0"):
+        loads_map(head.replace("frequency=5.5e9", "frequency=28e9") + record)
+    loads_map(head.replace("frequency=5.5e9", "frequency=28e9")
+              + "carrier_frequency=28e9\n" + record)
     with pytest.raises(ValueError, match="line 7: record missing kd="):
         loads_map(head + record.replace("kd=4\n", ""))
     # a second record at the same location is an error, not a replacement
@@ -365,11 +390,13 @@ _records = st.builds(DcmRecord, tx=st.tuples(_finite, _finite, _finite),
 def _maps(draw):
     records = draw(st.lists(_records, min_size=1, max_size=4,
                             unique_by=lambda r: r.rx))
+    frequency = draw(_positive.filter(math.isfinite))
     gbsm = GbsmConfig(seed=draw(st.integers(-2 ** 70, 2 ** 70)),
+                      carrier_frequency=frequency,
                       cluster_speed=draw(_nonneg), xpr_mean_db=draw(_finite),
                       elevation_range=tuple(sorted((draw(_elevation),
                                                     draw(_elevation)))))
-    return DcmMap(frequency=draw(_positive.filter(math.isfinite)),
+    return DcmMap(frequency=frequency,
                   max_order=draw(st.integers(0, 5)),
                   scene_hash=draw(st.text("0123456789abcdef", min_size=16,
                                           max_size=16)),

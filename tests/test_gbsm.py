@@ -116,8 +116,8 @@ def test_anchor_displacement_is_speed_times_time():
     cluster = spawn_clusters(GbsmConfig(seed=1, n_clusters=1), LOC)
     _, (tx_before, _), (rx_before, _) = ray_delays(cluster, 0.0, (0.0,), ORIGIN, ORIGIN)
     _, (tx_after, _), (rx_after, _) = ray_delays(cluster, 1.0, (0.0,), ORIGIN, ORIGIN)
-    moved_tx = np.linalg.norm(tx_after - tx_before, axis=2)
-    moved_rx = np.linalg.norm(rx_after - rx_before, axis=2)
+    moved_tx = np.linalg.norm(tx_after - tx_before, axis=0)
+    moved_rx = np.linalg.norm(rx_after - rx_before, axis=0)
     assert np.allclose(moved_tx, 0.5, atol=1e-12)
     assert np.allclose(moved_rx, 0.5, atol=1e-12)
     # a time offset moves the anchors like the base time does
@@ -230,6 +230,15 @@ def test_config_validation():
                       ("azimuth_range", (-math.inf, 0.0)), ("azimuth_range", (0.0, math.nan))):
         with pytest.raises(ValueError, match=f"bad {name}"):
             GbsmConfig(**{name: bad})
+    # every float field must be finite: range checks are false for NaN
+    for name in ("carrier_frequency", "cluster_speed", "delay_decay",
+                 "virtual_delay_mean", "angle_spread_intra", "xpr_mean_db",
+                 "xpr_std_db", "copolar_imbalance", "shadow_std_db"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                GbsmConfig(**{name: bad})
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                GbsmConfig().with_overrides(**{name: np.float64(bad)})
     cfg = GbsmConfig().with_overrides(n_clusters=7, seed=99)
     assert cfg.n_clusters == 7 and cfg.seed == 99
     assert GbsmConfig().n_clusters == 15

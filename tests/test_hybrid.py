@@ -9,10 +9,12 @@ from scipy.constants import c as C0
 from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors,
                     LargeScaleFading, Mpc, apply_lsf, combine_cir, compose_k,
                     ctf, friis_path_gain, mixing_weights, rician_params,
-                    static_branch_split, static_cir)
+                    loads_scene, static_branch_split, static_cir,
+                    trace_static_mpcs)
 from dcmkit.gbsm import Taps
 
-from conftest import make_model, total_power
+from conftest import ROOM_SCENE, make_model, total_power
+from test_golden import LOC, _array
 
 FC = 5.5e9
 
@@ -193,6 +195,33 @@ def test_narrowband_series_matches_snapshots():
     for i, t in enumerate(t_grid):
         direct = model.snapshot(float(t)).pair(0, 0).amps.sum()
         assert abs(series[i] - direct) < 1e-9
+
+
+def test_narrowband_series_is_chunk_independent():
+    """Any block length gives the same bytes, the one-sample tail included."""
+    room = loads_scene(ROOM_SCENE)
+    mpcs = trace_static_mpcs(room, LOC[0], LOC[1], max_order=2)
+    model = ChannelModel(tuple(mpcs), KFactors.from_split(2.0, 4.0),
+                         GbsmConfig(seed=9, copolar_imbalance=0.8),
+                         tx_array=_array(2), rx_array=_array(2), location=LOC)
+    t_grid = 0.05 + np.arange(701) * 1e-3   # 701 = 7 * 100 + 1 = 256 * 2 + 189
+    series = model.narrowband_series(t_grid, pair=(1, 1))
+    for chunk in (1, 7, 256, len(t_grid)):
+        again = model.narrowband_series(t_grid, pair=(1, 1), chunk=chunk)
+        assert again.tobytes() == series.tobytes(), chunk
+
+
+def test_narrowband_series_rejects_bad_arguments():
+    model = make_model([los_mpc()], seed=1)
+    for chunk in (0, -3):
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            model.narrowband_series(np.arange(4) * 1e-3, chunk=chunk)
+    with pytest.raises(ValueError, match="t_grid must be 1-D"):
+        model.narrowband_series(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="t_grid must be 1-D"):
+        model.narrowband_series(0.5)
+    with pytest.raises(ValueError, match="times must be >= 0"):
+        model.narrowband_series([0.0, -1e-3])
 
 
 def test_reseeded_changes_only_the_draw():
