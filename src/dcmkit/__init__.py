@@ -15,32 +15,29 @@ from .raytrace import (Mpc, direction_angles, fresnel_coefficients,
                        friis_path_gain, trace_static_mpcs, unit_from_angles)
 from .gbsm import (AntennaArray, ClusterSet, GbsmConfig, Taps, dynamic_cir,
                    spawn_clusters)
-from .hybrid import (ChannelModel, ChannelSnapshot, KFactors, LargeScaleFading,
-                     apply_lsf, combine_cir, compose_k, ctf, mixing_weights,
-                     rician_params, static_branch_split, static_cir)
+from .hybrid import (ChannelModel, ChannelSnapshot, KFactors, combine_cir,
+                     compose_k, mixing_weights, rician_params,
+                     static_branch_split, static_cir)
 from .stats import (CorrelationQuery, LcrInputs, Psd, angular_psd,
-                    branch_power_coefficients, cdf_at, correlation_moments,
-                    delay_psd, doppler_psd, doppler_psd_from_lags,
-                    empirical_cdf, empirical_tacf, fcf_closed_form,
+                    branch_power_coefficients, delay_psd, doppler_psd,
+                    doppler_psd_from_lags, empirical_cdf, fcf_closed_form,
                     lcr_analytic, lcr_empirical, lcr_time_inputs, rms_spread,
                     stfcf)
-from .dcm import (DcmLookupError, DcmMap, DcmRecord, MatchResult,
-                  average_delay_psd, build_map, dumps_map, estimate_k_split,
-                  grid_points, load_map, loads_map, match_mpcs,
-                  model_from_map, query, save_map, update_snapshot,
-                  worker_count)
+from .dcm import (DcmLookupError, DcmMap, DcmRecord, MatchResult, build_map,
+                  dumps_map, estimate_k_split, grid_points, load_map,
+                  loads_map, match_mpcs, model_from_map, query, save_map,
+                  update_snapshot, worker_count)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AntennaArray", "ChannelModel", "ChannelSnapshot", "ClusterSet",
-    "CorrelationQuery", "DcmLookupError", "DcmMap", "DcmRecord", "Facet", "GbsmConfig", "KFactors", "LargeScaleFading",
-    "LcrInputs", "MatchResult", "Material", "Mpc", "Psd", "Scene",
-    "SceneError", "Taps", "angular_psd", "apply_lsf", "average_delay_psd",
-    "branch_power_coefficients", "build_map", "cdf_at",
-    "combine_cir", "compose_k", "correlation_moments", "ctf", "delay_psd",
-    "direction_angles", "doppler_psd", "doppler_psd_from_lags", "dumps_map",
-    "dynamic_cir", "empirical_cdf", "empirical_tacf", "estimate_k_split",
+    "CorrelationQuery", "DcmLookupError", "DcmMap", "DcmRecord", "Facet",
+    "GbsmConfig", "KFactors", "LcrInputs", "MatchResult", "Material", "Mpc",
+    "Psd", "Scene", "SceneError", "Taps", "angular_psd",
+    "branch_power_coefficients", "build_map", "combine_cir", "compose_k",
+    "delay_psd", "direction_angles", "doppler_psd", "doppler_psd_from_lags",
+    "dumps_map", "dynamic_cir", "empirical_cdf", "estimate_k_split",
     "fcf_closed_form", "fresnel_coefficients", "friis_path_gain",
     "grid_points", "lcr_analytic", "lcr_empirical", "lcr_time_inputs",
     "load_map", "load_scene", "loads_map", "loads_scene", "match_mpcs",

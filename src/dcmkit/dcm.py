@@ -30,7 +30,6 @@ from .gbsm import AntennaArray, GbsmConfig, config_field
 from .hybrid import ChannelModel, ChannelSnapshot, KFactors
 from .raytrace import Mpc, trace_static_mpcs
 from .scene import Scene
-from .stats import Psd
 
 MAGIC = "DCMv2"
 DEFAULT_K_STATIC = 10.0 ** 0.3   # 3 dB
@@ -147,44 +146,6 @@ def estimate_k_split(match: MatchResult, reference) -> KFactors:
     k_s = p_los / p_static if p_static > 0.0 else math.inf
     k_d = p_los / p_dynamic if p_dynamic > 0.0 else math.inf
     return KFactors.from_split(k_s, k_d)
-
-
-def average_delay_psd(snapshots, grid, noise_floor_db: float = -30.0,
-                      pair: tuple[int, int] = (0, 0)) -> Psd:
-    """Coherently average snapshots on a delay grid, then square.
-
-    Complex tap amplitudes are binned per snapshot, averaged across the
-    ensemble, and only then converted to power, so components with random
-    phase average toward zero while repeatable paths survive.  Bins quieter
-    than `noise_floor_db` + 6 dB relative to the strongest bin are zeroed.
-    Mass falling outside the grid is reported in `clipped`.
-    """
-    grid = np.asarray(grid, dtype=float)
-    widths = np.gradient(grid)
-    edges = np.concatenate([[grid[0] - widths[0] / 2.0],
-                            (grid[:-1] + grid[1:]) / 2.0,
-                            [grid[-1] + widths[-1] / 2.0]])
-    amp = np.zeros(len(grid), dtype=complex)
-    spilled = 0.0
-    count = 0
-    for snap in snapshots:
-        taps = snap.pair(*pair)
-        idx = np.searchsorted(edges, taps.delays, side="right") - 1
-        inside = (idx >= 0) & (idx < len(grid))
-        amp += (np.bincount(idx[inside], weights=taps.amps[inside].real,
-                            minlength=len(grid))
-                + 1j * np.bincount(idx[inside], weights=taps.amps[inside].imag,
-                                   minlength=len(grid)))
-        spilled += float((np.abs(taps.amps[~inside]) ** 2).sum())
-        count += 1
-    if count == 0:
-        raise ValueError("need at least one snapshot")
-    power = np.abs(amp / count) ** 2
-    spilled /= count
-    peak = power.max()
-    if peak > 0.0:
-        power[power < peak * 10.0 ** ((noise_floor_db + 6.0) / 10.0)] = 0.0
-    return Psd(grid, power / widths, clipped=spilled)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
-from .raytrace import unit_from_angles
+from .raytrace import SPEED_OF_LIGHT, unit_from_angles
 
 DEFAULT_CARRIER = 5.5e9
 

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .gbsm import (AntennaArray, GbsmConfig, Taps, _pol_mix, dynamic_cir,
                    ray_taps, spawn_clusters)
-from .raytrace import Mpc, friis_path_gain
+from .raytrace import SPEED_OF_LIGHT, Mpc
 
 REL_TOL = 1e-12
 # elements of one (rays, samples) block of a narrowband series: 1 MiB of
@@ -67,18 +66,6 @@ class KFactors:
     @classmethod
     def from_split(cls, k_s: float, k_d: float) -> "KFactors":
         return cls(k_s, k_d, compose_k(k_s, k_d))
-
-
-@dataclass(frozen=True)
-class LargeScaleFading:
-    """Distance gain plus one log-normal shadowing draw, amplitude domain."""
-
-    path_gain_db: float
-    shadow_db: float
-
-    @property
-    def amplitude_scale(self) -> float:
-        return 10.0 ** ((self.path_gain_db + self.shadow_db) / 20.0)
 
 
 @dataclass
@@ -202,33 +189,6 @@ def combine_cir(h_static: dict, h_dynamic: dict, k: KFactors,
         dyn = dyn.scaled(w_d) if w_d != 0.0 else Taps.empty()
         taps[key] = stat.merged(dyn)
     return ChannelSnapshot(t=t, location=location, taps=taps)
-
-
-def ctf(snapshot: ChannelSnapshot, freqs, carrier: float) -> dict:
-    """Transfer function per pair: H(f) = sum_i a_i exp(-j2pi tau_i (f-f_c))."""
-    freqs = np.asarray(freqs, dtype=float)
-    out = {}
-    for key, taps in snapshot.taps.items():
-        kernel = np.exp(-2j * math.pi
-                        * np.outer(freqs - carrier, taps.delays))
-        out[key] = kernel @ taps.amps
-    return out
-
-
-def apply_lsf(snapshot: ChannelSnapshot, distance: float, frequency: float,
-              shadow_sigma_db: float = 4.0, seed: int = 0
-              ) -> tuple[ChannelSnapshot, LargeScaleFading]:
-    """Scale a unit-power snapshot by distance gain and shadowing."""
-    if shadow_sigma_db < 0.0:
-        raise ValueError("shadow_sigma_db must be >= 0")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    lsf = LargeScaleFading(
-        path_gain_db=friis_path_gain(distance, frequency),
-        shadow_db=float(rng.normal(0.0, shadow_sigma_db)),
-    )
-    scale = lsf.amplitude_scale
-    scaled = {key: taps.scaled(scale) for key, taps in snapshot.taps.items()}
-    return ChannelSnapshot(snapshot.t, snapshot.location, scaled), lsf
 
 
 def rician_params(snapshot: ChannelSnapshot, pair: tuple[int, int] = (0, 0)

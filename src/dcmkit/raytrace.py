@@ -47,10 +47,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import epsilon_0
 
 from .scene import INTERSECT_TOL, Facet, Material, Scene
+
+# CODATA 2022: speed of light in vacuum (m/s), vacuum permittivity (F/m)
+SPEED_OF_LIGHT = 299792458.0
+EPSILON_0 = 8.8541878188e-12
 
 DEFAULT_FREQUENCY = 5.5e9
 
@@ -95,7 +97,7 @@ def fresnel_coefficients(material: Material, incidence: float, frequency: float)
 
 
 def _fresnel_arrays(eps_r, sigma, cos_inc, frequency):
-    eta = eps_r - 1j * sigma / (2.0 * np.pi * frequency * epsilon_0)
+    eta = eps_r - 1j * sigma / (2.0 * np.pi * frequency * EPSILON_0)
     sin2 = 1.0 - cos_inc**2
     root = np.sqrt(eta - sin2)  # principal branch: decaying transmitted wave
     g_perp = (cos_inc - root) / (cos_inc + root)

@@ -26,13 +26,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.special import erf, roots_legendre
 
 from .gbsm import ray_delays
 from .hybrid import (ChannelModel, KFactors, mixing_weights, rician_params,
                      static_branch_split)
-from .raytrace import unit_from_angles
+from .raytrace import SPEED_OF_LIGHT, unit_from_angles
 
 DEFAULT_ENSEMBLE = 200
 
@@ -368,8 +366,8 @@ def _rebin(positions: np.ndarray, masses: np.ndarray, grid: np.ndarray):
     return binned / bin_widths, spilled
 
 
-def angular_psd(model: ChannelModel, grid=None, rx_array=None,
-                n_lags: int = 64, ensemble: int = 64, t: float = 0.0) -> Psd:
+def angular_psd(model: ChannelModel, grid=None, n_lags: int = 64,
+                ensemble: int = 64, t: float = 0.0) -> Psd:
     """Arrival power density over the cone angle around the receive axis.
 
     Built from the spatial correlation sampled every quarter wavelength
@@ -378,8 +376,7 @@ def angular_psd(model: ChannelModel, grid=None, rx_array=None,
     aperture only resolves the cone angle theta in [0, pi]; grid values are
     that angle in radians.
     """
-    rx = rx_array if rx_array is not None else model.rx_array
-    if rx.n_elements < 2:
+    if model.rx_array.n_elements < 2:
         raise ValueError("angular statistics need a receive array of >= 2 elements")
     if grid is None:
         grid = np.linspace(0.0, math.pi, 181)
@@ -435,17 +432,6 @@ def doppler_psd_from_lags(lags, dt: float, grid=None) -> Psd:
     return Psd(grid, density, clipped=clipped + spilled)
 
 
-def empirical_tacf(series, n_lags: int) -> np.ndarray:
-    """Biased time-average autocorrelation of one complex series."""
-    series = np.asarray(series, dtype=complex)
-    if n_lags >= len(series):
-        raise ValueError("need more samples than lags")
-    out = np.empty(n_lags, dtype=complex)
-    for m in range(n_lags):
-        out[m] = np.mean(np.conj(series[:len(series) - m]) * series[m:])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # level crossings
 
@@ -471,13 +457,13 @@ def lcr_analytic(inputs: LcrInputs, levels, n_quad: int = 200) -> np.ndarray:
         raise ValueError("degenerate moments: b0*b2 == b1^2 with k > 0")
     chi = math.sqrt(chi_num / det) if chi_num > 0.0 else 0.0
 
-    nodes, weights = roots_legendre(n_quad)
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     theta = 0.25 * math.pi * (nodes + 1.0)
     w = 0.25 * math.pi * weights
     sin_t = np.sin(theta)
     cos_t = np.cos(theta)
-    cross = np.exp(-(chi * sin_t) ** 2) \
-        + math.sqrt(math.pi) * chi * sin_t * erf(chi * sin_t)
+    erf_t = np.array([math.erf(x) for x in chi * sin_t])
+    cross = np.exp(-(chi * sin_t) ** 2) + math.sqrt(math.pi) * chi * sin_t * erf_t
 
     r = levels[:, None]
     decay = k + (k + 1.0) * r ** 2
@@ -500,54 +486,6 @@ def lcr_empirical(envelope, level: float, duration: float) -> float:
     return crossings / duration
 
 
-def correlation_moments(model: ChannelModel, variable: str = "space",
-                        step: float | None = None, t: float = 0.0,
-                        ensemble: int = 256) -> tuple[float, float, float]:
-    """Spectral moments (b0, b1, b2) of the diffuse correlation.
-
-    variable = "space" differentiates against receive displacement
-    (rates per meter); "time" against the time lag (rates per second).
-    Central differences with one shared cluster ensemble keep the second
-    derivative smooth.  The static-reflection branch only contributes for
-    the spatial variable; frozen reflections do not move in time.
-    """
-    k = model.k
-    if math.isinf(k.k):
-        raise ValueError("no diffuse power: both component ratios infinite")
-    kk_s = 0.0 if math.isinf(k.k_s) else k.k / k.k_s
-    kk_d = 0.0 if math.isinf(k.k_d) else k.k / k.k_d
-    if variable == "space":
-        if step is None:
-            step = SPEED_OF_LIGHT / model.gbsm.carrier_frequency / 100.0
-        offsets = np.array([0.0, step])
-        _r_los, r_nlos = _static_corr_grid(model, 0.0, offsets, 0.0, (0.0, 0.0, 0.0))
-        r_dyn = _dynamic_corr_grid(model, 0.0, offsets, 0.0, 0.0,
-                                   (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
-    elif variable == "time":
-        step = _time_step(model) if step is None else step
-        r_nlos = np.ones(2, dtype=complex)  # frozen in time
-        r_dyn = _dynamic_corr_grid(model, 0.0, 0.0, np.array([0.0, step]), 0.0,
-                                   (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
-    else:
-        raise ValueError(f"unknown variable {variable!r}")
-    return _lag_moments(kk_s * r_nlos[0] + kk_d * r_dyn[0],
-                        kk_s * r_nlos[1] + kk_d * r_dyn[1], step)
-
-
-def _time_step(model: ChannelModel) -> float:
-    """Time lag over which the clusters move a hundredth of a wavelength."""
-    speed = model.gbsm.cluster_speed
-    if speed <= 0.0:
-        raise ValueError("time statistics need a positive cluster speed")
-    return SPEED_OF_LIGHT / model.gbsm.carrier_frequency / (100.0 * speed)
-
-
-def _lag_moments(r0: complex, r1: complex, step: float) -> tuple[float, float, float]:
-    """Spectral moments (b0, b1, b2) from a correlation at lags 0 and step."""
-    return (float(np.real(r0)), float(np.imag(r1)) / step,
-            2.0 * (float(np.real(r0)) - float(np.real(r1))) / step ** 2)
-
-
 def lcr_time_inputs(model: ChannelModel, step: float | None = None,
                     t: float = 0.0, ensemble: int = 256,
                     pair: tuple[int, int] = (0, 0)) -> LcrInputs:
@@ -563,10 +501,18 @@ def lcr_time_inputs(model: ChannelModel, step: float | None = None,
     if sigma2 <= 0.0:
         raise ValueError("no diffuse power: envelope never crosses")
     k = abs(amp) ** 2 / (2.0 * sigma2)
-    step = _time_step(model) if step is None else step
+    if step is None:
+        # the lag over which the clusters move a hundredth of a wavelength
+        speed = model.gbsm.cluster_speed
+        if speed <= 0.0:
+            raise ValueError("time statistics need a positive cluster speed")
+        step = SPEED_OF_LIGHT / model.gbsm.carrier_frequency / (100.0 * speed)
     r = _dynamic_corr_grid(model, 0.0, 0.0, np.array([0.0, step]), 0.0,
                            (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
-    b0, b1, b2 = _lag_moments(r[0], r[1], step)
+    # spectral moments from the correlation at lags 0 and step
+    b0 = float(np.real(r[0]))
+    b1 = float(np.imag(r[1])) / step
+    b2 = 2.0 * (b0 - float(np.real(r[1]))) / step ** 2
     return LcrInputs(k=k, b0=b0, b1=b1, b2=max(b2, 0.0))
 
 
@@ -580,9 +526,3 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need a non-empty 1-D sample array")
     values, counts = np.unique(arr, return_counts=True)
     return values, np.cumsum(counts) / len(arr)
-
-
-def cdf_at(cdf: tuple[np.ndarray, np.ndarray], x: float) -> float:
-    values, probs = cdf
-    idx = int(np.searchsorted(values, x, side="right"))
-    return 0.0 if idx == 0 else float(probs[idx - 1])

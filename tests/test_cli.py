@@ -1,10 +1,14 @@
 """End-to-end command line behavior: exit codes, CSV shapes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import dcmkit
 from dcmkit.cli import main, _levels
 
 from conftest import ROOM_SCENE
@@ -343,3 +347,13 @@ def test_points_file_validation(workdir, capsys):
         "build", "--scene", str(workdir / "room.scene"), "--tx", TX,
         "--points", str(empty), "--out", str(workdir / "x.dcm")])
     assert rc == 1 and "no locations" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(dcmkit.__file__))
+    probe = ("import sys, dcmkit.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcmkit import (AntennaArray, ChannelModel, DcmLookupError, DcmMap,
-                    DcmRecord, GbsmConfig, KFactors, Mpc, average_delay_psd,
+                    DcmRecord, GbsmConfig, KFactors, Mpc,
                     build_map, dumps_map, estimate_k_split, grid_points,
                     load_map, loads_map, match_mpcs, model_from_map, query,
                     save_map, trace_static_mpcs, update_snapshot, worker_count)
 from dcmkit.dcm import MatchResult
-from dcmkit.gbsm import Taps
-from dcmkit.hybrid import ChannelSnapshot
 
 TX = (1.0, 1.0, 1.5)
 POINTS = [(2.0, 2.0, 1.5), (2.5, 2.0, 1.5), (2.0, 2.5, 1.2)]
@@ -25,13 +23,6 @@ def path(delay, az, power=1.0, los=False, kind=None):
                phases=(0.0, 0.0, 0.0, 0.0),
                xpr=math.inf if los else 8.0,
                kind="los" if los else (kind or "refl:1"))
-
-
-def snap(amps, delays, t=0.0):
-    taps = Taps(np.asarray(delays, dtype=float),
-                np.asarray(amps, dtype=complex),
-                tuple("p%d" % i for i in range(len(delays))))
-    return ChannelSnapshot(t=t, location=(0.0, 0.0, 0.0), taps={(0, 0): taps})
 
 
 # ---------------------------------------------------------------------------
@@ -114,44 +105,6 @@ def test_estimate_k_split_requires_one_los():
     two_los = [path(100e-9, 0.0, los=True), path(120e-9, 0.0, los=True)]
     with pytest.raises(ValueError):
         estimate_k_split(match, two_los)
-
-
-# ---------------------------------------------------------------------------
-# coherent delay profile averaging
-
-def test_average_delay_psd_repeatable_path_survives():
-    grid = np.arange(20) * 50e-9
-    snaps = [snap([0.6 + 0.8j], [150e-9]), snap([0.6 + 0.8j], [150e-9])]
-    psd = average_delay_psd(snaps, grid)
-    masses = psd.density * np.gradient(grid)
-    assert abs(masses[3] - 1.0) < 1e-12
-    assert abs(psd.mass - 1.0) < 1e-12
-
-
-def test_average_delay_psd_random_phase_cancels():
-    grid = np.arange(20) * 50e-9
-    snaps = [snap([0.6 + 0.8j], [150e-9]), snap([-0.6 - 0.8j], [150e-9])]
-    psd = average_delay_psd(snaps, grid)
-    assert psd.mass == 0.0
-
-
-def test_average_delay_psd_noise_floor():
-    grid = np.arange(20) * 50e-9
-    lo = 10.0 ** (-25.0 / 20.0)   # 5 dB above the -30 dB floor: zeroed
-    hi = 10.0 ** (-23.0 / 20.0)   # 7 dB above: kept
-    snaps = [snap([1.0, lo, hi], [0.0, 150e-9, 300e-9])]
-    psd = average_delay_psd(snaps, grid, noise_floor_db=-30.0)
-    masses = psd.density * np.gradient(grid)
-    assert masses[3] == 0.0
-    assert masses[6] > 0.0
-
-
-def test_average_delay_psd_spill_and_errors():
-    grid = np.arange(20) * 50e-9
-    psd = average_delay_psd([snap([0.5, 2.0], [100e-9, 5e-6])], grid)
-    assert abs(psd.clipped - 4.0) < 1e-12
-    with pytest.raises(ValueError):
-        average_delay_psd([], grid)
 
 
 # ---------------------------------------------------------------------------

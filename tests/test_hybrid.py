@@ -1,4 +1,4 @@
-"""Static/dynamic mixing, power bookkeeping and transfer functions."""
+"""Static/dynamic mixing, power bookkeeping and narrowband series."""
 
 import math
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors,
-                    LargeScaleFading, Mpc, apply_lsf, combine_cir, compose_k,
-                    ctf, friis_path_gain, mixing_weights, rician_params,
+from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc,
+                    combine_cir, compose_k, mixing_weights, rician_params,
                     loads_scene, static_branch_split, static_cir,
                     trace_static_mpcs)
 from dcmkit.gbsm import Taps
@@ -131,42 +130,6 @@ def test_snapshot_total_power_is_one():
     assert abs(total_power(snap.pair(0, 0)) - 1.0) < 1e-9
 
 
-def test_ctf_at_carrier_is_tap_sum():
-    model = make_model([los_mpc(), nlos_mpc()], seed=1)
-    snap = model.snapshot(0.0)
-    h = ctf(snap, [FC], carrier=FC)[(0, 0)]
-    assert abs(h[0] - snap.pair(0, 0).amps.sum()) < 1e-12
-
-
-def test_ctf_single_tap_phase_ramp():
-    taps = {(0, 0): Taps(np.array([5e-8]), np.array([2 + 0j]), ("los",))}
-    snap = combine_cir(taps, {}, KFactors.from_split(1.0, math.inf))
-    w_s, _ = mixing_weights(1.0, math.inf)
-    df = 3e6
-    h = ctf(snap, [FC, FC + df], carrier=FC)[(0, 0)]
-    assert abs(h[1] / h[0] - np.exp(-2j * math.pi * df * 5e-8)) < 1e-12
-    assert abs(abs(h[0]) - 2.0 * w_s) < 1e-12
-
-
-def test_ctf_idft_recovers_bin_aligned_taps():
-    # 8 taps on exact delay bins of a 256-point uniform frequency sweep
-    n, step = 256, 1e6
-    rng = np.random.default_rng(3)
-    bins = rng.choice(np.arange(1, 200), size=8, replace=False)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    delays = bins / (n * step)
-    taps = {(0, 0): Taps(delays, amps, tuple("dyn:0:%d" % i for i in range(8)))}
-    k = KFactors.from_split(math.inf, 1e-9)
-    snap = combine_cir({}, taps, k)
-    freqs = FC + np.arange(n) * step
-    h = ctf(snap, freqs, carrier=FC)[(0, 0)]
-    recovered = np.fft.ifft(h)  # 1/n normalization cancels the n-term sum
-    w = mixing_weights(k.k_s, k.k_d)[1]
-    expect = np.zeros(n, dtype=complex)
-    expect[bins] = w * amps
-    assert np.allclose(recovered, expect, atol=1e-9)
-
-
 def test_rician_params_exact_power_split():
     model = make_model([los_mpc(), nlos_mpc()], k_s=2.0, k_d=10.0, seed=6)
     amp, sigma2 = rician_params(model.snapshot(0.0))
@@ -174,18 +137,6 @@ def test_rician_params_exact_power_split():
     assert abs(2.0 * sigma2 - w_d * w_d) < 1e-12
     static = model.static_taps()[(0, 0)].amps
     assert abs(amp - w_s * static.sum()) < 1e-12
-
-
-def test_apply_lsf_scales_power():
-    model = make_model([los_mpc()], k_d=math.inf)
-    snap = model.snapshot(0.0)
-    scaled, lsf = apply_lsf(snap, distance=100.0, frequency=FC,
-                            shadow_sigma_db=0.0, seed=0)
-    assert lsf.shadow_db == 0.0
-    assert abs(lsf.path_gain_db - friis_path_gain(100.0, FC)) < 1e-12
-    expected = 10.0 ** (lsf.path_gain_db / 10.0)
-    assert abs(total_power(scaled.pair(0, 0)) - expected) < 1e-15
-    assert LargeScaleFading(-40.0, 0.0).amplitude_scale == 0.01
 
 
 def test_narrowband_series_matches_snapshots():
