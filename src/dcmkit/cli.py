@@ -42,6 +42,16 @@ def _triple(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"expected numbers in {text!r}") from None
 
 
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     try:
         return [float(p) for p in text.split(",") if p.strip()]
@@ -244,8 +254,7 @@ def _cmd_stats_lcr(args) -> int:
     inputs = lcr_time_inputs(model, ensemble=args.ensemble)
     levels = np.array([10.0 ** (db / 20.0) for db in args.levels_db])
     analytic = lcr_analytic(inputs, levels)
-    n = int(round(args.duration / args.dt))
-    t_grid = np.arange(n) * args.dt
+    t_grid = np.arange(int(round(args.duration / args.dt))) * args.dt
     series = model.narrowband_series(t_grid)
     # normalize by the exact mean power, not the realized one, so the
     # empirical rates share the analytic levels' reference
@@ -306,13 +315,17 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_map_args(p, seed_required: bool = True) -> None:
+def _add_lookup_args(p) -> None:
     p.add_argument("--map", required=True, help="channel map file")
     p.add_argument("--at", required=True, type=_triple,
                    help="receiver location x,y,z")
     p.add_argument("--tolerance", type=float, default=1e-6,
                    help="lookup tolerance in meters")
-    p.add_argument("--seed", type=int, required=seed_required,
+
+
+def _add_map_args(p) -> None:
+    _add_lookup_args(p)
+    p.add_argument("--seed", type=int, required=True,
                    help="random seed (results repeat for equal seeds)")
     p.add_argument("--config", help="JSON file of scatter config overrides")
     p.add_argument("--out", help="write CSV here instead of stdout")
@@ -346,10 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("query", help="print the stored record at a location")
-    p.add_argument("--map", required=True)
-    p.add_argument("--at", required=True, type=_triple)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--out")
+    _add_lookup_args(p)
+    p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("update", help="compose a fresh snapshot at a location")
@@ -360,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="narrowband channel time series")
     _add_map_args(p)
     p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--dt", type=float, default=1e-3, help="sample step, seconds")
+    p.add_argument("--dt", type=_positive, default=1e-3, help="sample step, seconds")
     p.add_argument("--duration", type=float, default=1.0, help="series length, seconds")
     p.set_defaults(func=_cmd_simulate)
 
@@ -394,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_args(p)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--duration", type=float, default=0.512)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=_positive, default=1e-3)
     p.set_defaults(func=_cmd_stats_doppler)
 
     p = stat.add_parser("lcr", help="level crossing rate, analytic and empirical")
@@ -403,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[-20.0, -15.0, -10.0, -5.0, 0.0, 5.0],
                    help="envelope levels relative to rms, dB; a,b,c or start:step:stop")
     p.add_argument("--duration", type=float, default=4.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--ensemble", type=int, default=256)
     p.set_defaults(func=_cmd_stats_lcr)
 

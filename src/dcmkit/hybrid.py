@@ -249,21 +249,18 @@ class ChannelModel:
                            t=t, location=self.location)
 
     def narrowband_series(self, t_grid, seed: int | None = None,
-                          pair: tuple[int, int] = (0, 0),
-                          chunk: int | None = None) -> np.ndarray:
+                          pair: tuple[int, int] = (0, 0)) -> np.ndarray:
         """Sum of all taps at the carrier over a time grid (one realization).
 
         The static contribution is constant; the dynamic taps move with
         their clusters.  Equivalent to summing snapshot amplitudes at every
-        t, but vectorized over time, `chunk` samples at a time; by default
-        as many as keep one (rays, chunk) array near `_SERIES_BLOCK`
-        elements.  The series does not depend on `chunk`.
+        t, but vectorized over time, as many samples at a time as keep one
+        (rays, samples) block near `_SERIES_BLOCK` elements.  The series
+        does not depend on the block length.
         """
         t_grid = np.asarray(t_grid, dtype=float)
         if t_grid.ndim != 1:
             raise ValueError(f"t_grid must be 1-D, got shape {t_grid.shape}")
-        if chunk is not None and chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
         if np.any(t_grid < 0.0):
             raise ValueError("times must be >= 0")
         w_s, w_d = mixing_weights(self.k.k_s, self.k.k_d)
@@ -274,8 +271,7 @@ class ChannelModel:
         if not clusters or w_d == 0.0:
             return out
 
-        rays = len(clusters) * clusters.rays_per_cluster
-        chunk = chunk or max(1, _SERIES_BLOCK // rays)
+        chunk = max(1, _SERIES_BLOCK // (len(clusters) * clusters.rays_per_cluster))
         for lo in range(0, len(t_grid), chunk):
             ts = t_grid[lo:lo + chunk]
             amps = ray_taps(clusters, 0.0, ts, self.tx_array, self.rx_array,

@@ -5,18 +5,19 @@ All second-order statistics descend from one correlation definition
     R(offsets) = E[ H*(base) H(base + offsets) ]
 
 with offsets in transmit element spacing, receive element spacing, time,
-frequency, and receiver location.  The line-of-sight and static-reflection
-branches are evaluated in closed form (their only randomness, the frozen
-initial phases, drops diagonal terms); the dynamic branch is averaged over
-seeded cluster ensembles.  With these conventions the frequency correlation
-of a tap set is sum_k P_k exp(-j 2 pi df tau_k), its delay spectrum is the
-inverse transform with kernel exp(+j 2 pi tau df) peaking at the true
-delays, and a cluster receding from both ends shows a negative mean
-Doppler.
+frequency, and receiver location.  One kernel, `_corr_grid`, evaluates it
+for `stfcf`, `fcf_closed_form`, `angular_psd` and `doppler_psd`.  The
+line-of-sight and static-reflection branches are evaluated in closed form
+(their only randomness, the frozen initial phases, drops diagonal terms);
+the dynamic branch is averaged over seeded cluster ensembles.  With these
+conventions the frequency correlation of a tap set is
+sum_k P_k exp(-j 2 pi df tau_k), its delay spectrum is the inverse
+transform with kernel exp(+j 2 pi tau df) peaking at the true delays, and a
+cluster receding from both ends shows a negative mean Doppler.
 
-Spectra from finite lag windows are Hann-tapered and mass-rebinned onto the
-requested support, so total mass equals the zero-lag correlation exactly;
-a pure tone concentrates in the bin containing it up to the documented
+Spectra from finite lag windows are Hann-tapered and mass-rebinned onto a
+fixed support, so total mass equals the zero-lag correlation exactly; a
+pure tone concentrates in the bin containing it up to the documented
 resolution floor (about a third of a bin width in rms terms).
 """
 
@@ -37,6 +38,14 @@ DEFAULT_ENSEMBLE = 200
 
 # ---------------------------------------------------------------------------
 # containers
+
+def _check_evaluation(ensemble: int, t: float, dt=0.0) -> None:
+    """Reject an empty ensemble and evaluation times t + dt before zero."""
+    if ensemble < 1:
+        raise ValueError(f"ensemble must be >= 1, got {ensemble}")
+    if t < 0.0 or np.any(t + np.asarray(dt) < 0.0):
+        raise ValueError("evaluation times must be >= 0")
+
 
 @dataclass(frozen=True)
 class CorrelationQuery:
@@ -59,10 +68,7 @@ class CorrelationQuery:
     ensemble: int = DEFAULT_ENSEMBLE
 
     def __post_init__(self):
-        if self.ensemble < 1:
-            raise ValueError("ensemble must be >= 1")
-        if self.t < 0.0 or self.t + self.dt < 0.0:
-            raise ValueError("evaluation times must be >= 0")
+        _check_evaluation(self.ensemble, self.t, self.dt)
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,7 @@ class LcrInputs:
 
 
 # ---------------------------------------------------------------------------
-# branch power coefficients
+# branch correlations
 
 def branch_power_coefficients(k: KFactors, has_los: bool, has_nlos: bool
                               ) -> tuple[float, float, float]:
@@ -138,62 +144,18 @@ def branch_power_coefficients(k: KFactors, has_los: bool, has_nlos: bool
     return (w_s * a_l) ** 2, (w_s * a_s) ** 2, w_d ** 2
 
 
-def _model_coefficients(model: ChannelModel) -> tuple[float, float, float]:
-    has_los = any(m.is_los for m in model.static_mpcs)
-    has_nlos = any(not m.is_los for m in model.static_mpcs)
-    return branch_power_coefficients(model.k, has_los, has_nlos)
-
-
-# ---------------------------------------------------------------------------
-# branch correlations
-
 def _ensemble_seed(base_seed: int, member: int) -> int:
     ss = np.random.SeedSequence([base_seed & 0xFFFFFFFFFFFFFFFF, 0xC0FFEE, member])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _offset_grids(dloc, *offsets) -> list[np.ndarray]:
-    """Broadcast scalar or 1-D offsets and a (3,) or (Q, 3) receiver
-    displacement to one grid of Q points; returns [dloc, *offsets]."""
-    dloc = np.asarray(dloc, dtype=float)
+def _offset_grids(*offsets) -> list[np.ndarray]:
+    """Broadcast scalar or 1-D offsets to one grid of Q points."""
     arrays = [np.asarray(x, dtype=float) for x in offsets]
-    q = max([a.size for a in arrays] + [len(dloc) if dloc.ndim > 1 else 1])
+    q = max(a.size for a in arrays)
     if any(a.ndim and len(a) != q for a in arrays):
         raise ValueError("offset grids must share one length")
-    return [np.broadcast_to(dloc, (q, 3))] + [np.broadcast_to(a, (q,)) for a in arrays]
-
-
-def _static_corr_grid(model: ChannelModel, dr_t, dr_r, df, dloc, f=None):
-    """Closed-form (LoS, static) branch correlations over offset grids."""
-    dloc, dr_t, dr_r, df = _offset_grids(dloc, dr_t, dr_r, df)
-    q = len(df)
-    fc = model.gbsm.carrier_frequency
-    f_base = fc if f is None else f
-
-    los = [m for m in model.static_mpcs if m.is_los]
-    nlos = [m for m in model.static_mpcs if not m.is_los]
-    axis_t = model.tx_array.axis
-    axis_r = model.rx_array.axis
-
-    def branch(mpcs, powers):
-        if not mpcs:
-            return np.zeros(q, dtype=complex)
-        taus = np.array([m.delay for m in mpcs])
-        s_t = np.stack([unit_from_angles(*m.aod) for m in mpcs])
-        s_r = np.stack([unit_from_angles(*m.aoa) for m in mpcs])
-        shift = (np.outer(s_t @ axis_t, dr_t) + np.outer(s_r @ axis_r, dr_r)
-                 + s_r @ dloc.T) / SPEED_OF_LIGHT
-        tau_off = taus[:, None] - shift
-        phase = tau_off * (2.0 * fc - f_base - df)[None, :] \
-            - taus[:, None] * (2.0 * fc - f_base)
-        return powers @ np.exp(2j * math.pi * phase)
-
-    p_nlos = np.array([m.power for m in nlos], dtype=float)
-    if len(p_nlos):
-        p_nlos = p_nlos / p_nlos.sum()
-    r_los = branch(los, np.ones(len(los)))
-    r_nlos = branch(nlos, p_nlos)
-    return r_los, r_nlos
+    return [np.broadcast_to(a, (q,)) for a in arrays]
 
 
 def _dynamic_corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc,
@@ -204,7 +166,7 @@ def _dynamic_corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc,
     All offsets share one cluster ensemble, so differences across the grid
     (finite-difference derivatives, lag spectra) stay smooth.
     """
-    dloc, dr_t, dr_r, dt, df = _offset_grids(dloc, dr_t, dr_r, dt, df)
+    dr_t, dr_r, dt, df = _offset_grids(dr_t, dr_r, dt, df)
     q = len(df)
     fc = model.gbsm.carrier_frequency
     f_base = fc if f is None else f
@@ -226,6 +188,44 @@ def _dynamic_corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc,
     return acc / ensemble
 
 
+def _corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc=(0.0, 0.0, 0.0),
+               t=0.0, f=None, ensemble=DEFAULT_ENSEMBLE) -> np.ndarray:
+    """Branch-weighted correlation R(offsets) over grids of offsets.
+
+    dr_t, dr_r, dt and df are scalars or 1-D grids of one length Q; dloc is
+    one (3,) receiver displacement.  The LoS and static-reflection branches
+    are exact sums over the frozen paths, each path displaced in delay by
+    its projection on the offsets; the dynamic branch is averaged over
+    `ensemble` seeded cluster sets.
+    """
+    _check_evaluation(ensemble, t, dt)
+    dr_t, dr_r, dt, df = _offset_grids(dr_t, dr_r, dt, df)
+    fc = model.gbsm.carrier_frequency
+    f_base = fc if f is None else f
+    mpcs = model.static_mpcs
+    los = np.array([m.is_los for m in mpcs], dtype=bool)
+    c_l, c_s, c_d = branch_power_coefficients(model.k, los.any(), (~los).any())
+    r_los = r_nlos = np.zeros(len(df), dtype=complex)
+    if mpcs:
+        taus = np.array([m.delay for m in mpcs])[:, None]
+        s_t = np.stack([unit_from_angles(*m.aod) for m in mpcs])
+        s_r = np.stack([unit_from_angles(*m.aoa) for m in mpcs])
+        shift = (np.outer(s_t @ model.tx_array.axis, dr_t)
+                 + np.outer(s_r @ model.rx_array.axis, dr_r)
+                 + (s_r @ dloc)[:, None]) / SPEED_OF_LIGHT
+        phase = (taus - shift) * (2.0 * fc - f_base - df)[None, :] \
+            - taus * (2.0 * fc - f_base)
+        paths = np.exp(2j * math.pi * phase)
+        powers = np.array([m.power for m in mpcs])[~los]
+        r_los = np.ones(int(los.sum())) @ paths[los]
+        r_nlos = powers / powers.sum() @ paths[~los]
+    out = c_l * r_los + c_s * r_nlos
+    if c_d > 0.0:
+        out = out + c_d * _dynamic_corr_grid(model, dr_t, dr_r, dt, df, dloc,
+                                             t=t, f=f, ensemble=ensemble)
+    return out
+
+
 def stfcf(model: ChannelModel, query: CorrelationQuery) -> complex:
     """Space-time-frequency correlation at one offset tuple.
 
@@ -234,23 +234,12 @@ def stfcf(model: ChannelModel, query: CorrelationQuery) -> complex:
     branch powers: 1 exactly when the model has a static path, w_d² when it
     has none (see `branch_power_coefficients`).
     """
-    c_l, c_s, c_d = _model_coefficients(model)
-    r_los, r_nlos = _static_corr_grid(
-        model, query.dr_t, query.dr_r, query.df,
-        np.asarray([query.dloc]), f=query.f)
-    out = c_l * r_los[0] + c_s * r_nlos[0]
-    if c_d > 0.0:
-        r_dyn = _dynamic_corr_grid(
-            model, query.dr_t, query.dr_r, query.dt, query.df,
-            np.asarray([query.dloc]), t=query.t, f=query.f,
-            ensemble=query.ensemble)
-        out += c_d * r_dyn[0]
-    return complex(out)
+    return complex(_corr_grid(model, query.dr_t, query.dr_r, query.dt, query.df,
+                              query.dloc, query.t, query.f, query.ensemble)[0])
 
 
-def fcf_closed_form(model: ChannelModel, df_grid,
-                    t: float = 0.0, ensemble: int = DEFAULT_ENSEMBLE
-                    ) -> np.ndarray:
+def fcf_closed_form(model: ChannelModel, df_grid, t: float = 0.0,
+                    ensemble: int = DEFAULT_ENSEMBLE) -> np.ndarray:
     """Frequency correlation over a grid of frequency offsets.
 
     Static parts are exact tap sums sum_k P_k exp(-j 2 pi df tau_k); the
@@ -258,18 +247,7 @@ def fcf_closed_form(model: ChannelModel, df_grid,
     FCF(0) = 1 exactly when the model has a static path; with none it is
     the dynamic share w_d² (see `branch_power_coefficients`).
     """
-    return _corr_grid(model, 0.0, np.asarray(df_grid, dtype=float), t, ensemble)
-
-
-def _corr_grid(model: ChannelModel, dr_r, df, t: float, ensemble: int) -> np.ndarray:
-    """Branch-weighted correlation over receive-element and frequency offsets."""
-    c_l, c_s, c_d = _model_coefficients(model)
-    r_los, r_nlos = _static_corr_grid(model, 0.0, dr_r, df, (0.0, 0.0, 0.0))
-    out = c_l * r_los + c_s * r_nlos
-    if c_d > 0.0:
-        out = out + c_d * _dynamic_corr_grid(
-            model, 0.0, dr_r, 0.0, df, (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
-    return out
+    return _corr_grid(model, 0.0, 0.0, 0.0, df_grid, t=t, ensemble=ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +282,7 @@ def delay_psd(fcf_values, df_grid) -> Psd:
 
 def rms_spread(psd: Psd, circular: bool = False) -> float:
     """Root second central moment of a density; circular mean for angles."""
-    widths = np.gradient(psd.support)
-    w = psd.density * widths
+    w = psd.density * np.gradient(psd.support)
     total = w.sum()
     if total <= 0.0:
         raise ValueError("density carries no mass")
@@ -318,7 +295,7 @@ def rms_spread(psd: Psd, circular: bool = False) -> float:
     return float(np.sqrt(np.sum(w * (x - mean) ** 2) / total))
 
 
-def _lag_spectrum_masses(lags: np.ndarray, oversample: int = 8):
+def _lag_spectrum_masses(lags: np.ndarray):
     """Hann-windowed DTFT of a Hermitian lag sequence, as bin masses.
 
     `lags` holds R(0), R(1 step), ...  Returns (nu_centers, masses) on the
@@ -331,17 +308,14 @@ def _lag_spectrum_masses(lags: np.ndarray, oversample: int = 8):
         raise ValueError("need at least two lags")
     window = 0.5 * (1.0 + np.cos(np.pi * np.arange(n) / n))
     weighted = lags * window
-    m = oversample * (2 * n - 1)
-    if m % 2:
-        m += 1
+    m = 8 * (2 * n - 1)
     # place lags q = 0..n-1 and q = -(n-1)..-1 on the length-m circle, so
     # m * ifft evaluates sum_q w_q R_q exp(+j 2 pi nu q) per fine bin
     circle = np.zeros(m, dtype=complex)
     circle[:n] = weighted
     circle[m - (n - 1):] = np.conj(weighted[1:][::-1])
-    density = np.real(np.fft.fftshift(np.fft.ifft(circle)))
+    masses = np.real(np.fft.fftshift(np.fft.ifft(circle)))  # ifft's 1/m: bin measure
     nu = (np.arange(m) - m // 2) / m
-    masses = density  # already carries the 1/m bin measure
     clipped = -float(np.sum(masses[masses < 0.0]))
     masses = np.maximum(masses, 0.0)
     return nu, masses, clipped
@@ -353,8 +327,6 @@ def _rebin(positions: np.ndarray, masses: np.ndarray, grid: np.ndarray):
     Returns (density, spilled) where spilled is mass outside the grid span.
     """
     width = np.diff(grid)
-    if np.any(width <= 0.0):
-        raise ValueError("grid must be strictly increasing")
     edges = np.concatenate([[grid[0] - width[0] / 2.0],
                             (grid[:-1] + grid[1:]) / 2.0,
                             [grid[-1] + width[-1] / 2.0]])
@@ -362,29 +334,25 @@ def _rebin(positions: np.ndarray, masses: np.ndarray, grid: np.ndarray):
     inside = (idx >= 0) & (idx < len(grid))
     binned = np.bincount(idx[inside], weights=masses[inside], minlength=len(grid))
     spilled = float(masses[~inside].sum())
-    bin_widths = np.gradient(grid)
-    return binned / bin_widths, spilled
+    return binned / np.gradient(grid), spilled
 
 
-def angular_psd(model: ChannelModel, grid=None, n_lags: int = 64,
-                ensemble: int = 64, t: float = 0.0) -> Psd:
+def angular_psd(model: ChannelModel, n_lags: int = 64, ensemble: int = 64,
+                t: float = 0.0) -> Psd:
     """Arrival power density over the cone angle around the receive axis.
 
     Built from the spatial correlation sampled every quarter wavelength
     along the receive array axis, Hann-windowed, transformed to the
     direction-cosine domain and mass-rebinned onto the angle grid.  A linear
-    aperture only resolves the cone angle theta in [0, pi]; grid values are
-    that angle in radians.
+    aperture only resolves the cone angle theta in [0, pi]; the support is
+    that angle in radians, in 1-degree bins.
     """
     if model.rx_array.n_elements < 2:
         raise ValueError("angular statistics need a receive array of >= 2 elements")
-    if grid is None:
-        grid = np.linspace(0.0, math.pi, 181)
-    grid = np.asarray(grid, dtype=float)
-    lam = SPEED_OF_LIGHT / model.gbsm.carrier_frequency
-    dr = np.arange(n_lags) * lam / 4.0
-
-    nu, masses, clipped = _lag_spectrum_masses(_corr_grid(model, dr, 0.0, t, ensemble))
+    grid = np.linspace(0.0, math.pi, 181)
+    dr = np.arange(n_lags) * (SPEED_OF_LIGHT / model.gbsm.carrier_frequency) / 4.0
+    nu, masses, clipped = _lag_spectrum_masses(
+        _corr_grid(model, 0.0, dr, 0.0, 0.0, t=t, ensemble=ensemble))
     # lag phase exp(-j 2 pi q cos/4) meets kernel exp(+j 2 pi q nu), so an
     # arrival at cone angle theta lands at direction cosine 4 nu = cos theta
     cosines = 4.0 * nu
@@ -396,33 +364,28 @@ def angular_psd(model: ChannelModel, grid=None, n_lags: int = 64,
 
 
 def doppler_psd(model: ChannelModel, duration: float = 0.512, dt: float = 1e-3,
-                grid=None, ensemble: int = 64, t: float = 0.0) -> Psd:
+                ensemble: int = 64, t: float = 0.0) -> Psd:
     """Doppler power density from the windowed time correlation.
 
-    Lag spacing dt bounds the support to [-1/(2 dt), 1/(2 dt)); the default
-    grid uses bins of 4/(L dt) so a pure tone concentrates in one bin.  A
-    receding cluster produces negative Doppler.
+    Lag spacing dt bounds the support to [-1/(2 dt), 1/(2 dt)); bins of
+    4/(L dt) make a pure tone concentrate in one bin.  A receding cluster
+    produces negative Doppler.
     """
-    n = max(2, int(round(duration / dt)))
-    lags_t = np.arange(n) * dt
-    c_l, c_s, c_d = _model_coefficients(model)
-    lags = np.full(n, c_l + c_s, dtype=complex)
-    if c_d > 0.0:
-        lags = lags + c_d * _dynamic_corr_grid(
-            model, 0.0, 0.0, lags_t, 0.0, (0.0, 0.0, 0.0), t=t,
-            ensemble=ensemble)
-    return doppler_psd_from_lags(lags, dt, grid=grid)
+    if not duration > 0.0 or not dt > 0.0:
+        raise ValueError(f"duration and dt must be > 0, got {duration}, {dt}")
+    lags_t = np.arange(max(2, int(round(duration / dt)))) * dt
+    return doppler_psd_from_lags(
+        _corr_grid(model, 0.0, 0.0, lags_t, 0.0, t=t, ensemble=ensemble), dt)
 
 
-def doppler_psd_from_lags(lags, dt: float, grid=None) -> Psd:
+def doppler_psd_from_lags(lags, dt: float) -> Psd:
     """Doppler density from an explicit time-correlation lag sequence."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     lags = np.asarray(lags, dtype=complex)
-    n = len(lags)
-    if grid is None:
-        step = 4.0 / (n * dt)
-        half = int(math.floor((0.5 / dt) / step))
-        grid = np.arange(-half, half + 1) * step
-    grid = np.asarray(grid, dtype=float)
+    step = 4.0 / (len(lags) * dt)
+    half = max(1, int(math.floor((0.5 / dt) / step)))
+    grid = np.arange(-half, half + 1) * step
     if np.all(lags == lags[0]):
         # constant correlation: the spectrum is a pure zero-shift line
         density, spilled = _rebin(np.zeros(1), np.array([lags[0].real]), grid)
@@ -507,6 +470,7 @@ def lcr_time_inputs(model: ChannelModel, step: float | None = None,
         if speed <= 0.0:
             raise ValueError("time statistics need a positive cluster speed")
         step = SPEED_OF_LIGHT / model.gbsm.carrier_frequency / (100.0 * speed)
+    _check_evaluation(ensemble, t, step)
     r = _dynamic_corr_grid(model, 0.0, 0.0, np.array([0.0, step]), 0.0,
                            (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
     # spectral moments from the correlation at lags 0 and step

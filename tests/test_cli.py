@@ -282,6 +282,27 @@ def test_stats_lcr_level_sweeps(built_map, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_stats_reject_empty_ensembles(built_map, capsys):
+    for argv in (["fcf", "--ensemble", "0"], ["fcf", "--ensemble", "-2"],
+                 ["lcr", "--ensemble", "0"]):
+        rc, out, err = run(capsys, ["stats", *argv, "--map", str(built_map),
+                                    "--at", "2,2,1.5", "--seed", "0"])
+        assert rc == 1 and out == "", argv
+        assert err.startswith("error:") and "ensemble must be >= 1" in err, argv
+        assert "Traceback" not in err
+
+
+def test_zero_time_step_is_refused(built_map, capsys):
+    for argv in (["simulate"], ["stats", "lcr"], ["stats", "doppler-spread-cdf"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--map", str(built_map), "--at", "2,2,1.5",
+                  "--seed", "0", "--dt", "0"])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "argument --dt: expected a finite number > 0" in err, argv
+        assert "Traceback" not in err
+
+
 def test_levels_parser():
     assert _levels("-20:10:10") == [-20.0, -10.0, 0.0, 10.0]
     assert _levels("1,2.5") == [1.0, 2.5]

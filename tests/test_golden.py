@@ -115,7 +115,7 @@ def test_narrowband_series_digest():
                          GbsmConfig(seed=9, copolar_imbalance=0.8),
                          tx_array=_array(2), rx_array=_array(2), location=LOC)
     t_grid = 0.05 + np.arange(700) * 1e-3
-    series = model.narrowband_series(t_grid, pair=(1, 1), chunk=256)
+    series = model.narrowband_series(t_grid, pair=(1, 1))
     assert _sha(series.tobytes()) == GOLDEN["narrowband_series"]
 
 

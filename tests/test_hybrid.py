@@ -10,6 +10,7 @@ from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc,
                     combine_cir, compose_k, mixing_weights, rician_params,
                     loads_scene, static_branch_split, static_cir,
                     trace_static_mpcs)
+from dcmkit import hybrid
 from dcmkit.gbsm import Taps
 
 from conftest import ROOM_SCENE, make_model, total_power
@@ -148,7 +149,7 @@ def test_narrowband_series_matches_snapshots():
         assert abs(series[i] - direct) < 1e-9
 
 
-def test_narrowband_series_is_chunk_independent():
+def test_narrowband_series_is_chunk_independent(monkeypatch):
     """Any block length gives the same bytes, the one-sample tail included."""
     room = loads_scene(ROOM_SCENE)
     mpcs = trace_static_mpcs(room, LOC[0], LOC[1], max_order=2)
@@ -157,16 +158,17 @@ def test_narrowband_series_is_chunk_independent():
                          tx_array=_array(2), rx_array=_array(2), location=LOC)
     t_grid = 0.05 + np.arange(701) * 1e-3   # 701 = 7 * 100 + 1 = 256 * 2 + 189
     series = model.narrowband_series(t_grid, pair=(1, 1))
-    for chunk in (1, 7, 256, len(t_grid)):
-        again = model.narrowband_series(t_grid, pair=(1, 1), chunk=chunk)
-        assert again.tobytes() == series.tobytes(), chunk
+    clusters = model.spawn()
+    rays = len(clusters) * clusters.rays_per_cluster
+    for samples in (1, 7, 256, len(t_grid)):
+        # a block of `samples` time steps across all rays
+        monkeypatch.setattr(hybrid, "_SERIES_BLOCK", samples * rays)
+        again = model.narrowband_series(t_grid, pair=(1, 1))
+        assert again.tobytes() == series.tobytes(), samples
 
 
 def test_narrowband_series_rejects_bad_arguments():
     model = make_model([los_mpc()], seed=1)
-    for chunk in (0, -3):
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            model.narrowband_series(np.arange(4) * 1e-3, chunk=chunk)
     with pytest.raises(ValueError, match="t_grid must be 1-D"):
         model.narrowband_series(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="t_grid must be 1-D"):

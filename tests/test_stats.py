@@ -7,6 +7,7 @@ import pytest
 from scipy.constants import c as C0
 
 from dcmkit import Mpc, rician_params
+from dcmkit.raytrace import unit_from_angles
 from dcmkit.stats import (CorrelationQuery, LcrInputs, Psd, angular_psd,
                           branch_power_coefficients, delay_psd, doppler_psd,
                           doppler_psd_from_lags, empirical_cdf,
@@ -119,6 +120,24 @@ def test_los_only_correlation_has_unit_magnitude():
         assert abs(abs(r) - 1.0) < 1e-12
     r = stfcf(model, CorrelationQuery(dr_r=0.012, df=1e6))
     assert abs(abs(r) - 1.0) < 1e-12
+
+
+def test_los_only_correlation_follows_spatial_offsets():
+    # one plane wave: a transmit element step dr_t and a receiver move dloc
+    # shift its delay by their projections on the departure/arrival vectors
+    mpc = Mpc(delay=3e-7, power=1.0, aod=(0.2, 0.7), aoa=(-0.1, 2.1),
+              phases=(0.0, 0.0, 0.0, 0.0), xpr=math.inf, kind="los")
+    model = make_model([mpc], k_s=5.0, k_d=math.inf, tx_elements=2)
+    fc = model.gbsm.carrier_frequency
+    for dr_t, dloc, f in [(0.004, (0.03, -0.02, 0.011), 0.97 * fc),
+                          (-0.013, (-0.2, 0.15, 0.05), 1.02 * fc)]:
+        r = stfcf(model, CorrelationQuery(dr_t=dr_t, dloc=dloc, f=f))
+        shift = (unit_from_angles(*mpc.aod) @ model.tx_array.axis * dr_t
+                 + unit_from_angles(*mpc.aoa) @ np.asarray(dloc)) / C0
+        # the kernel's phase (tau - shift) X - tau X, with X = 2 fc - f,
+        # carries the rounding of tau X (~2 pi eps tau X, 2.3e-12 here)
+        tol = 1e-12 + 4.0 * math.pi * np.finfo(float).eps * mpc.delay * (2.0 * fc - f)
+        assert abs(r - np.exp(-2j * math.pi * (2.0 * fc - f) * shift)) < tol
 
 
 def test_two_tap_fcf_null_at_half_inverse_spacing():
@@ -286,6 +305,37 @@ def test_doppler_receding_rate_maps_to_negative_shift():
     peak = psd.support[int(np.argmax(psd.density))]
     assert abs(peak + rate) < step
     assert abs(psd_mean(psd) + rate) < step
+
+
+def test_doppler_psd_rejects_nonpositive_steps():
+    model = two_tap_model(k_s=2.0, k_d=8.0)
+    for kwargs in ({"dt": 0.0}, {"dt": -1e-3}, {"duration": 0.0}):
+        with pytest.raises(ValueError, match="must be > 0"):
+            doppler_psd(model, **kwargs)
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        doppler_psd_from_lags(np.ones(4), 0.0)
+
+
+def test_doppler_psd_short_window_keeps_three_bins():
+    # 4 lags give bins of 4/(4 dt) = 1 kHz: the support is -1, 0, +1 kHz
+    model = two_tap_model(k_s=2.0, k_d=8.0)
+    psd = doppler_psd(model, duration=4e-3, ensemble=4)
+    assert np.allclose(psd.support, [-1e3, 0.0, 1e3])
+    assert abs(psd.mass - psd.clipped - 1.0) < 1e-9
+
+
+def test_correlation_entries_check_ensemble_and_time():
+    model = make_model([los_mpc(), nlos_mpc()], k_s=2.0, k_d=8.0, rx_elements=4)
+    entries = [lambda **kw: fcf_closed_form(model, [0.0, 1e6], **kw),
+               lambda **kw: angular_psd(model, n_lags=8, **kw),
+               lambda **kw: doppler_psd(model, duration=8e-3, **kw),
+               lambda **kw: lcr_time_inputs(model, **kw)]
+    for entry in entries:
+        for ensemble in (0, -2):
+            with pytest.raises(ValueError, match="ensemble must be >= 1"):
+                entry(ensemble=ensemble)
+        with pytest.raises(ValueError, match="evaluation times must be >= 0"):
+            entry(t=-1e-3)
 
 
 # ---------------------------------------------------------------------------
