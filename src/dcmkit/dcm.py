@@ -276,7 +276,7 @@ def model_from_map(dcm: DcmMap, location, seed: int | None = None,
         gbsm=cfg,
         tx_array=tx_array if tx_array is not None else AntennaArray(),
         rx_array=rx_array if rx_array is not None else AntennaArray(),
-        location=rec.rx,
+        location=(rec.tx, rec.rx),
     )
 
 

@@ -4,9 +4,10 @@ Dynamic scatterers are grouped into clusters anchored near the link ends
 (twin-cluster layout): each cluster owns an anchor direction and distance on
 the transmit side and another on the receive side, a virtual delay that
 stands in for the unobserved bounce in between, a constant velocity per
-side, and a bundle of rays with small angle offsets.  Everything is drawn
-from counter-based seeded streams so a (seed, config, location) triple
-always produces the same ensemble.
+side, and a bundle of rays with small angle offsets.  Every draw of a
+spawn comes from one block of uniforms of a PCG64 generator seeded by
+(seed, location), so a (seed, config, location) triple always produces the
+same ensemble.
 """
 
 from __future__ import annotations
@@ -201,82 +202,58 @@ class ClusterSet:
         return np.repeat(self.power[:, None] * (1.0 / m), m, axis=1)
 
 
-def _velocity(speed: float, el: float, az: float) -> tuple[float, float, float]:
-    ce = math.cos(el)
-    return speed * (ce * math.cos(az)), speed * (ce * math.sin(az)), speed * math.sin(el)
-
-
 def _ray_directions(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     el = np.clip(base[:, None, 0] + offsets[:, :, 0], -math.pi / 2, math.pi / 2)
-    az = base[:, None, 1] + offsets[:, :, 1]
-    ce = np.cos(el)
-    return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=-1)
-
-
-def _entropy_words(values) -> list[int]:
-    """The uint32 words SeedSequence makes of non-negative ints: low first,
-    as few as hold the value, one zero word for zero."""
-    words = []
-    for v in values:
-        words.append(v & 0xFFFFFFFF)
-        v >>= 32
-        while v:
-            words.append(v & 0xFFFFFFFF)
-            v >>= 32
-    return words
+    return unit_from_angles(el, base[:, None, 1] + offsets[:, :, 1])
 
 
 def spawn_clusters(config: GbsmConfig, location) -> ClusterSet:
     """Draw a cluster ensemble for a (tx, rx) location pair.
 
-    Streams derive from (config.seed, location, cluster index), so clusters
-    are reproducible individually and the ensemble is order-independent.
+    PCG64 seeded by SeedSequence([seed mod 2**64, *location words]), the
+    words being the location's float64 bits, fills one (n, 13 + 14 m) block
+    of uniforms u in [0, 1).  Row c is cluster c, so each cluster depends
+    only on (seed, location, c) and the ensemble is order-independent.
+    Columns of a row, ranges inclusive:
+
+    - 0-9: low + (high - low) u for d_t, el_t, az_t, d_r, el_r, az_r,
+      sin el_a, az_a, sin el_z, az_z; a velocity is cluster_speed times the
+      unit vector of (arcsin(sin el), az).
+    - 10: virtual delay -virtual_delay_mean log1p(-u).
+    - 11..11+m radii and 12+m..12+2m angles of Box-Muller normals
+      sqrt(-2 log1p(-u_r)) cos(2 pi u_theta): shadowing, then m ray XPRs.
+    - 13+2m..12+6m minus 13+6m..12+10m, as -log1p(-u): Laplace angle
+      offsets (m, 4) as aod el, aod az, aoa el, aoa az.
+    - 13+10m..12+14m: phases 2 pi u, (m, 4).
     """
     loc = np.asarray(location, dtype=np.float64).reshape(-1).view(np.uint64)
     n, m = config.n_clusters, config.rays_per_cluster
-    speed = config.cluster_speed
-    # SeedSequence([seed, *loc, c]) of cluster c, given as its uint32 words:
-    # the same pool, without converting every int for every cluster
-    head = _entropy_words([config.seed & 0xFFFFFFFFFFFFFFFF, *(int(w) for w in loc)])
-    # a cluster's ten uniform draws from one call: numpy's uniform(low, high)
-    # is low + (high - low) * random(), the product rounded before the sum
-    lows, highs = np.array([config.anchor_range, config.elevation_range,
-                            config.azimuth_range, config.anchor_range,
-                            config.elevation_range, config.azimuth_range,
-                            (-1.0, 1.0), (-math.pi, math.pi),
-                            (-1.0, 1.0), (-math.pi, math.pi)], dtype=float).T
-    spans = highs - lows
-    scalars, offsets, phases, xpr = [], [], [], []
-    for c in range(n):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            np.array(head + _entropy_words([c]), dtype=np.uint32))))
-        d_t, el_t, az_t, d_r, el_r, az_r, sin_a, az_a, sin_z, az_z = \
-            (lows + spans * rng.random(10)).tolist()
-        vel_a = _velocity(speed, math.asin(sin_a), az_a)
-        vel_z = _velocity(speed, math.asin(sin_z), az_z)
-        virtual = rng.exponential(config.virtual_delay_mean)
-        shadow_db = rng.normal(0.0, config.shadow_std_db)
-        scalars.append((d_t, d_r, virtual, shadow_db, el_t, az_t, el_r, az_r,
-                        *vel_a, *vel_z))
-        offsets.append(rng.laplace(0.0, config.angle_spread_intra, size=(m, 4)))
-        phases.append(rng.uniform(0.0, 2.0 * math.pi, size=(m, 4)))
-        # one scalar power per ray: the array form of 10 ** x rounds differently
-        xpr.append([10.0 ** (x / 10.0) for x in
-                    rng.normal(config.xpr_mean_db, config.xpr_std_db, size=m).tolist()])
-
-    cols = np.array(scalars, dtype=float).reshape(n, 14)
-    d_t, d_r, virtual, shadow_db = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
+    u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        [config.seed & 0xFFFFFFFFFFFFFFFF, *loc.tolist()]))).random((n, 13 + 14 * m))
+    ranges = [config.anchor_range, config.elevation_range, config.azimuth_range] * 2 \
+        + [(-1.0, 1.0), (-math.pi, math.pi)] * 2
+    lows, highs = np.array(ranges).T
+    uniform = lows + (highs - lows) * u[:, :10]
+    virtual = -config.virtual_delay_mean * np.log1p(-u[:, 10])
+    normal = np.sqrt(-2.0 * np.log1p(-u[:, 11:12 + m])) \
+        * np.cos(2.0 * math.pi * u[:, 12 + m:13 + 2 * m])
+    exps = -np.log1p(-u[:, 13 + 2 * m:13 + 10 * m])
+    offsets = (config.angle_spread_intra * (exps[:, :4 * m] - exps[:, 4 * m:])
+               ).reshape(n, m, 4)
+    velocity = config.cluster_speed * unit_from_angles(np.arcsin(uniform[:, 6::2]),
+                                                       uniform[:, 7::2])
+    d_t, d_r = uniform[:, 0], uniform[:, 3]
     delays = (d_t + d_r) / SPEED_OF_LIGHT + virtual
     excess = delays - delays.min(initial=math.inf)
-    weights = np.exp(-excess / config.delay_decay) * 10.0 ** (shadow_db / 10.0)
+    weights = np.exp(-excess / config.delay_decay) \
+        * 10.0 ** (config.shadow_std_db * normal[:, 0] / 10.0)
     weights /= weights.sum()
-    offsets = np.array(offsets, dtype=float).reshape(n, m, 4)
     return ClusterSet(
-        power=weights, d_t0=d_t, aod=cols[:, 4:6], d_r0=d_r, aoa=cols[:, 6:8],
-        velocity_a=cols[:, 8:11], velocity_z=cols[:, 11:14], virtual_delay=virtual,
+        power=weights, d_t0=d_t, aod=uniform[:, 1:3], d_r0=d_r, aoa=uniform[:, 4:6],
+        velocity_a=velocity[:, 0], velocity_z=velocity[:, 1], virtual_delay=virtual,
         aod_offset=offsets[:, :, 0:2], aoa_offset=offsets[:, :, 2:4],
-        phases=np.array(phases, dtype=float).reshape(n, m, 4),
-        xpr=np.array(xpr, dtype=float).reshape(n, m))
+        phases=(2.0 * math.pi * u[:, 13 + 10 * m:]).reshape(n, m, 4),
+        xpr=10.0 ** ((config.xpr_mean_db + config.xpr_std_db * normal[:, 1:]) / 10.0))
 
 
 def ray_delays(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset):

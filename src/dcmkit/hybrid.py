@@ -20,7 +20,7 @@ import numpy as np
 
 from .gbsm import (AntennaArray, GbsmConfig, Taps, _pol_mix, dynamic_cir,
                    ray_taps, spawn_clusters)
-from .raytrace import SPEED_OF_LIGHT, Mpc
+from .raytrace import SPEED_OF_LIGHT, Mpc, unit_from_angles
 
 REL_TOL = 1e-12
 # elements of one (rays, samples) block of a narrowband series: 1 MiB of
@@ -132,10 +132,8 @@ def static_cir(mpcs, tx_array: AntennaArray, rx_array: AntennaArray,
     aod_az = np.array([m.aod[1] for m in ordered])
     aoa_el = np.array([m.aoa[0] for m in ordered])
     aoa_az = np.array([m.aoa[1] for m in ordered])
-    s_tx = np.stack([np.cos(aod_el) * np.cos(aod_az),
-                     np.cos(aod_el) * np.sin(aod_az), np.sin(aod_el)], axis=1)
-    s_rx = np.stack([np.cos(aoa_el) * np.cos(aoa_az),
-                     np.cos(aoa_el) * np.sin(aoa_az), np.sin(aoa_el)], axis=1)
+    s_tx = unit_from_angles(aod_el, aod_az)
+    s_rx = unit_from_angles(aoa_el, aoa_az)
     phases = np.array([m.phases for m in ordered])
     xpr = np.array([m.xpr for m in ordered])
     kinds = tuple(m.kind for m in ordered)

@@ -173,10 +173,11 @@ def direction_angles(vec) -> tuple[float, float]:
     return el, az
 
 
-def unit_from_angles(elevation: float, azimuth: float) -> np.ndarray:
-    ce = math.cos(elevation)
-    return np.array([ce * math.cos(azimuth), ce * math.sin(azimuth),
-                     math.sin(elevation)])
+def unit_from_angles(elevation, azimuth) -> np.ndarray:
+    """Unit vectors of (elevation, azimuth) angles of one shape, (..., 3)."""
+    ce = np.cos(elevation)
+    return np.stack([ce * np.cos(azimuth), ce * np.sin(azimuth),
+                     np.sin(elevation)], axis=-1)
 
 
 def _path_rng(kind: str, facets: tuple[int, ...], delay: float) -> np.random.Generator:

@@ -208,13 +208,14 @@ def _corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc=(0.0, 0.0, 0.0),
     r_los = r_nlos = np.zeros(len(df), dtype=complex)
     if mpcs:
         taus = np.array([m.delay for m in mpcs])[:, None]
-        s_t = np.stack([unit_from_angles(*m.aod) for m in mpcs])
-        s_r = np.stack([unit_from_angles(*m.aoa) for m in mpcs])
+        s_t = unit_from_angles(*np.array([m.aod for m in mpcs]).T)
+        s_r = unit_from_angles(*np.array([m.aoa for m in mpcs]).T)
         shift = (np.outer(s_t @ model.tx_array.axis, dr_t)
                  + np.outer(s_r @ model.rx_array.axis, dr_r)
                  + (s_r @ dloc)[:, None]) / SPEED_OF_LIGHT
-        phase = (taus - shift) * (2.0 * fc - f_base - df)[None, :] \
-            - taus * (2.0 * fc - f_base)
+        # (tau - shift)(2 f_c - f - df) - tau (2 f_c - f), without the two
+        # products of size tau f_c that cancel
+        phase = -shift * (2.0 * fc - f_base - df)[None, :] - taus * df[None, :]
         paths = np.exp(2j * math.pi * phase)
         powers = np.array([m.power for m in mpcs])[~los]
         r_los = np.ones(int(los.sum())) @ paths[los]
@@ -449,28 +450,27 @@ def lcr_empirical(envelope, level: float, duration: float) -> float:
     return crossings / duration
 
 
-def lcr_time_inputs(model: ChannelModel, step: float | None = None,
-                    t: float = 0.0, ensemble: int = 256,
-                    pair: tuple[int, int] = (0, 0)) -> LcrInputs:
+def lcr_time_inputs(model: ChannelModel, t: float = 0.0,
+                    ensemble: int = 256) -> LcrInputs:
     """Crossing-rate inputs for the narrowband envelope over time.
 
     In time, every static path is frozen, so the coherent amplitude is the
     full static phasor sum and only the dynamic branch is diffuse.  The
     moments are therefore taken from the dynamic correlation alone, and k
-    is the realized coherent-to-diffuse power ratio, not the line-of-sight
-    ratio.  Rates from these inputs are per second.
+    is the realized coherent-to-diffuse power ratio of antenna pair (0, 0),
+    not the line-of-sight ratio.  The moments come from the correlation at
+    lags 0 and the time over which the clusters move a hundredth of a
+    wavelength.  Rates from these inputs are per second.
     """
-    amp, sigma2 = rician_params(model.snapshot(0.0), pair=pair)
+    amp, sigma2 = rician_params(model.snapshot(0.0))
     if sigma2 <= 0.0:
         raise ValueError("no diffuse power: envelope never crosses")
     k = abs(amp) ** 2 / (2.0 * sigma2)
-    if step is None:
-        # the lag over which the clusters move a hundredth of a wavelength
-        speed = model.gbsm.cluster_speed
-        if speed <= 0.0:
-            raise ValueError("time statistics need a positive cluster speed")
-        step = SPEED_OF_LIGHT / model.gbsm.carrier_frequency / (100.0 * speed)
-    _check_evaluation(ensemble, t, step)
+    speed = model.gbsm.cluster_speed
+    if speed <= 0.0:
+        raise ValueError("time statistics need a positive cluster speed")
+    step = SPEED_OF_LIGHT / model.gbsm.carrier_frequency / (100.0 * speed)
+    _check_evaluation(ensemble, t)
     r = _dynamic_corr_grid(model, 0.0, 0.0, np.array([0.0, step]), 0.0,
                            (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
     # spectral moments from the correlation at lags 0 and step

@@ -159,7 +159,7 @@ def test_model_from_map_applies_overrides(room_scene):
     assert model.gbsm.seed == 5
     assert model.gbsm.n_clusters == 3
     assert model.k == KFactors.from_split(4.0, 8.0)
-    assert model.location == POINTS[0]
+    assert model.location == (TX, POINTS[0])
     # the stored configuration itself stays untouched
     assert dmap.gbsm.seed == GbsmConfig().seed
     # the static paths hold at the map's carrier only
@@ -383,6 +383,32 @@ def test_map_static_taps_equal_direct_model(room_scene):
             assert via_map[key].delays.tobytes() == taps.delays.tobytes()
             assert via_map[key].amps.tobytes() == taps.amps.tobytes()
             assert via_map[key].kinds == taps.kinds
+
+
+ROOM_GRID = grid_points((1.5, 2.0, 1.5), (3, 2, 1), 0.75)
+
+
+@pytest.fixture(scope="module")
+def room_grid_map(room_scene):
+    return loads_map(dumps_map(build_map(room_scene, TX, ROOM_GRID, max_order=2,
+                                         k_s=4.0, k_d=8.0)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(rx=st.sampled_from(ROOM_GRID), t=st.floats(0.0, 10.0),
+       seed=st.integers(-2 ** 70, 2 ** 70))
+def test_map_update_equals_direct_model(room_scene, room_grid_map, rx, t, seed):
+    """One (seed, tx, rx, t) gives one snapshot through a map or a direct model."""
+    via_map = update_snapshot(room_grid_map, rx, t, seed=seed)
+    mpcs = trace_static_mpcs(room_scene, TX, rx, max_order=2)
+    direct = ChannelModel(tuple(mpcs), KFactors.from_split(4.0, 8.0),
+                          GbsmConfig(seed=seed), location=(TX, rx)).snapshot(t)
+    assert via_map.location == direct.location
+    assert via_map.taps.keys() == direct.taps.keys()
+    for key, taps in direct.taps.items():
+        assert via_map.taps[key].delays.tobytes() == taps.delays.tobytes()
+        assert via_map.taps[key].amps.tobytes() == taps.amps.tobytes()
+        assert via_map.taps[key].kinds == taps.kinds
 
 
 def test_save_map_ignores_a_stale_temp_name(room_scene, tmp_path):

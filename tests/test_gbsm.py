@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 from scipy.constants import c as C0
 
 from dcmkit import (AntennaArray, ClusterSet, GbsmConfig, Taps, dynamic_cir,
@@ -48,20 +49,52 @@ def test_spawn_is_deterministic():
 
 
 def test_cluster_streams_follow_their_seed_sequence():
-    # cluster c draws from SeedSequence([seed & (2**64 - 1), *location words, c])
-    from dcmkit.gbsm import _entropy_words
-    values = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 7 << 40]
-    assert np.array_equal(
-        np.random.SeedSequence(values).pool,
-        np.random.SeedSequence(np.array(_entropy_words(values), dtype=np.uint32)).pool)
+    # one block random((n, 13 + 14 m)) drawn from SeedSequence([seed &
+    # (2**64 - 1), *location words]); row c is cluster c, with its anchor
+    # distance d_t in column 0 and its virtual delay in column 10
     loc = ((0.0, -0.0, 1.5), (2.5e-310, -3.0, 1e300))  # zero, subnormal, sign bits
+    words = np.asarray(loc, dtype=np.float64).reshape(-1).view(np.uint64)
     for seed in (0, 5, -1, 2**70 + 3):
         cfg = GbsmConfig(seed=seed, n_clusters=3)
-        words = np.asarray(loc, dtype=np.float64).reshape(-1).view(np.uint64)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            [seed & 0xFFFFFFFFFFFFFFFF, *(int(w) for w in words)])))
+        block = rng.random((3, 13 + 14 * cfg.rays_per_cluster))
+        clusters = spawn_clusters(cfg, loc)
+        low, high = cfg.anchor_range
         for c in range(3):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-                [seed & 0xFFFFFFFFFFFFFFFF, *(int(w) for w in words), c])))
-            assert spawn_clusters(cfg, loc).d_t0[c] == rng.uniform(*cfg.anchor_range)
+            assert clusters.d_t0[c] == low + (high - low) * block[c, 0]
+            assert clusters.virtual_delay[c] == \
+                -cfg.virtual_delay_mean * math.log1p(-block[c, 10])
+
+
+@pytest.fixture(scope="module")
+def drawn():
+    """Every cluster of 2000 default spawns at seeds 0..1999, pooled."""
+    sets = [spawn_clusters(GbsmConfig(seed=seed), LOC) for seed in range(2000)]
+    return {name: np.concatenate([getattr(s, name) for s in sets])
+            for name in ("d_t0", "virtual_delay", "aod_offset", "aoa_offset",
+                         "phases", "xpr", "velocity_a", "velocity_z")}
+
+
+@pytest.mark.parametrize("law", ["anchor", "virtual_delay", "offsets", "phases",
+                                 "xpr_db", "velocity_sin_el"])
+def test_drawn_laws_match_their_distributions(drawn, law):
+    # fixed-seed KS tests of each drawn law against its exact CDF
+    cfg = GbsmConfig()
+    samples, dist = {
+        "anchor": (drawn["d_t0"], sps.uniform(cfg.anchor_range[0],
+                                              cfg.anchor_range[1] - cfg.anchor_range[0])),
+        "virtual_delay": (drawn["virtual_delay"], sps.expon(scale=cfg.virtual_delay_mean)),
+        "offsets": (np.concatenate([drawn["aod_offset"].ravel(), drawn["aoa_offset"].ravel()]),
+                    sps.laplace(scale=cfg.angle_spread_intra)),
+        "phases": (drawn["phases"].ravel(), sps.uniform(0.0, 2.0 * math.pi)),
+        "xpr_db": (10.0 * np.log10(drawn["xpr"].ravel()),
+                   sps.norm(cfg.xpr_mean_db, cfg.xpr_std_db)),
+        "velocity_sin_el": (np.concatenate([drawn["velocity_a"][:, 2],
+                                            drawn["velocity_z"][:, 2]]) / cfg.cluster_speed,
+                            sps.uniform(-1.0, 2.0)),
+    }[law]
+    assert sps.kstest(samples, dist.cdf).pvalue > 0.01
 
 
 def test_cluster_streams_are_order_independent():

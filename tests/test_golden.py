@@ -10,11 +10,12 @@ or numpy version.
 """
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors,
+from dcmkit import (AntennaArray, ChannelModel, ClusterSet, GbsmConfig, KFactors,
                     build_map, dumps_map, dynamic_cir, loads_scene,
                     spawn_clusters, trace_static_mpcs)
 from dcmkit.cli import main
@@ -34,19 +35,21 @@ GOLDEN = {
     "build":
         "08775beae08a92dc3daf8a808bedd8381db05dce0ae351d29fc3da9d7893bdff",
     "update":
-        "290bbdb1fda4841ea8914cd16d3ccd5a362e2b1349781331f7112bc75e16a8a6",
+        "0201adf991085c263820bad086a9894500fc51ecbe48026a323cc0ce26cfbe65",
     "simulate":
-        "c08f55066e682cb821e8029c34ac04539d9529a8e9bebba8ad6a4681c3763e1b",
+        "27d802529f70ec76abd64e62879e221c683a423ae146541d4134225f64a1e545",
     "stats_fcf":
-        "41801c4b91ed5f5ddff212322ee9ef62c405ba3a0b54951702d4ce58d20d53af",
+        "e2f6571548ec7c62e9fda3ee34858cd123444e36cbc2400fd988999455edbad7",
     "dynamic_cir":
-        "44f59b1803155b3492b19a7769da5326b127241616ab2f5aaec8667834611693",
+        "0ed574da7fc6613a7d16ffc984da62cbdd8315e00e9dbb6d65fba316f1294ac0",
     "narrowband_series":
-        "38d5659164bae707167d0d2b47bb1f2db6818bcda50069d6b8f9e212867b6d9b",
+        "f1f2916d8532e63ce626655922f1c765aebd04174e65a2539c91db9b16f2cab8",
     "panel_trace":
         "ef3f1943ded800f7e6710d51cb538fc11743fe5f0ed2536538645c7d607b5d83",
     "panel_map":
         "35bd3ae0dcc45f414d525188fa9b441302f3c1f2133bd2902a85f60eee94a00b",
+    "spawn":
+        "cd5344a4ff459ac1b1969ea0d24b4f859f825a1d658fba0e1dc588e9c280c889",
 }
 
 
@@ -95,6 +98,14 @@ def cli_outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", ["build", "update", "simulate", "stats_fcf"])
 def test_cli_output_digest(cli_outputs, name):
     assert _sha(cli_outputs[name]) == GOLDEN[name]
+
+
+def test_spawn_digest():
+    chunks = []
+    for cfg in (GbsmConfig(), GbsmConfig(n_clusters=3, rays_per_cluster=2, seed=2**70 + 3)):
+        clusters = spawn_clusters(cfg, LOC)
+        chunks += [getattr(clusters, f.name).tobytes() for f in fields(ClusterSet)]
+    assert _sha(*chunks) == GOLDEN["spawn"]
 
 
 def test_dynamic_cir_digest():

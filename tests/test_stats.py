@@ -124,20 +124,20 @@ def test_los_only_correlation_has_unit_magnitude():
 
 def test_los_only_correlation_follows_spatial_offsets():
     # one plane wave: a transmit element step dr_t and a receiver move dloc
-    # shift its delay by their projections on the departure/arrival vectors
-    mpc = Mpc(delay=3e-7, power=1.0, aod=(0.2, 0.7), aoa=(-0.1, 2.1),
-              phases=(0.0, 0.0, 0.0, 0.0), xpr=math.inf, kind="los")
-    model = make_model([mpc], k_s=5.0, k_d=math.inf, tx_elements=2)
-    fc = model.gbsm.carrier_frequency
-    for dr_t, dloc, f in [(0.004, (0.03, -0.02, 0.011), 0.97 * fc),
-                          (-0.013, (-0.2, 0.15, 0.05), 1.02 * fc)]:
-        r = stfcf(model, CorrelationQuery(dr_t=dr_t, dloc=dloc, f=f))
-        shift = (unit_from_angles(*mpc.aod) @ model.tx_array.axis * dr_t
-                 + unit_from_angles(*mpc.aoa) @ np.asarray(dloc)) / C0
-        # the kernel's phase (tau - shift) X - tau X, with X = 2 fc - f,
-        # carries the rounding of tau X (~2 pi eps tau X, 2.3e-12 here)
-        tol = 1e-12 + 4.0 * math.pi * np.finfo(float).eps * mpc.delay * (2.0 * fc - f)
-        assert abs(r - np.exp(-2j * math.pi * (2.0 * fc - f) * shift)) < tol
+    # shift its delay by their projections on the departure/arrival vectors;
+    # the kernel's phase -shift (2 fc - f) carries no rounding of tau fc, so
+    # a long path at a high carrier holds the same bound
+    for delay, fc in [(3e-7, 5.5e9), (1e-6, 28e9)]:
+        mpc = Mpc(delay=delay, power=1.0, aod=(0.2, 0.7), aoa=(-0.1, 2.1),
+                  phases=(0.0, 0.0, 0.0, 0.0), xpr=math.inf, kind="los")
+        model = make_model([mpc], k_s=5.0, k_d=math.inf, tx_elements=2,
+                           carrier_frequency=fc)
+        for dr_t, dloc, f in [(0.004, (0.03, -0.02, 0.011), 0.97 * fc),
+                              (-0.013, (-0.2, 0.15, 0.05), 1.02 * fc)]:
+            r = stfcf(model, CorrelationQuery(dr_t=dr_t, dloc=dloc, f=f))
+            shift = (unit_from_angles(*mpc.aod) @ model.tx_array.axis * dr_t
+                     + unit_from_angles(*mpc.aoa) @ np.asarray(dloc)) / C0
+            assert abs(r - np.exp(-2j * math.pi * (2.0 * fc - f) * shift)) < 1e-12
 
 
 def test_two_tap_fcf_null_at_half_inverse_spacing():
