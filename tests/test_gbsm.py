@@ -61,40 +61,50 @@ def test_cluster_streams_follow_their_seed_sequence():
         block = rng.random((3, 13 + 14 * cfg.rays_per_cluster))
         clusters = spawn_clusters(cfg, loc)
         low, high = cfg.anchor_range
-        for c in range(3):
-            assert clusters.d_t0[c] == low + (high - low) * block[c, 0]
-            assert clusters.virtual_delay[c] == \
-                -cfg.virtual_delay_mean * math.log1p(-block[c, 10])
+        assert np.array_equal(clusters.d_t0, low + (high - low) * block[:, 0])
+        assert np.array_equal(clusters.virtual_delay,
+                              -cfg.virtual_delay_mean * np.log1p(-block[:, 10]))
+
+
+DEFAULT = GbsmConfig()
+# the exact law of each drawn quantity under the default configuration
+LAWS = {
+    "anchor": sps.uniform(DEFAULT.anchor_range[0],
+                          DEFAULT.anchor_range[1] - DEFAULT.anchor_range[0]),
+    "virtual_delay": sps.expon(scale=DEFAULT.virtual_delay_mean),
+    "offsets": sps.laplace(scale=DEFAULT.angle_spread_intra),
+    "phases": sps.uniform(0.0, 2.0 * math.pi),
+    "xpr_db": sps.norm(DEFAULT.xpr_mean_db, DEFAULT.xpr_std_db),
+    "velocity_sin_el": sps.uniform(-1.0, 2.0),
+}
 
 
 @pytest.fixture(scope="module")
 def drawn():
-    """Every cluster of 2000 default spawns at seeds 0..1999, pooled."""
-    sets = [spawn_clusters(GbsmConfig(seed=seed), LOC) for seed in range(2000)]
-    return {name: np.concatenate([getattr(s, name) for s in sets])
-            for name in ("d_t0", "virtual_delay", "aod_offset", "aoa_offset",
-                         "phases", "xpr", "velocity_a", "velocity_z")}
+    """Samples of each law, pooled over every cluster of 2000 default
+    spawns at seeds 0..1999."""
+    sets = [spawn_clusters(DEFAULT.with_overrides(seed=seed), LOC)
+            for seed in range(2000)]
+
+    def pool(name):
+        return np.concatenate([getattr(s, name) for s in sets])
+
+    return {
+        "anchor": pool("d_t0"),
+        "virtual_delay": pool("virtual_delay"),
+        "offsets": np.concatenate([pool("aod_offset").ravel(),
+                                   pool("aoa_offset").ravel()]),
+        "phases": pool("phases").ravel(),
+        "xpr_db": 10.0 * np.log10(pool("xpr").ravel()),
+        "velocity_sin_el": np.concatenate([pool("velocity_a")[:, 2],
+                                           pool("velocity_z")[:, 2]]) / DEFAULT.cluster_speed,
+    }
 
 
-@pytest.mark.parametrize("law", ["anchor", "virtual_delay", "offsets", "phases",
-                                 "xpr_db", "velocity_sin_el"])
+@pytest.mark.parametrize("law", sorted(LAWS))
 def test_drawn_laws_match_their_distributions(drawn, law):
-    # fixed-seed KS tests of each drawn law against its exact CDF
-    cfg = GbsmConfig()
-    samples, dist = {
-        "anchor": (drawn["d_t0"], sps.uniform(cfg.anchor_range[0],
-                                              cfg.anchor_range[1] - cfg.anchor_range[0])),
-        "virtual_delay": (drawn["virtual_delay"], sps.expon(scale=cfg.virtual_delay_mean)),
-        "offsets": (np.concatenate([drawn["aod_offset"].ravel(), drawn["aoa_offset"].ravel()]),
-                    sps.laplace(scale=cfg.angle_spread_intra)),
-        "phases": (drawn["phases"].ravel(), sps.uniform(0.0, 2.0 * math.pi)),
-        "xpr_db": (10.0 * np.log10(drawn["xpr"].ravel()),
-                   sps.norm(cfg.xpr_mean_db, cfg.xpr_std_db)),
-        "velocity_sin_el": (np.concatenate([drawn["velocity_a"][:, 2],
-                                            drawn["velocity_z"][:, 2]]) / cfg.cluster_speed,
-                            sps.uniform(-1.0, 2.0)),
-    }[law]
-    assert sps.kstest(samples, dist.cdf).pvalue > 0.01
+    # fixed-seed KS test of each drawn law against its exact CDF
+    assert sps.kstest(drawn[law], LAWS[law].cdf).pvalue > 0.01
 
 
 def test_cluster_streams_are_order_independent():

@@ -102,7 +102,8 @@ def test_cli_output_digest(cli_outputs, name):
 
 def test_spawn_digest():
     chunks = []
-    for cfg in (GbsmConfig(), GbsmConfig(n_clusters=3, rays_per_cluster=2, seed=2**70 + 3)):
+    for cfg in (GbsmConfig(),
+                GbsmConfig(n_clusters=3, rays_per_cluster=2, seed=2**70 + 3)):
         clusters = spawn_clusters(cfg, LOC)
         chunks += [getattr(clusters, f.name).tobytes() for f in fields(ClusterSet)]
     assert _sha(*chunks) == GOLDEN["spawn"]
