@@ -26,54 +26,50 @@ from . import dcm as dcmmod
 from .gbsm import AntennaArray, GbsmConfig
 from .hybrid import ChannelModel, KFactors, rician_params
 from .raytrace import trace_static_mpcs
-from .scene import load_scene
+from .scene import _floats, load_scene
 from .stats import (angular_psd, delay_psd, doppler_psd, empirical_cdf,
                     fcf_closed_form, lcr_analytic, lcr_empirical,
                     lcr_time_inputs, rms_spread)
 
 
-def _triple(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,z, got {text!r}")
+def _numbers(text: str, n: int) -> tuple[float, ...]:
+    """`n` finite numbers for argparse: a bad value is a usage error (exit 2)."""
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers in {text!r}") from None
+        return _floats(text, n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _triple(text: str) -> tuple[float, ...]:
+    return _numbers(text, 3)
+
+
+def _finite(text: str) -> float:
+    return _numbers(text, 1)[0]
 
 
 def _positive(text: str) -> float:
     try:
-        value = float(text)
+        value = _floats(text, 1)[0]
     except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
+        value = 0.0
+    if not value > 0.0:
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
-
-
 def _levels(text: str) -> list[float]:
     """Level sweep: either `a,b,c` or an inclusive `start:step:stop` range."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"expected start:step:stop, got {text!r}")
-        try:
-            start, step, stop = (float(p) for p in parts)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected numbers in {text!r}") from None
-        if step <= 0.0 or stop < start:
-            raise argparse.ArgumentTypeError("need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
-    return _float_list(text)
+    if ":" not in text:
+        return list(_numbers(text, text.count(",") + 1))
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected start:step:stop, got {text!r}")
+    start, step, stop = (_finite(p) for p in parts)
+    if step <= 0.0 or stop < start:
+        raise argparse.ArgumentTypeError("need step > 0 and stop >= start")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(count)]
 
 
 def _fmt(x: float) -> str:
@@ -109,15 +105,15 @@ def _gbsm_from_args(args) -> GbsmConfig:
 def _build_points(args) -> list[tuple[float, float, float]]:
     if args.points is not None:
         pts = []
-        with open(args.points, "r", encoding="ascii") as fh:
-            for no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ValueError(f"{args.points}:{no}: expected x,y,z")
-                pts.append(tuple(float(p) for p in parts))
+        no = 0
+        try:
+            with open(args.points, "r", encoding="ascii") as fh:
+                for no, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if line and not line.startswith("#"):
+                        pts.append(_floats(line, 3))
+        except ValueError as exc:
+            raise ValueError(f"{args.points}:{no}: {exc}") from None
         if not pts:
             raise ValueError(f"{args.points}: no locations found")
         return pts
@@ -319,7 +315,7 @@ def _add_lookup_args(p) -> None:
     p.add_argument("--map", required=True, help="channel map file")
     p.add_argument("--at", required=True, type=_triple,
                    help="receiver location x,y,z")
-    p.add_argument("--tolerance", type=float, default=1e-6,
+    p.add_argument("--tolerance", type=_finite, default=1e-6,
                    help="lookup tolerance in meters")
 
 
@@ -337,7 +333,7 @@ def _add_trace_args(p) -> None:
     p.add_argument("--points", help="CSV of receiver locations, one x,y,z per line")
     p.add_argument("--origin", type=_triple, help="grid origin x,y,z")
     p.add_argument("--shape", type=_triple, help="grid point counts nx,ny,nz")
-    p.add_argument("--spacing", type=float, help="grid spacing in meters")
+    p.add_argument("--spacing", type=_finite, help="grid spacing in meters")
     p.add_argument("--max-order", type=int, default=2, help="reflection depth")
 
 
@@ -350,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="trace static paths over a location grid")
     _add_trace_args(p)
     p.add_argument("--out", required=True, help="output map path")
-    p.add_argument("--ks-db", type=float, default=3.0,
+    p.add_argument("--ks-db", type=_finite, default=3.0,
                    help="line-of-sight to static-reflection power ratio, dB")
-    p.add_argument("--kd-db", type=float, default=10.0,
+    p.add_argument("--kd-db", type=_finite, default=10.0,
                    help="line-of-sight to dynamic-scatter power ratio, dB")
     p.add_argument("--config", help="JSON file of scatter config overrides")
     p.add_argument("--seed", type=int, default=0, help="stored scatter seed")
@@ -365,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("update", help="compose a fresh snapshot at a location")
     _add_map_args(p)
-    p.add_argument("--t", type=float, default=0.0, help="snapshot time, seconds")
+    p.add_argument("--t", type=_finite, default=0.0, help="snapshot time, seconds")
     p.set_defaults(func=_cmd_update)
 
     p = sub.add_parser("simulate", help="narrowband channel time series")
     _add_map_args(p)
-    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t0", type=_finite, default=0.0)
     p.add_argument("--dt", type=_positive, default=1e-3, help="sample step, seconds")
-    p.add_argument("--duration", type=float, default=1.0, help="series length, seconds")
+    p.add_argument("--duration", type=_finite, default=1.0, help="series length, seconds")
     p.set_defaults(func=_cmd_simulate)
 
     ps = sub.add_parser("stats", help="second-order statistics")
@@ -380,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = stat.add_parser("fcf", help="frequency correlation")
     _add_map_args(p)
-    p.add_argument("--df-step", type=float, default=1e6)
+    p.add_argument("--df-step", type=_finite, default=1e6)
     p.add_argument("--df-count", type=int, default=101)
     p.add_argument("--ensemble", type=int, default=200)
     p.set_defaults(func=_cmd_stats_fcf)
 
     p = stat.add_parser("delay-psd", help="delay power density")
     _add_map_args(p)
-    p.add_argument("--df-step", type=float, default=1e6)
+    p.add_argument("--df-step", type=_finite, default=1e6)
     p.add_argument("--df-count", type=int, default=256)
     p.add_argument("--ensemble", type=int, default=200)
     p.set_defaults(func=_cmd_stats_delay_psd)
@@ -404,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Doppler spread distribution across realizations")
     _add_map_args(p)
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--duration", type=float, default=0.512)
+    p.add_argument("--duration", type=_finite, default=0.512)
     p.add_argument("--dt", type=_positive, default=1e-3)
     p.set_defaults(func=_cmd_stats_doppler)
 
@@ -413,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", dest="levels_db", type=_levels,
                    default=[-20.0, -15.0, -10.0, -5.0, 0.0, 5.0],
                    help="envelope levels relative to rms, dB; a,b,c or start:step:stop")
-    p.add_argument("--duration", type=float, default=4.0)
+    p.add_argument("--duration", type=_finite, default=4.0)
     p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--ensemble", type=int, default=256)
     p.set_defaults(func=_cmd_stats_lcr)

@@ -11,9 +11,13 @@ Maps persist to a line-oriented text format (magic `DCMv2`).  Values are
 stored in SI units (seconds, linear power, radians) and every float is
 written as its shortest round-trip `repr`, so a load returns exactly the
 values that were saved and save, load and save again produce
-byte-identical files.  A map is derived data: a file in another format is
-rejected and has to be rebuilt from its scene.  Writes go to a fresh
-temporary file that is atomically renamed over the target.
+byte-identical files.  Loads follow the scene grammar: every `[map]`,
+`[gbsm]` and record key at most once, each `mpc` line exactly its seven
+keys, every number finite (except an `xpr`, `ks` or `kd` of `inf`), and a
+malformed line fails with its 1-based number.  A map is derived data: a
+file in another format is rejected and has to be rebuilt from its scene.
+Writes go to a fresh temporary file that is atomically renamed over the
+target.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from .gbsm import AntennaArray, GbsmConfig, config_field
 from .hybrid import ChannelModel, ChannelSnapshot, KFactors
 from .raytrace import Mpc, trace_static_mpcs
-from .scene import Scene
+from .scene import Scene, _fields, _floats
 
 MAGIC = "DCMv2"
 DEFAULT_K_STATIC = 10.0 ** 0.3   # 3 dB
@@ -209,6 +213,9 @@ def build_map(scene: Scene, tx, points, max_order: int = 2,
     pts = [tuple(float(v) for v in p) for p in points]
     if not pts:
         raise ValueError("need at least one receiver location")
+    if len(set(pts)) != len(pts):
+        twice = next(p for i, p in enumerate(pts) if p in pts[:i])
+        raise ValueError(f"receiver location {_fmt_vec(twice)} is given twice")
     KFactors.from_split(k_s, k_d)  # validate early
     jobs = [(scene, tx, p, max_order, gbsm.carrier_frequency, k_s, k_d)
             for p in pts]
@@ -326,28 +333,20 @@ def _record_lines(rec: DcmRecord) -> list[str]:
     return lines
 
 
-def _parse_floats(text: str, n: int) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated values")
-    return tuple(float(p) for p in parts)
+_MAP_KEYS = ("frequency", "max_order", "scene")
+_GBSM_KEYS = tuple(f.name for f in fields(GbsmConfig))
+_RECORD_KEYS = ("tx", "rx", "ks", "kd")
+_MPC_KEYS = ("kind", "delay", "power", "aod", "aoa", "phases", "xpr")
 
 
 def _parse_mpc(line: str) -> Mpc:
-    fields_ = {}
-    for token in line.split()[1:]:
-        if "=" not in token:
-            raise ValueError(f"malformed token {token!r}")
-        key, val = token.split("=", 1)
-        fields_[key] = val
-    try:
-        return Mpc(delay=float(fields_["delay"]), power=float(fields_["power"]),
-                   aod=_parse_floats(fields_["aod"], 2),
-                   aoa=_parse_floats(fields_["aoa"], 2),
-                   phases=_parse_floats(fields_["phases"], 4),
-                   xpr=float(fields_["xpr"]), kind=fields_["kind"])
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc.args[0]}") from None
+    f = _fields(line.split()[1:], _MPC_KEYS)
+    # Mpc checks every value itself, so the vectors skip the finite test
+    return Mpc(delay=float(f["delay"]), power=float(f["power"]),
+               aod=_floats(f["aod"], 2, finite=False),
+               aoa=_floats(f["aoa"], 2, finite=False),
+               phases=_floats(f["phases"], 4, finite=False),
+               xpr=float(f["xpr"]), kind=f["kind"])
 
 
 def dumps_map(dcm: DcmMap) -> str:
@@ -370,9 +369,9 @@ def dumps_map(dcm: DcmMap) -> str:
 
 
 def _config_text(text: str):
-    """A [gbsm] value as written: an int, a float, or comma-separated values."""
+    """A [gbsm] value as written: an int, a float, or a pair of numbers."""
     if "," in text:
-        return [_config_text(part) for part in text.split(",")]
+        return _floats(text, 2)
     try:
         return int(text)
     except ValueError:
@@ -391,20 +390,21 @@ def loads_map(text: str) -> DcmMap:
     gbsm_kw: dict = {}
     gbsm_line = carrier_line = frequency_line = None
     records: dict[tuple, DcmRecord] = {}
-    section = None
-    current: dict | None = None
+    section = keys = None
+    current: dict = {}  # the section's values so far, each key at most once
+    mpcs: list = []
+    record_line = 0
 
     def finish():
-        if current is None:
+        if section != "record":
             return
-        for need in ("tx", "rx", "ks", "kd"):
+        for need in _RECORD_KEYS:
             if need not in current:
-                raise ValueError(f"line {current['line']}: record missing {need}=")
-        rec = DcmRecord(tx=current["tx"], rx=current["rx"],
-                        k_s=current["ks"], k_d=current["kd"],
-                        mpcs=tuple(current["mpcs"]))
+                raise ValueError(f"line {record_line}: record missing {need}=")
+        rec = DcmRecord(tx=current["tx"], rx=current["rx"], k_s=current["ks"],
+                        k_d=current["kd"], mpcs=tuple(mpcs))
         if rec.rx in records:
-            raise ValueError(f"line {current['line']}: duplicate record at "
+            raise ValueError(f"line {record_line}: duplicate record at "
                              f"rx={_fmt_vec(rec.rx)}")
         records[rec.rx] = rec
 
@@ -412,15 +412,23 @@ def loads_map(text: str) -> DcmMap:
         if not line.strip():
             continue
         if line in ("[map]", "[gbsm]", "[record]"):
+            finish()
             section = line[1:-1]
-            if section == "gbsm":
-                gbsm_line = no
-            elif section == "record":
-                finish()
-                current = {"mpcs": [], "line": no}
+            if section == "map":
+                keys, current = _MAP_KEYS, header
+            elif section == "gbsm":
+                keys, current, gbsm_line = _GBSM_KEYS, gbsm_kw, no
+            else:
+                keys, current, mpcs, record_line = _RECORD_KEYS, {}, [], no
             continue
         try:
-            key, _, val = line.partition("=")
+            if section is None:
+                raise ValueError("content before any section header")
+            if section == "record" and line.startswith("mpc "):
+                mpcs.append(_parse_mpc(line))
+                continue
+            # a section line is one key=value token
+            (key, val), = _fields([line], keys, current).items()
             if section == "map":
                 header[key] = {"frequency": float, "max_order": int}.get(key, str)(val)
                 if key == "frequency":
@@ -433,22 +441,14 @@ def loads_map(text: str) -> DcmMap:
                 gbsm_kw[key] = config_field(key, _config_text(val))
                 if key == "carrier_frequency":
                     carrier_line = no
-            elif section == "record":
-                assert current is not None
-                if line.startswith("mpc "):
-                    current["mpcs"].append(_parse_mpc(line))
-                elif key in ("tx", "rx"):
-                    current[key] = _parse_floats(val, 3)
-                    if not all(map(math.isfinite, current[key])):
-                        raise ValueError(f"{key} must be finite, got {val}")
-                elif key in ("ks", "kd"):
-                    current[key] = float(val)
-                    if not current[key] > 0.0:
-                        raise ValueError(f"{key} must be > 0, got {val}")
-                else:
-                    raise ValueError(f"unknown record field {key!r}")
+            elif key in ("tx", "rx"):
+                current[key] = _floats(val, 3)
             else:
-                raise ValueError("content before any section header")
+                current[key] = float(val)
+                if not current[key] > 0.0:
+                    raise ValueError(f"{key} must be > 0, got {val}")
+        except KeyError as exc:
+            raise ValueError(f"line {no}: missing field {exc.args[0]!r}") from None
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {no}: {exc}") from None
     finish()

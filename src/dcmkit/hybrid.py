@@ -172,8 +172,8 @@ def combine_cir(h_static: dict, h_dynamic: dict, k: KFactors,
                 ) -> ChannelSnapshot:
     """Weight the unit-power branches and merge them delay-sorted.
 
-    A branch with zero weight (k_s or k_d infinite) contributes no taps, so
-    the other branch passes through unchanged.
+    The static weight is above 0 for every k_s; the dynamic one is 0 when
+    k_d is infinite, and then the dynamic branch contributes no taps.
     """
     w_s, w_d = mixing_weights(k.k_s, k.k_d)
     keys = set(h_static) | set(h_dynamic)
@@ -183,9 +183,8 @@ def combine_cir(h_static: dict, h_dynamic: dict, k: KFactors,
     for key in sorted(keys):
         stat = h_static.get(key, Taps.empty())
         dyn = h_dynamic.get(key, Taps.empty())
-        stat = stat.scaled(w_s) if w_s != 0.0 else Taps.empty()
         dyn = dyn.scaled(w_d) if w_d != 0.0 else Taps.empty()
-        taps[key] = stat.merged(dyn)
+        taps[key] = stat.scaled(w_s).merged(dyn)
     return ChannelSnapshot(t=t, location=location, taps=taps)
 
 

@@ -10,12 +10,17 @@ line-oriented text format::
 
 All lengths are in meters.  `#` starts a comment anywhere on a line; blank
 lines are ignored.  Facet vertices are listed in boundary order and must be
-coplanar within COPLANAR_TOL.
+coplanar within COPLANAR_TOL.  A line takes only the keys shown, each at
+most once, and every number must be finite; a malformed line raises
+SceneError naming its 1-based number.  Map files and CLI points files read
+their `key=value` tokens and comma-separated numbers with the same two
+helpers, `_fields` and `_floats`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,88 +137,79 @@ def scene_text_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _parse_fields(body: str, lineno: int) -> dict[str, str]:
-    fields = {}
-    for token in body.split():
-        if "=" not in token:
-            raise SceneError(f"expected key=value, got {token!r}", lineno)
+def _fields(tokens, keys, seen=()) -> dict[str, str]:
+    """`key=value` tokens as a dict of strings.
+
+    A token with an empty key or value, a key not in `keys` and a key given
+    twice, or already in `seen`, raise ValueError.
+    """
+    out = {}
+    for token in tokens:
         key, _, value = token.partition("=")
         if not key or not value:
-            raise SceneError(f"expected key=value, got {token!r}", lineno)
-        if key in fields:
-            raise SceneError(f"duplicate field {key!r}", lineno)
-        fields[key] = value
-    return fields
+            raise ValueError(f"expected key=value, got {token!r}")
+        if key not in keys:
+            raise ValueError(f"unknown field {key!r}")
+        if key in out or key in seen:
+            raise ValueError(f"duplicate field {key!r}")
+        out[key] = value
+    return out
 
 
-def _parse_float(fields: dict, key: str, lineno: int) -> float:
-    if key not in fields:
-        raise SceneError(f"missing field {key!r}", lineno)
+def _floats(text: str, n: int, finite: bool = True) -> tuple[float, ...]:
+    """Exactly `n` comma-separated numbers, all finite unless `finite` is false."""
     try:
-        return float(fields[key])
+        values = tuple(map(float, text.split(",")))
     except ValueError:
-        raise SceneError(f"field {key!r} is not a number: {fields[key]!r}", lineno) from None
+        values = ()
+    if len(values) != n or (finite and not all(map(math.isfinite, values))):
+        what = "a finite number" if n == 1 else f"{n} finite comma-separated numbers"
+        raise ValueError(f"expected {what}, got {text!r}")
+    return values
 
 
 def loads_scene(text: str) -> Scene:
     """Parse a scene document from a string.  See the module docstring."""
     materials: dict[str, Material] = {}
     facets: list[Facet] = []
-    pending: list[tuple[int, str, dict]] = []  # facet lines, resolved after materials
+    pending: list[tuple[int, str | None, list]] = []  # (line, material, vertices)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("["):
-            raise SceneError(f"expected a [material] or [facet] section, got {line!r}", lineno)
-        head, _, body = line.partition("]")
-        directive = head[1:].strip()
-        if directive == "material":
-            fields = _parse_fields(body, lineno)
-            name = fields.get("name")
-            if not name:
-                raise SceneError("material needs a name", lineno)
-            if name in materials:
-                raise SceneError(f"duplicate material {name!r}", lineno)
-            try:
-                materials[name] = Material(
-                    name,
-                    _parse_float(fields, "eps_r", lineno),
-                    _parse_float(fields, "sigma", lineno),
-                )
-            except ValueError as exc:
-                raise SceneError(str(exc), lineno) from None
-        elif directive == "facet":
-            fields = _parse_fields(body, lineno)
-            if "v" not in fields:
-                raise SceneError("facet needs a vertex list v=x,y,z;...", lineno)
-            pending.append((lineno, fields.get("material", ""), fields))
-        else:
-            raise SceneError(f"unknown section {directive!r}", lineno)
-
-    for lineno, mat_name, fields in pending:
-        if mat_name:
-            if mat_name not in materials:
-                raise SceneError(f"unknown material {mat_name!r}", lineno)
-            mat = materials[mat_name]
-        else:
-            mat = materials.setdefault(DEFAULT_MATERIAL_NAME, default_material())
-        verts = []
-        for vtx in fields["v"].split(";"):
-            parts = vtx.split(",")
-            if len(parts) != 3:
-                raise SceneError(f"vertex needs 3 coordinates, got {vtx!r}", lineno)
-            try:
-                verts.append([float(p) for p in parts])
-            except ValueError:
-                raise SceneError(f"bad vertex coordinate in {vtx!r}", lineno) from None
-        if len(verts) < 3:
-            raise SceneError("facet needs at least 3 vertices", lineno)
-        try:
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if not line.startswith("["):
+                raise ValueError(f"expected a [material] or [facet] section, got {line!r}")
+            head, _, body = line.partition("]")
+            directive = head[1:].strip()
+            if directive == "material":
+                fields = _fields(body.split(), ("name", "eps_r", "sigma"))
+                name = fields["name"]
+                if name in materials:
+                    raise ValueError(f"duplicate material {name!r}")
+                materials[name] = Material(name, _floats(fields["eps_r"], 1)[0],
+                                           _floats(fields["sigma"], 1)[0])
+            elif directive == "facet":
+                fields = _fields(body.split(), ("material", "v"))
+                pending.append((lineno, fields.get("material"),
+                                [_floats(v, 3) for v in fields["v"].split(";")]))
+            else:
+                raise ValueError(f"unknown section {directive!r}")
+        # a facet may name a material declared further down
+        for lineno, name, verts in pending:
+            if name is None:
+                mat = materials.setdefault(DEFAULT_MATERIAL_NAME, default_material())
+            elif name in materials:
+                mat = materials[name]
+            else:
+                raise ValueError(f"unknown material {name!r}")
             facets.append(Facet(verts, mat))
-        except ValueError as exc:
-            raise SceneError(str(exc), lineno) from None
+    except KeyError as exc:
+        raise SceneError(f"missing field {exc.args[0]!r}", lineno) from None
+    except ValueError as exc:
+        raise SceneError(str(exc), lineno) from None
 
     return Scene(tuple(facets), materials, scene_text_hash(text))
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbsm import ray_delays
-from .hybrid import (ChannelModel, KFactors, mixing_weights, rician_params,
-                     static_branch_split)
+from .hybrid import (ChannelModel, KFactors, _normalized_powers, mixing_weights,
+                     rician_params, static_branch_split)
 from .raytrace import SPEED_OF_LIGHT, unit_from_angles
 
 DEFAULT_ENSEMBLE = 200
@@ -217,9 +217,8 @@ def _corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc=(0.0, 0.0, 0.0),
         # products of size tau f_c that cancel
         phase = -shift * (2.0 * fc - f_base - df)[None, :] - taus * df[None, :]
         paths = np.exp(2j * math.pi * phase)
-        powers = np.array([m.power for m in mpcs])[~los]
         r_los = np.ones(int(los.sum())) @ paths[los]
-        r_nlos = powers / powers.sum() @ paths[~los]
+        r_nlos = _normalized_powers([m for m in mpcs if not m.is_los]) @ paths[~los]
     out = c_l * r_los + c_s * r_nlos
     if c_d > 0.0:
         out = out + c_d * _dynamic_corr_grid(model, dr_t, dr_r, dt, df, dloc,

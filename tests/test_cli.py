@@ -361,13 +361,21 @@ def test_points_file_validation(workdir, capsys):
     rc, _, err = run(capsys, [
         "build", "--scene", str(workdir / "room.scene"), "--tx", TX,
         "--points", str(bad), "--out", str(workdir / "x.dcm")])
-    assert rc == 1 and "expected x,y,z" in err
+    assert rc == 1 and "bad_points.csv:1: expected 3 finite comma-separated" in err
     empty = workdir / "empty_points.csv"
     empty.write_text("# nothing\n")
     rc, _, err = run(capsys, [
         "build", "--scene", str(workdir / "room.scene"), "--tx", TX,
         "--points", str(empty), "--out", str(workdir / "x.dcm")])
     assert rc == 1 and "no locations" in err
+    # a repeated point would collapse into one record
+    twice = workdir / "twice_points.csv"
+    twice.write_text("2,2,1.5\n2.5,2,1.5\n2,2,1.5\n")
+    rc, out, err = run(capsys, [
+        "build", "--scene", str(workdir / "room.scene"), "--tx", TX,
+        "--points", str(twice), "--out", str(workdir / "x.dcm")])
+    assert (rc, out) == (1, "")
+    assert err == "error: receiver location 2.0,2.0,1.5 is given twice\n"
 
 
 def test_cli_import_loads_no_scipy():
@@ -378,3 +386,113 @@ def test_cli_import_loads_no_scipy():
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_stats_fcf_rejects_powerless_reflections(built_map, workdir, capsys):
+    text = re.sub(r"(mpc kind=refl\S* delay=\S+ power=)\S+", r"\g<1>0.0",
+                  built_map.read_text())
+    bad = workdir / "dark.dcm"
+    bad.write_text(text)
+    for cmd in (["stats", "fcf", "--df-count", "4", "--ensemble", "2"], ["update"]):
+        rc, out, err = run(capsys, [*cmd, "--map", str(bad), "--at", "2,2,1.5",
+                                    "--seed", "1"])
+        assert rc == 1 and out == "", cmd
+        assert err == "error: static reflected paths carry no power\n", cmd
+
+
+# The scene, map and points readers share one grammar (scene._fields and
+# scene._floats): each key at most once, only known keys, every number
+# finite, the expected count of comma-separated numbers.  Each row feeds one
+# reader one defect; the reader names the line.  A repeated scene key and a
+# non-finite mpc value were rejected before the grammar was shared, and
+# test_scene.py / test_dcm.py cover them.
+SCENE = ("[material] name=m eps_r=2.0 sigma=0.0\n"
+         "[facet] material=m v=0,0,0;1,0,0;0,1,0\n")
+MAP = ("DCMv2\n[map]\nfrequency=5.5e9\nmax_order=1\nscene=abc\n[gbsm]\n"
+       "[record]\ntx=0,0,0\nrx=1,0,0\nks=2\nkd=4\n"
+       "mpc kind=los delay=1e-07 power=1.88e-09 aod=0,0 aoa=0,0 "
+       "phases=0,0,0,0 xpr=inf\n")
+POINTS = "2,2,1.5\n2.5,2,1.5\n"
+GRAMMAR_CASES = [
+    # reader, defect, base text, (old, new), error location, message
+    ("scene", "unknown key", SCENE, ("sigma=0.0", "sigma=0.0 colour=red"),
+     1, "unknown field 'colour'"),
+    ("scene", "non-finite", SCENE, ("eps_r=2.0", "eps_r=nan"),
+     1, "expected a finite number, got 'nan'"),
+    ("scene", "non-finite vertex", SCENE, ("1,0,0;", "1,inf,0;"),
+     2, "expected 3 finite comma-separated numbers, got '1,inf,0'"),
+    ("scene", "wrong count", SCENE, (";0,1,0", ";0,1"),
+     2, "expected 3 finite comma-separated numbers, got '0,1'"),
+    ("mpc", "repeated key", MAP, ("xpr=inf", "xpr=inf delay=2e-07"),
+     12, "duplicate field 'delay'"),
+    ("mpc", "unknown key", MAP, ("xpr=inf", "xpr=inf gain=3"),
+     12, "unknown field 'gain'"),
+    ("mpc", "wrong count", MAP, ("phases=0,0,0,0", "phases=0,0"),
+     12, "expected 4 finite comma-separated numbers, got '0,0'"),
+    ("header", "repeated key", MAP, ("scene=abc\n", "scene=abc\nfrequency=28e9\n"),
+     6, "duplicate field 'frequency'"),
+    ("header", "unknown key", MAP, ("scene=abc\n", "scene=abc\nowner=me\n"),
+     6, "unknown field 'owner'"),
+    ("gbsm", "repeated key", MAP, ("[gbsm]\n", "[gbsm]\nseed=1\nseed=2\n"),
+     8, "duplicate field 'seed'"),
+    ("gbsm", "unknown key", MAP, ("[gbsm]\n", "[gbsm]\nbogus_knob=3\n"),
+     7, "unknown field 'bogus_knob'"),
+    ("gbsm", "non-finite", MAP, ("[gbsm]\n", "[gbsm]\nanchor_range=nan,40\n"),
+     7, "expected 2 finite comma-separated numbers, got 'nan,40'"),
+    ("record", "repeated key", MAP, ("ks=2\n", "ks=2\nks=3\n"),
+     11, "duplicate field 'ks'"),
+    ("record", "unknown key", MAP, ("kd=4\n", "kd=4\nkf=3\n"),
+     12, "unknown field 'kf'"),
+    ("record", "wrong count", MAP, ("rx=1,0,0", "rx=1,0"),
+     9, "expected 3 finite comma-separated numbers, got '1,0'"),
+    ("points", "non-finite", POINTS, ("2.5,2,", "nan,2,"),
+     2, "expected 3 finite comma-separated numbers, got 'nan,2,1.5'"),
+    ("points", "wrong count", POINTS, ("2.5,2,1.5", "2.5,2"),
+     2, "expected 3 finite comma-separated numbers, got '2.5,2'"),
+    ("points", "not a number", POINTS, ("2,2,1.5", "2,x,1.5"),
+     1, "expected 3 finite comma-separated numbers, got '2,x,1.5'"),
+]
+
+
+@pytest.mark.parametrize("reader,defect,base,edit,line,message", GRAMMAR_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in GRAMMAR_CASES])
+def test_readers_share_one_grammar(workdir, capsys, reader, defect, base, edit,
+                                   line, message):
+    assert edit[0] in base
+    bad = workdir / f"grammar.{reader}"
+    bad.write_text(base.replace(edit[0], edit[1], 1))
+    scene, points = workdir / "room.scene", workdir / "points.csv"
+    if reader == "scene":
+        scene, where = bad, f"line {line}"
+    elif reader == "points":
+        points, where = bad, f"{bad}:{line}"
+    else:
+        where = f"line {line}"
+    if reader in ("scene", "points"):
+        argv = ["build", "--scene", str(scene), "--tx", TX, "--points", str(points),
+                "--max-order", "1", "--out", str(workdir / "grammar.dcm")]
+    else:
+        argv = ["query", "--map", str(bad), "--at", "1,0,0"]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, ""), err
+    assert err == f"error: {where}: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["update", "--at", "2,2,1.5", "--seed", "1", "--t", "nan"],
+     "argument --t: expected a finite number, got 'nan'"),
+    (["update", "--at", "2,nan,1.5", "--seed", "1"],
+     "argument --at: expected 3 finite comma-separated numbers, got '2,nan,1.5'"),
+    (["query", "--at", "2,2,1.5", "--tolerance", "inf"],
+     "argument --tolerance: expected a finite number, got 'inf'"),
+    (["simulate", "--at", "2,2,1.5", "--seed", "1", "--duration", "1e999"],
+     "argument --duration: expected a finite number, got '1e999'"),
+    (["stats", "fcf", "--at", "2,2,1.5", "--seed", "1", "--df-step", "x"],
+     "argument --df-step: expected a finite number, got 'x'"),
+], ids=["t", "at", "tolerance", "duration", "df-step"])
+def test_bad_numeric_options_are_usage_errors(built_map, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--map", str(built_map)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -134,6 +134,9 @@ def test_build_map_records_every_point(room_scene):
         assert len(rec.mpcs) == 7
     with pytest.raises(ValueError):
         build_map(room_scene, TX, [], max_order=1)
+    # a repeated point would collapse into one record
+    with pytest.raises(ValueError, match=r"^receiver location 2\.0,2\.5,1\.2 is given twice$"):
+        build_map(room_scene, TX, [(2, 2.5, 1.2), (2, 2, 1.5), (2.0, 2.5, 1.2)], max_order=1)
 
 
 def test_query_tolerance_and_misses(room_scene):
@@ -239,7 +242,7 @@ def test_loads_map_error_reporting():
               "phases=0,0,0,0 xpr=inf\n")
     loads_map(head + "n_clusters=3\nanchor_range=30,40\n" + record)
     bad_gbsm = {
-        "bogus_knob=3": "unknown config fields: bogus_knob",
+        "bogus_knob=3": "unknown field 'bogus_knob'",
         "n_clusters=three": "could not convert",
         "n_clusters=1.5": "must be an integer",
         "cluster_speed=1,2": "must be a number",
@@ -269,8 +272,8 @@ def test_loads_map_error_reporting():
         with pytest.raises(ValueError, match="line 12: "):
             loads_map(head + record.replace(field_text, bad))
     bad_record = [
-        ("tx=0,0,0", "tx=0,inf,0", "line 8: tx must be finite"),
-        ("rx=1,0,0", "rx=nan,0,0", "line 9: rx must be finite"),
+        ("tx=0,0,0", "tx=0,inf,0", "line 8: expected 3 finite .* got '0,inf,0'"),
+        ("rx=1,0,0", "rx=nan,0,0", "line 9: expected 3 finite .* got 'nan,0,0'"),
         ("ks=2", "ks=nan", "line 10: ks must be > 0"),
         ("ks=2", "ks=0", "line 10: ks must be > 0"),
         ("kd=4", "kd=-inf", "line 11: kd must be > 0"),

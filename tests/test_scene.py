@@ -82,9 +82,9 @@ def test_material_validation():
 
 @pytest.mark.parametrize("text,fragment", [
     ("[facet] v=0,0,0;1,0,0", "3 vertices"),
-    ("[facet] v=0,0;1,0,0;0,1,0", "3 coordinates"),
+    ("[facet] v=0,0;1,0,0;0,1,0", "expected 3 finite comma-separated numbers"),
     ("[facet] material=nope v=0,0,0;1,0,0;0,1,0", "unknown material"),
-    ("[material] name=m eps_r=bad sigma=0.1", "not a number"),
+    ("[material] name=m eps_r=bad sigma=0.1", "expected a finite number"),
     ("[material] eps_r=1.0 sigma=0.1", "name"),
     ("[widget] x=1", "unknown section"),
     ("just words", "expected a"),

@@ -1,6 +1,7 @@
 """Correlation, spectrum, spread, and crossing-rate statistics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def psd_mean(psd):
 
 # ---------------------------------------------------------------------------
 # containers
+
+def test_fcf_rejects_powerless_reflections():
+    model = make_model([los_mpc(), replace(nlos_mpc(), power=0.0)])
+    with pytest.raises(ValueError, match="static reflected paths carry no power"):
+        fcf_closed_form(model, np.array([0.0, 1e6]), ensemble=2)
+
 
 def test_correlation_query_validation():
     q = CorrelationQuery()
