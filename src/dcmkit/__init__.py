@@ -16,8 +16,7 @@ from .raytrace import (Mpc, direction_angles, fresnel_coefficients,
 from .gbsm import (AntennaArray, ClusterSet, GbsmConfig, Taps, dynamic_cir,
                    spawn_clusters)
 from .hybrid import (ChannelModel, ChannelSnapshot, KFactors, combine_cir,
-                     compose_k, mixing_weights, rician_params,
-                     static_branch_split, static_cir)
+                     rician_params, static_cir)
 from .stats import (CorrelationQuery, LcrInputs, Psd, angular_psd,
                     branch_power_coefficients, delay_psd, doppler_psd,
                     doppler_psd_from_lags, empirical_cdf, fcf_closed_form,
@@ -33,16 +32,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AntennaArray", "ChannelModel", "ChannelSnapshot", "ClusterSet",
     "CorrelationQuery", "DcmLookupError", "DcmMap", "DcmRecord", "Facet",
-    "GbsmConfig", "KFactors", "LcrInputs", "MatchResult", "Material", "Mpc",
-    "Psd", "Scene", "SceneError", "Taps", "angular_psd",
-    "branch_power_coefficients", "build_map", "combine_cir", "compose_k",
-    "delay_psd", "direction_angles", "doppler_psd", "doppler_psd_from_lags",
+    "GbsmConfig", "KFactors", "LcrInputs", "MatchResult", "Material",
+    "Mpc", "Psd", "Scene", "SceneError", "Taps", "angular_psd",
+    "branch_power_coefficients", "build_map", "combine_cir", "delay_psd",
+    "direction_angles", "doppler_psd", "doppler_psd_from_lags",
     "dumps_map", "dynamic_cir", "empirical_cdf", "estimate_k_split",
     "fcf_closed_form", "fresnel_coefficients", "friis_path_gain",
     "grid_points", "lcr_analytic", "lcr_empirical", "lcr_time_inputs",
     "load_map", "load_scene", "loads_map", "loads_scene", "match_mpcs",
-    "mixing_weights", "model_from_map", "query", "rician_params",
-    "rms_spread", "save_map", "scene_text_hash", "spawn_clusters",
-    "static_branch_split", "static_cir", "stfcf", "trace_static_mpcs",
-    "unit_from_angles", "update_snapshot", "worker_count",
+    "model_from_map", "query", "rician_params", "rms_spread", "save_map",
+    "scene_text_hash", "spawn_clusters", "static_cir", "stfcf",
+    "trace_static_mpcs", "unit_from_angles", "update_snapshot",
+    "worker_count",
 ]

@@ -48,6 +48,25 @@ def _finite(text: str) -> float:
     return _numbers(text, 1)[0]
 
 
+def _counts(text: str) -> tuple[int, ...]:
+    """Grid point counts nx,ny,nz: three integers >= 1."""
+    counts = tuple(int(p) if p.strip().isdecimal() else 0 for p in text.split(","))
+    if len(counts) != 3 or min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"expected three integers >= 1, got {text!r}")
+    return counts
+
+
+def _db_ratio(text: str) -> float:
+    """A power ratio given in dB, as a linear ratio `KFactors` accepts."""
+    try:
+        ratio = 10.0 ** (_finite(text) / 10.0)
+        KFactors(ratio, math.inf)  # an infinite partner is neutral
+    except (OverflowError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"{text} dB is out of range for a power ratio") from None
+    return ratio
+
+
 def _positive(text: str) -> float:
     try:
         value = _floats(text, 1)[0]
@@ -138,11 +157,9 @@ def _cmd_build(args) -> int:
     scene = load_scene(args.scene)
     gbsm = _gbsm_from_args(args)
     points = _build_points(args)
-    k_s = 10.0 ** (args.ks_db / 10.0)
-    k_d = 10.0 ** (args.kd_db / 10.0)
     t0 = time.perf_counter()
     dmap = dcmmod.build_map(scene, args.tx, points, max_order=args.max_order,
-                            k_s=k_s, k_d=k_d, gbsm=gbsm)
+                            k_s=args.k_s, k_d=args.k_d, gbsm=gbsm)
     dcmmod.save_map(dmap, args.out)
     elapsed = time.perf_counter() - t0
     print(f"traced {len(points)} locations in {elapsed:.2f} s "
@@ -279,7 +296,7 @@ def _cmd_bench(args) -> int:
     rebuild_times = []
     for loc in sample:
         rec = dmap.records[tuple(loc)]
-        factors = KFactors.from_split(rec.k_s, rec.k_d)
+        factors = KFactors(rec.k_s, rec.k_d)
         t0 = time.perf_counter()
         mpcs = trace_static_mpcs(scene, args.tx, loc, max_order=args.max_order,
                                  frequency=gbsm.carrier_frequency)
@@ -332,7 +349,7 @@ def _add_trace_args(p) -> None:
     p.add_argument("--tx", required=True, type=_triple, help="transmitter x,y,z")
     p.add_argument("--points", help="CSV of receiver locations, one x,y,z per line")
     p.add_argument("--origin", type=_triple, help="grid origin x,y,z")
-    p.add_argument("--shape", type=_triple, help="grid point counts nx,ny,nz")
+    p.add_argument("--shape", type=_counts, help="grid point counts nx,ny,nz")
     p.add_argument("--spacing", type=_finite, help="grid spacing in meters")
     p.add_argument("--max-order", type=int, default=2, help="reflection depth")
 
@@ -346,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="trace static paths over a location grid")
     _add_trace_args(p)
     p.add_argument("--out", required=True, help="output map path")
-    p.add_argument("--ks-db", type=_finite, default=3.0,
+    p.add_argument("--ks-db", dest="k_s", type=_db_ratio, default="3",
                    help="line-of-sight to static-reflection power ratio, dB")
-    p.add_argument("--kd-db", type=_finite, default=10.0,
+    p.add_argument("--kd-db", dest="k_d", type=_db_ratio, default="10",
                    help="line-of-sight to dynamic-scatter power ratio, dB")
     p.add_argument("--config", help="JSON file of scatter config overrides")
     p.add_argument("--seed", type=int, default=0, help="stored scatter seed")

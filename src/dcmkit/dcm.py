@@ -10,14 +10,14 @@ trace.
 Maps persist to a line-oriented text format (magic `DCMv2`).  Values are
 stored in SI units (seconds, linear power, radians) and every float is
 written as its shortest round-trip `repr`, so a load returns exactly the
-values that were saved and save, load and save again produce
-byte-identical files.  Loads follow the scene grammar: every `[map]`,
-`[gbsm]` and record key at most once, each `mpc` line exactly its seven
-keys, every number finite (except an `xpr`, `ks` or `kd` of `inf`), and a
-malformed line fails with its 1-based number.  A map is derived data: a
-file in another format is rejected and has to be rebuilt from its scene.
-Writes go to a fresh temporary file that is atomically renamed over the
-target.
+values that were saved and save, load and save again produce byte-identical
+files.  Loads follow the scene grammar: every `[map]`, `[gbsm]` and record
+key at most once, each `mpc` line exactly its seven keys, every number
+finite (except an `xpr`, `ks` or `kd` of `inf`), one `kind=los` path per
+record at most, and a malformed line fails with its 1-based number.  A map
+is derived data: a file in another format is rejected and has to be rebuilt
+from its scene.  Writes go to a fresh temporary file that is atomically
+renamed over the target.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .gbsm import AntennaArray, GbsmConfig, config_field
-from .hybrid import ChannelModel, ChannelSnapshot, KFactors
+from .hybrid import ChannelModel, ChannelSnapshot, KFactors, _split_los
 from .raytrace import Mpc, trace_static_mpcs
 from .scene import Scene, _fields, _floats
 
@@ -54,6 +54,11 @@ class DcmRecord:
     k_s: float
     k_d: float
     mpcs: tuple[Mpc, ...]
+
+    def __post_init__(self):
+        # the model's rules, so every record that can be saved also loads
+        KFactors(self.k_s, self.k_d)
+        _split_los(self.mpcs)
 
 
 @dataclass
@@ -149,7 +154,7 @@ def estimate_k_split(match: MatchResult, reference) -> KFactors:
                     if i not in matched and not m.is_los)
     k_s = p_los / p_static if p_static > 0.0 else math.inf
     k_d = p_los / p_dynamic if p_dynamic > 0.0 else math.inf
-    return KFactors.from_split(k_s, k_d)
+    return KFactors(k_s, k_d)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +163,9 @@ def estimate_k_split(match: MatchResult, reference) -> KFactors:
 def grid_points(origin, shape, spacing) -> list[tuple[float, float, float]]:
     """Rectangular lattice of locations, x-major then y then z."""
     ox, oy, oz = (float(v) for v in origin)
+    if not all(v >= 1 and v % 1 == 0 for v in shape):
+        raise ValueError(f"shape counts must be integers >= 1, got {tuple(shape)}")
     nx, ny, nz = (int(v) for v in shape)
-    if min(nx, ny, nz) < 1:
-        raise ValueError("shape counts must be >= 1")
     try:
         sx, sy, sz = (float(v) for v in spacing)
     except TypeError:
@@ -184,9 +189,7 @@ def worker_count() -> int:
         raise ValueError(f"DCM_THREADS must be an integer, got {raw!r}") from None
     if n < 0:
         raise ValueError("DCM_THREADS must be >= 0")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
+    return n or os.cpu_count() or 1
 
 
 def _trace_record(args):
@@ -216,7 +219,7 @@ def build_map(scene: Scene, tx, points, max_order: int = 2,
     if len(set(pts)) != len(pts):
         twice = next(p for i, p in enumerate(pts) if p in pts[:i])
         raise ValueError(f"receiver location {_fmt_vec(twice)} is given twice")
-    KFactors.from_split(k_s, k_d)  # validate early
+    KFactors(k_s, k_d)  # validate early
     jobs = [(scene, tx, p, max_order, gbsm.carrier_frequency, k_s, k_d)
             for p in pts]
     workers = worker_count()
@@ -279,7 +282,7 @@ def model_from_map(dcm: DcmMap, location, seed: int | None = None,
         raise ValueError(_carrier_mismatch(cfg.carrier_frequency, dcm.frequency))
     return ChannelModel(
         static_mpcs=tuple(rec.mpcs),
-        k=KFactors.from_split(rec.k_s, rec.k_d),
+        k=KFactors(rec.k_s, rec.k_d),
         gbsm=cfg,
         tx_array=tx_array if tx_array is not None else AntennaArray(),
         rx_array=rx_array if rx_array is not None else AntennaArray(),
@@ -426,6 +429,8 @@ def loads_map(text: str) -> DcmMap:
                 raise ValueError("content before any section header")
             if section == "record" and line.startswith("mpc "):
                 mpcs.append(_parse_mpc(line))
+                if mpcs[-1].is_los:  # a second one fails at its own line
+                    _split_los(mpcs)
                 continue
             # a section line is one key=value token
             (key, val), = _fields([line], keys, current).items()
@@ -445,8 +450,11 @@ def loads_map(text: str) -> DcmMap:
                 current[key] = _floats(val, 3)
             else:
                 current[key] = float(val)
-                if not current[key] > 0.0:
-                    raise ValueError(f"{key} must be > 0, got {val}")
+                try:  # KFactors owns the rule: this ratio, then the pair
+                    KFactors(current.get("ks", math.inf), current.get("kd", math.inf))
+                except ValueError:
+                    raise ValueError(f"{key} must be > 0 and keep 1/ks + 1/kd "
+                                     f"finite, got {val}") from None
         except KeyError as exc:
             raise ValueError(f"line {no}: missing field {exc.args[0]!r}") from None
         except (ValueError, OverflowError) as exc:

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbsm import ray_delays
-from .hybrid import (ChannelModel, KFactors, _normalized_powers, mixing_weights,
-                     rician_params, static_branch_split)
+from .hybrid import ChannelModel, KFactors, _static_paths, rician_params
 from .raytrace import SPEED_OF_LIGHT, unit_from_angles
 
 DEFAULT_ENSEMBLE = 200
@@ -139,8 +138,8 @@ def branch_power_coefficients(k: KFactors, has_los: bool, has_nlos: bool
     one whenever at least one static path exists; with no static path at
     all the static power is dropped and the sum is the dynamic share w_d².
     """
-    w_s, w_d = mixing_weights(k.k_s, k.k_d)
-    a_l, a_s = static_branch_split(k.k_s, has_los, has_nlos)
+    w_s, w_d = k.branch_weights
+    a_l, a_s = k.static_split(has_los, has_nlos)
     return (w_s * a_l) ** 2, (w_s * a_s) ** 2, w_d ** 2
 
 
@@ -202,10 +201,10 @@ def _corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc=(0.0, 0.0, 0.0),
     dr_t, dr_r, dt, df = _offset_grids(dr_t, dr_r, dt, df)
     fc = model.gbsm.carrier_frequency
     f_base = fc if f is None else f
-    mpcs = model.static_mpcs
-    los = np.array([m.is_los for m in mpcs], dtype=bool)
-    c_l, c_s, c_d = branch_power_coefficients(model.k, los.any(), (~los).any())
-    r_los = r_nlos = np.zeros(len(df), dtype=complex)
+    los, refl, p = _static_paths(model.static_mpcs)
+    c_l, c_s, c_d = branch_power_coefficients(model.k, bool(los), bool(refl))
+    r_los = r_refl = np.zeros(len(df), dtype=complex)
+    mpcs = los + refl
     if mpcs:
         taus = np.array([m.delay for m in mpcs])[:, None]
         s_t = unit_from_angles(*np.array([m.aod for m in mpcs]).T)
@@ -217,9 +216,9 @@ def _corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc=(0.0, 0.0, 0.0),
         # products of size tau f_c that cancel
         phase = -shift * (2.0 * fc - f_base - df)[None, :] - taus * df[None, :]
         paths = np.exp(2j * math.pi * phase)
-        r_los = np.ones(int(los.sum())) @ paths[los]
-        r_nlos = _normalized_powers([m for m in mpcs if not m.is_los]) @ paths[~los]
-    out = c_l * r_los + c_s * r_nlos
+        r_los = np.ones(len(los)) @ paths[:len(los)]
+        r_refl = p @ paths[len(los):]
+    out = c_l * r_los + c_s * r_refl
     if c_d > 0.0:
         out = out + c_d * _dynamic_corr_grid(model, dr_t, dr_r, dt, df, dloc,
                                              t=t, f=f, ensemble=ensemble)

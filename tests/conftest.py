@@ -46,7 +46,7 @@ def make_model(static_mpcs=(), k_s=2.0, k_d=10.0, tx_elements=1, rx_elements=1,
                **overrides) -> ChannelModel:
     cfg = GbsmConfig().with_overrides(**overrides)
     return ChannelModel(
-        tuple(static_mpcs), KFactors.from_split(k_s, k_d), cfg,
+        tuple(static_mpcs), KFactors(k_s, k_d), cfg,
         tx_array=AntennaArray(n_elements=tx_elements),
         rx_array=AntennaArray(n_elements=rx_elements),
     )

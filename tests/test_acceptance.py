@@ -15,10 +15,10 @@ from scipy import stats as sps
 from scipy.constants import c as C0
 
 from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc,
-                    build_map, compose_k, estimate_k_split, fcf_closed_form,
+                    build_map, estimate_k_split, fcf_closed_form,
                     friis_path_gain, grid_points, lcr_analytic,
                     lcr_time_inputs, load_map, loads_map, loads_scene,
-                    match_mpcs, mixing_weights, query, rician_params,
+                    match_mpcs, query, rician_params,
                     rms_spread, save_map, dumps_map, doppler_psd,
                     trace_static_mpcs, update_snapshot)
 from dcmkit.cli import main as cli_main
@@ -57,10 +57,11 @@ def test_criterion_1_mixing_algebra():
     worst_h = worst_w = 0.0
     for k_s in grid:
         for k_d in grid:
-            k = compose_k(k_s, k_d)
+            factors = KFactors(k_s, k_d)
+            k = factors.k
             worst_h = max(worst_h,
                           abs(1.0 / k - (1.0 / k_s + 1.0 / k_d)) * k)
-            w_s, w_d = mixing_weights(k_s, k_d)
+            w_s, w_d = factors.branch_weights
             worst_w = max(worst_w, abs(w_s * w_s + w_d * w_d - 1.0))
     elapsed = time.monotonic() - t0
     _report(1, "mixing algebra", [
@@ -119,7 +120,7 @@ def test_criterion_3_envelope_distribution():
     room = loads_scene(ROOM_SCENE)
     mpcs = trace_static_mpcs(room, (1.0, 1.0, 1.5), (3.0, 3.5, 1.5),
                              max_order=1)
-    k = KFactors.from_split(6.0, 6.0)
+    k = KFactors(6.0, 6.0)
     rice_model = ChannelModel(tuple(mpcs), k, GbsmConfig(seed=0))
     # 0.25 s between samples decorrelates the moving clusters (coherence
     # time is ~54 ms at 0.5 m/s), so the pool is effectively independent
@@ -156,9 +157,9 @@ def test_criterion_3_envelope_distribution():
 
 def test_criterion_4_fcf_psd_identities():
     taps = (_tap(0.0, "los"), _tap(100e-9, "refl:1", az=0.5))
-    static = ChannelModel(taps, KFactors.from_split(1.0, math.inf),
+    static = ChannelModel(taps, KFactors(1.0, math.inf),
                           GbsmConfig(seed=0))
-    hybrid = ChannelModel(taps, KFactors.from_split(2.0, 10.0),
+    hybrid = ChannelModel(taps, KFactors(2.0, 10.0),
                           GbsmConfig(seed=3))
     f0 = fcf_closed_form(hybrid, [0.0], ensemble=32)[0]
 
@@ -231,7 +232,7 @@ def test_criterion_5_crossing_rates():
 
 def test_criterion_6_parameter_trends():
     t0 = time.monotonic()
-    pure_dyn = KFactors.from_split(1.0, 1e-6)
+    pure_dyn = KFactors(1.0, 1e-6)
     n_seeds = 100
 
     # (a) doubling cluster speed doubles the rms doppler spread
@@ -266,7 +267,7 @@ def test_criterion_6_parameter_trends():
         cone_inside &= (min(cones) < math.radians(78.0)
                         and max(cones) > math.radians(102.0))
         route_mpcs.append(mm)
-    k_half = KFactors.from_split(2.0, 2.0)
+    k_half = KFactors(2.0, 2.0)
     lo, hi = {}, {}
     for n in (5, 15, 25):
         per_loc = []
@@ -348,7 +349,7 @@ def test_criterion_7_update_speed():
     for p in pts[:5]:
         t1 = time.monotonic()
         mpcs = trace_static_mpcs(scene, tx, p, max_order=3)
-        model = ChannelModel(tuple(mpcs), KFactors.from_split(2.0, 10.0),
+        model = ChannelModel(tuple(mpcs), KFactors(2.0, 10.0),
                              GbsmConfig(seed=0), location=(tx, tuple(p)))
         model.static_taps()
         rebuilds.append(time.monotonic() - t1)
@@ -386,7 +387,7 @@ def test_criterion_8_calibration():
     ref3 = [_tap(100e-9, "los"), _tap(150e-9, "refl:1", az=0.8, power=0.5),
             _tap(400e-9, "dyn:0:0", az=-2.0, power=0.25)]
     est0 = estimate_k_split(match_mpcs(ref3, ref3[:2]), ref3)
-    exact = (est0.k_s == 2.0 and est0.k_d == 4.0 and est0.k == compose_k(2, 4))
+    exact = (est0.k_s == 2.0 and est0.k_d == 4.0 and est0.k == KFactors(2, 4).k)
 
     # realized powers: map on a 0.25 m grid, measurements at jittered
     # locations with that seed's cluster draw folded in
@@ -394,7 +395,7 @@ def test_criterion_8_calibration():
     tx = (1.0, 1.0, 1.5)
     pts = grid_points((1.75, 1.75, 1.5), (7, 9, 1), 0.25)
     k_s_true, k_d_true = 2.0, 4.0
-    k = KFactors.from_split(k_s_true, k_d_true)
+    k = KFactors(k_s_true, k_d_true)
     dcm = build_map(room, tx, pts, max_order=1, k_s=k_s_true, k_d=k_d_true)
     c_l, c_s, c_d = branch_power_coefficients(k, True, True)
     rng = np.random.default_rng(8)

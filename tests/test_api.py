@@ -1,4 +1,5 @@
-"""The README's Python API section lists exactly the public names."""
+"""The README's Python API section lists exactly the public names, and its
+Python quick start runs as written."""
 
 import re
 from pathlib import Path
@@ -30,3 +31,13 @@ def test_readme_api_equals_all():
     assert set(names) == set(dcmkit.__all__)
     for module, name in entries:
         assert getattr(dcmkit, name).__module__ == module, name
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    """Run the quick start's code block, so it cannot drift from the API."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Python quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)  # the quick start writes site.dcm
+    exec(compile(code, str(README), "exec"), {})
+    assert (tmp_path / "site.dcm").is_file()

@@ -400,6 +400,47 @@ def test_stats_fcf_rejects_powerless_reflections(built_map, workdir, capsys):
         assert err == "error: static reflected paths carry no power\n", cmd
 
 
+
+def test_stats_fcf_rejects_a_second_los_line(built_map, workdir, capsys):
+    lines = built_map.read_text().splitlines(keepends=True)
+    first = lines.index("rx=2.0,2.0,1.5\n") + 3  # past ks= and kd=
+    assert lines[first].startswith("mpc kind=los ")
+    bad = workdir / "two_los.dcm"
+    bad.write_text("".join(lines[:first + 1] + lines[first:]))
+    for cmd in (["stats", "fcf", "--df-count", "4", "--ensemble", "2"], ["update"]):
+        rc, out, err = run(capsys, [*cmd, "--map", str(bad), "--at", "2,2,1.5",
+                                    "--seed", "1"])
+        assert rc == 1 and out == "", cmd
+        assert err == (f"error: line {first + 2}: "
+                       "expected at most one line-of-sight path, got 2\n"), cmd
+
+
+@pytest.mark.parametrize("cmd,option,value,message", [
+    ("build", "--ks-db", "1e6", "argument --ks-db: 1e6 dB is out of range"),
+    ("build", "--ks-db", "-4000", "argument --ks-db: -4000 dB is out of range"),
+    # 10**-309.5 is > 0, but its reciprocal overflows
+    ("build", "--ks-db", "-3095", "argument --ks-db: -3095 dB is out of range"),
+    ("build", "--kd-db", "1e6", "argument --kd-db: 1e6 dB is out of range"),
+    ("build", "--shape", "2.7,1,1", "argument --shape: expected three integers >= 1"),
+    ("build", "--shape", "0,1,1", "argument --shape: expected three integers >= 1"),
+    ("bench", "--shape", "2.7,1,1", "argument --shape: expected three integers >= 1"),
+    ("bench", "--shape", "0,1,1", "argument --shape: expected three integers >= 1"),
+])
+def test_build_options_out_of_range_are_usage_errors(workdir, capsys, cmd, option,
+                                                     value, message):
+    argv = [cmd, "--scene", str(workdir / "room.scene"), "--tx", TX,
+            "--origin", "2,2,1.5", "--shape", "1,1,1", "--spacing", "0.5",
+            "--max-order", "1", f"{option}={value}"]
+    if cmd == "build":
+        argv += ["--out", str(workdir / "range.dcm")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (workdir / "range.dcm").exists()
+
+
 # The scene, map and points readers share one grammar (scene._fields and
 # scene._floats): each key at most once, only known keys, every number
 # finite, the expected count of comma-separated numbers.  Each row feeds one

@@ -118,6 +118,12 @@ def test_grid_points_ordering_and_validation():
                                                       (0.0, 0.0, 2.0)]
     with pytest.raises(ValueError):
         grid_points((0, 0, 0), (0, 1, 1), 1.0)
+    # a count must be whole: 2.0 is read as 2, 2.7 is refused, not truncated
+    assert grid_points((0, 0, 0), (2.0, 1, 1), 1.0) == [(0.0, 0.0, 0.0),
+                                                        (1.0, 0.0, 0.0)]
+    for shape in [(2.7, 1, 1), (1, 1, 0.5), (math.inf, 1, 1), (math.nan, 1, 1)]:
+        with pytest.raises(ValueError, match="shape counts must be integers >= 1"):
+            grid_points((0, 0, 0), shape, 1.0)
 
 
 def test_build_map_records_every_point(room_scene):
@@ -161,7 +167,7 @@ def test_model_from_map_applies_overrides(room_scene):
     assert model.static_mpcs == rec.mpcs
     assert model.gbsm.seed == 5
     assert model.gbsm.n_clusters == 3
-    assert model.k == KFactors.from_split(4.0, 8.0)
+    assert model.k == KFactors(4.0, 8.0)
     assert model.location == (TX, POINTS[0])
     # the stored configuration itself stays untouched
     assert dmap.gbsm.seed == GbsmConfig().seed
@@ -277,11 +283,15 @@ def test_loads_map_error_reporting():
         ("ks=2", "ks=nan", "line 10: ks must be > 0"),
         ("ks=2", "ks=0", "line 10: ks must be > 0"),
         ("kd=4", "kd=-inf", "line 11: kd must be > 0"),
+        ("kd=4", "kd=1e-310", "line 11: kd must be > 0"),
     ]
     for field_text, bad, message in bad_record:
         with pytest.raises(ValueError, match=message):
             loads_map(head + record.replace(field_text, bad))
     loads_map(head + record.replace("ks=2", "ks=inf").replace("kd=4", "kd=inf"))
+    # each ratio is fine alone, but 1/ks + 1/kd overflows at the second one
+    with pytest.raises(ValueError, match="line 11: kd must be > 0 and keep"):
+        loads_map(head + record.replace("ks=2", "ks=1e-308").replace("kd=4", "kd=1e-308"))
     with pytest.raises(ValueError, match="line 4: "):
         loads_map(head.replace("max_order=1", "max_order=x") + record)
     # the header's carrier must be a frequency and the order a count
@@ -309,6 +319,15 @@ def test_loads_map_error_reporting():
     with pytest.raises(ValueError, match="line 13: duplicate record at rx=1.0,0.0,0.0$"):
         loads_map(head + record + record.replace("ks=2", "ks=7"))
     loads_map(head + record + record.replace("rx=1,0,0", "rx=1,0,1e-9"))
+    # one line-of-sight path per record (each record above holds its own)
+    with pytest.raises(ValueError, match="^line 13: expected at most one "
+                                         "line-of-sight path, got 2$"):
+        loads_map(head + record + record.splitlines(keepends=True)[-1])
+    # and a record that holds two cannot be built, so it cannot be saved
+    los = loads_map(head + record).records[(1.0, 0.0, 0.0)].mpcs[0]
+    with pytest.raises(ValueError, match="at most one line-of-sight path"):
+        DcmRecord(tx=(0.0, 0.0, 0.0), rx=(1.0, 0.0, 0.0), k_s=2.0, k_d=4.0,
+                  mpcs=(los, los))
 
 
 # Floats at the edges of the format: signed zero, the smallest subnormal,
@@ -330,16 +349,30 @@ _elevation = _with_edges((-math.pi / 2.0, math.pi / 2.0, -0.0),
                          st.floats(-math.pi / 2.0, math.pi / 2.0))
 _azimuth = _with_edges((-math.pi, math.nextafter(math.pi, 0.0), -0.0),
                        st.floats(-math.pi, math.pi, exclude_max=True))
-_mpcs = st.builds(Mpc, delay=_nonneg, power=_nonneg,
-                  aod=st.tuples(_elevation, _azimuth),
-                  aoa=st.tuples(_elevation, _azimuth),
-                  phases=st.tuples(_finite, _finite, _finite, _finite),
-                  xpr=_positive,
-                  kind=st.sampled_from(["los", "refl:1", "refl:3", "dyn:2:7"]))
+# from the smallest normal double up, 1/k_s + 1/k_d stays finite
+_ratio = _with_edges(_EDGES[3:] + (math.inf,), st.floats(min_value=_EDGES[3]))
+
+
+def _mpcs(kinds):
+    return st.builds(Mpc, delay=_nonneg, power=_nonneg,
+                     aod=st.tuples(_elevation, _azimuth),
+                     aoa=st.tuples(_elevation, _azimuth),
+                     phases=st.tuples(_finite, _finite, _finite, _finite),
+                     xpr=_positive, kind=st.sampled_from(kinds))
+
+
+@st.composite
+def _record_mpcs(draw):
+    """Up to six paths, at most one of them line of sight."""
+    mpcs = draw(st.lists(_mpcs(["refl:1", "refl:3", "dyn:2:7"]), max_size=6))
+    if mpcs and draw(st.booleans()):
+        mpcs[draw(st.integers(0, len(mpcs) - 1))] = draw(_mpcs(["los"]))
+    return tuple(mpcs)
+
+
 _records = st.builds(DcmRecord, tx=st.tuples(_finite, _finite, _finite),
                      rx=st.tuples(_finite, _finite, _finite),
-                     k_s=_positive, k_d=_positive,
-                     mpcs=st.lists(_mpcs, max_size=6).map(tuple))
+                     k_s=_ratio, k_d=_ratio, mpcs=_record_mpcs())
 
 
 @st.composite
@@ -372,7 +405,7 @@ def test_map_roundtrip_is_exact(dmap):
 def test_map_static_taps_equal_direct_model(room_scene):
     """Static taps read through a saved map are bit-equal to a direct trace's."""
     array = AntennaArray(n_elements=2)
-    k = KFactors.from_split(4.0, 8.0)
+    k = KFactors(4.0, 8.0)
     cfg = GbsmConfig()
     dmap = loads_map(dumps_map(build_map(room_scene, TX, POINTS, max_order=2,
                                          k_s=k.k_s, k_d=k.k_d, gbsm=cfg)))
@@ -404,7 +437,7 @@ def test_map_update_equals_direct_model(room_scene, room_grid_map, rx, t, seed):
     """One (seed, tx, rx, t) gives one snapshot through a map or a direct model."""
     via_map = update_snapshot(room_grid_map, rx, t, seed=seed)
     mpcs = trace_static_mpcs(room_scene, TX, rx, max_order=2)
-    direct = ChannelModel(tuple(mpcs), KFactors.from_split(4.0, 8.0),
+    direct = ChannelModel(tuple(mpcs), KFactors(4.0, 8.0),
                           GbsmConfig(seed=seed), location=(TX, rx)).snapshot(t)
     assert via_map.location == direct.location
     assert via_map.taps.keys() == direct.taps.keys()

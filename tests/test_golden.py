@@ -123,7 +123,7 @@ def test_dynamic_cir_digest():
 def test_narrowband_series_digest():
     room = loads_scene(ROOM_SCENE)
     mpcs = trace_static_mpcs(room, LOC[0], LOC[1], max_order=2)
-    model = ChannelModel(tuple(mpcs), KFactors.from_split(2.0, 4.0),
+    model = ChannelModel(tuple(mpcs), KFactors(2.0, 4.0),
                          GbsmConfig(seed=9, copolar_imbalance=0.8),
                          tx_array=_array(2), rx_array=_array(2), location=LOC)
     t_grid = 0.05 + np.arange(700) * 1e-3

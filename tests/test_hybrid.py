@@ -7,8 +7,7 @@ import pytest
 from scipy.constants import c as C0
 
 from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc,
-                    combine_cir, compose_k, mixing_weights, rician_params,
-                    loads_scene, static_branch_split, static_cir,
+                    combine_cir, rician_params, loads_scene, static_cir,
                     trace_static_mpcs)
 from dcmkit import hybrid
 from dcmkit.gbsm import Taps
@@ -30,47 +29,41 @@ def los_mpc(delay=1e-7, power=1.0):
 
 
 def test_compose_k_examples():
-    assert compose_k(2.0, 2.0) == 1.0
-    assert compose_k(10.0, math.inf) == 10.0
-    assert compose_k(3.0, 6.0) == 2.0
-    with pytest.raises(ValueError):
-        compose_k(0.0, 1.0)
-    with pytest.raises(ValueError):
-        compose_k(1.0, -2.0)
+    assert KFactors(2.0, 2.0).k == 1.0
+    assert KFactors(10.0, math.inf).k == 10.0
+    assert KFactors(3.0, 6.0).k == 2.0
+    assert KFactors(math.inf, math.inf).k == math.inf
+    # 1e-310 > 0 but 1/1e-310 overflows, and 1/1e-308 + 1/1e-308 does too
+    for k_s, k_d in [(0.0, 1.0), (1.0, -2.0), (-1.0, 2.0), (math.nan, 1.0),
+                     (1.0, math.nan), (1e-310, 1.0), (1.0, 1e-310),
+                     (1e-308, 1e-308)]:
+        with pytest.raises(ValueError, match="component ratios must be > 0"):
+            KFactors(k_s, k_d)
 
 
 def test_mixing_weights_partition_power():
     for k_s, k_d in [(0.1, 0.1), (1.0, 2.0), (3.0, 1e6), (math.inf, 5.0),
                      (math.inf, math.inf)]:
-        w_s, w_d = mixing_weights(k_s, k_d)
+        w_s, w_d = KFactors(k_s, k_d).branch_weights
         assert abs(w_s * w_s + w_d * w_d - 1.0) < 1e-12
-    assert mixing_weights(math.inf, math.inf) == (1.0, 0.0)
-
-
-def test_kfactors_rejects_inconsistent_triple():
-    KFactors(2.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        KFactors(2.0, 2.0, 1.5)
-    with pytest.raises(ValueError):
-        KFactors(-1.0, 2.0, 1.0)
-    f = KFactors.from_split(3.0, 6.0)
-    assert f.k == 2.0
+    assert KFactors(math.inf, math.inf).branch_weights == (1.0, 0.0)
 
 
 def test_static_branch_split_degenerate_cases():
-    assert static_branch_split(5.0, True, False) == (1.0, 0.0)
-    assert static_branch_split(5.0, False, False) == (0.0, 0.0)
-    assert static_branch_split(5.0, False, True) == (0.0, 1.0)
-    w_los, w_nlos = static_branch_split(1.0, True, True)
+    k = KFactors(5.0, 1.0)
+    assert k.static_split(True, False) == (1.0, 0.0)
+    assert k.static_split(False, False) == (0.0, 0.0)
+    assert k.static_split(False, True) == (0.0, 1.0)
+    w_los, w_nlos = KFactors(1.0, 1.0).static_split(True, True)
     assert abs(w_los**2 - 0.5) < 1e-12 and abs(w_nlos**2 - 0.5) < 1e-12
-    w_los, w_nlos = static_branch_split(3.0, True, True)
+    w_los, w_nlos = KFactors(3.0, 1.0).static_split(True, True)
     assert abs(w_los**2 / w_nlos**2 - 3.0) < 1e-12
 
 
 def test_static_cir_two_ray_equal_split():
     arr = AntennaArray()
     mpcs = [los_mpc(delay=334.77e-9), nlos_mpc(delay=335.77e-9, power=1e-9)]
-    taps = static_cir(mpcs, arr, arr, k_s=1.0, frequency=FC)[(0, 0)]
+    taps = static_cir(mpcs, arr, arr, KFactors(1.0, 1.0), frequency=FC)[(0, 0)]
     # k_s = 1 ignores the traced absolute power, the split is exactly half
     assert np.allclose(np.abs(taps.amps) ** 2, [0.5, 0.5], atol=1e-12)
     assert np.allclose(taps.delays, [334.77e-9, 335.77e-9])
@@ -80,7 +73,7 @@ def test_static_cir_two_ray_equal_split():
 def test_static_cir_preserves_relative_nlos_power():
     arr = AntennaArray()
     mpcs = [nlos_mpc(delay=1e-7, power=0.9), nlos_mpc(delay=2e-7, power=0.3)]
-    taps = static_cir(mpcs, arr, arr, k_s=4.0, frequency=FC)[(0, 0)]
+    taps = static_cir(mpcs, arr, arr, KFactors(4.0, 1.0), frequency=FC)[(0, 0)]
     p = np.abs(taps.amps) ** 2
     assert abs(p.sum() - 1.0) < 1e-12  # no LoS: NLoS carries everything
     assert abs(p[0] / p[1] - 3.0) < 1e-9
@@ -89,14 +82,14 @@ def test_static_cir_preserves_relative_nlos_power():
 def test_static_cir_rejects_double_los():
     arr = AntennaArray()
     with pytest.raises(ValueError):
-        static_cir([los_mpc(), los_mpc(delay=2e-7)], arr, arr, 1.0, FC)
+        static_cir([los_mpc(), los_mpc(delay=2e-7)], arr, arr, KFactors(1.0, 1.0), FC)
 
 
 def test_static_element_delays_follow_plane_wave():
     rx = AntennaArray(n_elements=2, spacing=0.027, orientation=(0.0, 0.0))
     tx = AntennaArray()
     m = nlos_mpc(az=0.0)  # arrival azimuth 0: straight down the rx axis
-    out = static_cir([m], tx, rx, k_s=1.0, frequency=FC)
+    out = static_cir([m], tx, rx, KFactors(1.0, 1.0), frequency=FC)
     t0 = out[(0, 0)].delays[0]
     t1 = out[(0, 1)].delays[0]
     # arrival unit vector dotted with the 0.027 m element offset
@@ -104,17 +97,17 @@ def test_static_element_delays_follow_plane_wave():
 
 
 def test_combine_cir_weights_and_infinite_ratios():
-    k = KFactors.from_split(2.0, 4.0)
+    k = KFactors(2.0, 4.0)
     stat = {(0, 0): Taps(np.array([1e-7]), np.array([1 + 0j]), ("los",))}
     dyn = {(0, 0): Taps(np.array([3e-7]), np.array([1j]), ("dyn:0:0",))}
     snap = combine_cir(stat, dyn, k)
-    w_s, w_d = mixing_weights(2.0, 4.0)
+    w_s, w_d = k.branch_weights
     taps = snap.pair(0, 0)
     assert np.allclose(np.abs(taps.amps), [w_s, w_d])
     # an infinite k_d drops the dynamic branch entirely
-    only_static = combine_cir(stat, dyn, KFactors.from_split(2.0, math.inf))
+    only_static = combine_cir(stat, dyn, KFactors(2.0, math.inf))
     assert only_static.pair(0, 0).kinds == ("los",)
-    only_dyn = combine_cir(stat, dyn, KFactors.from_split(math.inf, 4.0))
+    only_dyn = combine_cir(stat, dyn, KFactors(math.inf, 4.0))
     assert "dyn:0:0" in only_dyn.pair(0, 0).kinds and "los" in only_dyn.pair(0, 0).kinds
 
 
@@ -122,7 +115,7 @@ def test_combine_cir_rejects_mismatched_pairs():
     stat = {(0, 0): Taps.empty()}
     dyn = {(0, 1): Taps.empty()}
     with pytest.raises(ValueError):
-        combine_cir(stat, dyn, KFactors.from_split(1.0, 1.0))
+        combine_cir(stat, dyn, KFactors(1.0, 1.0))
 
 
 def test_snapshot_total_power_is_one():
@@ -134,7 +127,7 @@ def test_snapshot_total_power_is_one():
 def test_rician_params_exact_power_split():
     model = make_model([los_mpc(), nlos_mpc()], k_s=2.0, k_d=10.0, seed=6)
     amp, sigma2 = rician_params(model.snapshot(0.0))
-    w_s, w_d = mixing_weights(2.0, 10.0)
+    w_s, w_d = model.k.branch_weights
     assert abs(2.0 * sigma2 - w_d * w_d) < 1e-12
     static = model.static_taps()[(0, 0)].amps
     assert abs(amp - w_s * static.sum()) < 1e-12
@@ -153,7 +146,7 @@ def test_narrowband_series_is_chunk_independent(monkeypatch):
     """Any block length gives the same bytes, the one-sample tail included."""
     room = loads_scene(ROOM_SCENE)
     mpcs = trace_static_mpcs(room, LOC[0], LOC[1], max_order=2)
-    model = ChannelModel(tuple(mpcs), KFactors.from_split(2.0, 4.0),
+    model = ChannelModel(tuple(mpcs), KFactors(2.0, 4.0),
                          GbsmConfig(seed=9, copolar_imbalance=0.8),
                          tx_array=_array(2), rx_array=_array(2), location=LOC)
     t_grid = 0.05 + np.arange(701) * 1e-3   # 701 = 7 * 100 + 1 = 256 * 2 + 189
@@ -185,10 +178,6 @@ def test_reseeded_changes_only_the_draw():
     s1 = model.narrowband_series(np.arange(4) * 1e-3)
     s2 = other.narrowband_series(np.arange(4) * 1e-3)
     assert not np.allclose(s1, s2)
-    # seeds thread through snapshot() the same way
-    a = model.snapshot(0.0, seed=2).pair(0, 0).amps
-    b = other.snapshot(0.0).pair(0, 0).amps
-    assert np.allclose(a, b, atol=0.0)
 
 
 def test_snapshot_static_subset_constant_over_time():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from dcmkit import Mpc, rician_params
+from dcmkit import Mpc, rician_params, static_cir
 from dcmkit.raytrace import unit_from_angles
 from dcmkit.stats import (CorrelationQuery, LcrInputs, Psd, angular_psd,
                           branch_power_coefficients, delay_psd, doppler_psd,
@@ -88,17 +88,45 @@ def test_lcr_inputs_validation():
 
 
 def test_branch_power_coefficients_partition():
-    from dcmkit import KFactors, mixing_weights
+    from dcmkit import KFactors
     for k_s, k_d in [(1.0, 1.0), (2.0, 10.0), (5.0, math.inf), (0.3, 0.7)]:
-        k = KFactors.from_split(k_s, k_d)
+        k = KFactors(k_s, k_d)
         c_l, c_s, c_d = branch_power_coefficients(k, True, True)
         assert abs(c_l + c_s + c_d - 1.0) < 1e-12
         assert abs(c_l / c_s - k_s) < 1e-9 * k_s
     # power assigned to an absent static branch is dropped, matching synthesis
-    k = KFactors.from_split(2.0, 10.0)
+    k = KFactors(2.0, 10.0)
     c_l, c_s, c_d = branch_power_coefficients(k, False, False)
     assert c_l == 0.0 and c_s == 0.0
-    assert abs(c_d - mixing_weights(2.0, 10.0)[1] ** 2) < 1e-15
+    assert abs(c_d - k.branch_weights[1] ** 2) < 1e-15
+
+
+MALFORMED_STATIC = [
+    ("two LoS paths", [los_mpc(3e-7), nlos_mpc(4e-7), los_mpc(5e-7)],
+     "expected at most one line-of-sight path, got 2"),
+    ("reflections without power",
+     [los_mpc(3e-7), replace(nlos_mpc(4e-7), power=0.0),
+      replace(nlos_mpc(5e-7), power=0.0)],
+     "static reflected paths carry no power"),
+]
+
+
+@pytest.mark.parametrize("mpcs, message", [case[1:] for case in MALFORMED_STATIC],
+                         ids=[case[0] for case in MALFORMED_STATIC])
+@pytest.mark.parametrize("call", [
+    lambda m: static_cir(m.static_mpcs, m.tx_array, m.rx_array, m.k, FC),
+    lambda m: m.snapshot(0.0),
+    lambda m: fcf_closed_form(m, np.arange(4) * 1e6, ensemble=1),
+    lambda m: stfcf(m, CorrelationQuery(df=1e6, ensemble=1)),
+    lambda m: doppler_psd(m, duration=0.004, ensemble=1),
+    lambda m: angular_psd(m, n_lags=4, ensemble=1),
+], ids=["static_cir", "snapshot", "fcf_closed_form", "stfcf", "doppler_psd",
+        "angular_psd"])
+def test_malformed_static_paths_fail_alike(mpcs, message, call):
+    """Synthesis and every statistic split the static paths with one check."""
+    model = make_model(mpcs, rx_elements=2, n_clusters=2, rays_per_cluster=2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(model)
 
 
 # ---------------------------------------------------------------------------
