@@ -7,7 +7,8 @@ stands in for the unobserved bounce in between, a constant velocity per
 side, and a bundle of rays with small angle offsets.  Every draw of a
 spawn comes from one block of uniforms of a PCG64 generator seeded by
 (seed, location), so a (seed, config, location) triple always produces the
-same ensemble.
+same ensemble.  Ensemble averages draw many seeds as one block, which
+equals their single spawns bit for bit.
 """
 
 from __future__ import annotations
@@ -226,10 +227,22 @@ def spawn_clusters(config: GbsmConfig, location) -> ClusterSet:
       offsets (m, 4) as aod el, aod az, aoa el, aoa az.
     - 13+10m..12+14m: phases 2 pi u, (m, 4).
     """
-    loc = np.asarray(location, dtype=np.float64).reshape(-1).view(np.uint64)
-    n, m = config.n_clusters, config.rays_per_cluster
-    u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        [config.seed & 0xFFFFFFFFFFFFFFFF, *loc.tolist()]))).random((n, 13 + 14 * m))
+    return _draw_clusters(config, (config.seed,), location)
+
+
+def _draw_clusters(config: GbsmConfig, seeds, location) -> ClusterSet:
+    """`spawn_clusters` with each of `seeds`, bit for bit, stacked in one set.
+
+    Member e fills rows e n .. (e + 1) n - 1 of the uniform block from its
+    own generator; each transform runs once over all rows, and the delay
+    minimum and power sum once per member, so each member's powers sum to one.
+    """
+    loc = np.asarray(location, dtype=np.float64).reshape(-1).view(np.uint64).tolist()
+    members, n, m = len(seeds), config.n_clusters, config.rays_per_cluster
+    u = np.empty((members * n, 13 + 14 * m))
+    for e, seed in enumerate(seeds):
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            [seed & 0xFFFFFFFFFFFFFFFF, *loc]))).random(out=u[e * n:(e + 1) * n])
     ranges = [config.anchor_range, config.elevation_range, config.azimuth_range] * 2 \
         + [(-1.0, 1.0), (-math.pi, math.pi)] * 2
     lows, highs = np.array(ranges).T
@@ -239,20 +252,21 @@ def spawn_clusters(config: GbsmConfig, location) -> ClusterSet:
         * np.cos(2.0 * math.pi * u[:, 12 + m:13 + 2 * m])
     exps = -np.log1p(-u[:, 13 + 2 * m:13 + 10 * m])
     offsets = (config.angle_spread_intra * (exps[:, :4 * m] - exps[:, 4 * m:])
-               ).reshape(n, m, 4)
+               ).reshape(-1, m, 4)
     velocity = config.cluster_speed * unit_from_angles(np.arcsin(uniform[:, 6::2]),
                                                        uniform[:, 7::2])
     d_t, d_r = uniform[:, 0], uniform[:, 3]
-    delays = (d_t + d_r) / SPEED_OF_LIGHT + virtual
-    excess = delays - delays.min(initial=math.inf)
+    delays = ((d_t + d_r) / SPEED_OF_LIGHT + virtual).reshape(members, n)
+    excess = delays - delays.min(axis=1, initial=math.inf, keepdims=True)
     weights = np.exp(-excess / config.delay_decay) \
-        * 10.0 ** (config.shadow_std_db * normal[:, 0] / 10.0)
-    weights /= weights.sum()
+        * 10.0 ** (config.shadow_std_db * normal[:, 0] / 10.0).reshape(members, n)
+    weights /= weights.sum(axis=1, keepdims=True)
     return ClusterSet(
-        power=weights, d_t0=d_t, aod=uniform[:, 1:3], d_r0=d_r, aoa=uniform[:, 4:6],
-        velocity_a=velocity[:, 0], velocity_z=velocity[:, 1], virtual_delay=virtual,
-        aod_offset=offsets[:, :, 0:2], aoa_offset=offsets[:, :, 2:4],
-        phases=(2.0 * math.pi * u[:, 13 + 10 * m:]).reshape(n, m, 4),
+        power=weights.reshape(-1), d_t0=d_t, aod=uniform[:, 1:3], d_r0=d_r,
+        aoa=uniform[:, 4:6], velocity_a=velocity[:, 0], velocity_z=velocity[:, 1],
+        virtual_delay=virtual, aod_offset=offsets[:, :, 0:2],
+        aoa_offset=offsets[:, :, 2:4],
+        phases=(2.0 * math.pi * u[:, 13 + 10 * m:]).reshape(-1, m, 4),
         xpr=10.0 ** ((config.xpr_mean_db + config.xpr_std_db * normal[:, 1:]) / 10.0))
 
 
@@ -273,15 +287,21 @@ def ray_delays(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset):
     for anchor, velocity, offset in ((clusters.tx_anchor, clusters.velocity_a, tx_offset),
                                      (clusters.rx_anchor, clusters.velocity_z, rx_offset)):
         # (anchor + v t) + v dt - offset, one contiguous plane per component
-        vel = np.repeat(velocity, m, axis=0).T[:, :, None]
+        vel = np.repeat(velocity.T, m, axis=1)[:, :, None]
         rel = vel * dt
         rel += anchor.reshape(-1, 3).T[:, :, None] + vel * t
-        rel -= np.asarray(offset, dtype=float).T.reshape(3, 1, -1)
+        if np.any(offset):  # subtracting a zero offset changes no length
+            rel -= np.asarray(offset, dtype=float).T.reshape(3, 1, -1)
         x, y, z = rel
-        legs.append((rel, np.sqrt(x * x + y * y + z * z)))
+        norm = x * x
+        norm += y * y
+        norm += z * z
+        legs.append((rel, np.sqrt(norm, out=norm)))
     (_, d_t), (_, d_r) = legs
-    virtual = np.repeat(clusters.virtual_delay, m)
-    return (d_t + d_r) / SPEED_OF_LIGHT + virtual[:, None], legs[0], legs[1]
+    delays = d_t + d_r
+    delays /= SPEED_OF_LIGHT
+    delays += np.repeat(clusters.virtual_delay, m)[:, None]
+    return delays, legs[0], legs[1]
 
 
 def ray_taps(clusters: ClusterSet, t: float, dt, tx_array: AntennaArray,

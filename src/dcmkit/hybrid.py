@@ -205,9 +205,8 @@ class ChannelModel:
                 mu=self.gbsm.copolar_imbalance)
         return self._static_cache
 
-    def spawn(self, seed: int | None = None):
-        cfg = self.gbsm if seed is None else self.gbsm.with_overrides(seed=seed)
-        return spawn_clusters(cfg, self.location)
+    def spawn(self):
+        return spawn_clusters(self.gbsm, self.location)
 
     def reseeded(self, seed: int) -> "ChannelModel":
         """Copy of this model whose stochastic part uses another seed."""

@@ -9,7 +9,12 @@ frequency, and receiver location.  One kernel, `_corr_grid`, evaluates it
 for `stfcf`, `fcf_closed_form`, `angular_psd` and `doppler_psd`.  The
 line-of-sight and static-reflection branches are evaluated in closed form
 (their only randomness, the frozen initial phases, drops diagonal terms);
-the dynamic branch is averaged over seeded cluster ensembles.  With these
+the dynamic branch is averaged over seeded cluster ensembles, drawn in
+member blocks and worked in tiles of at most `_SERIES_BLOCK` elements per
+array.  Ray delays are computed once per distinct offset column; a uniform
+frequency grid with no other offset takes one exponential per ray and a
+running product.  Sums run in ray and then member order, so no result
+depends on the block or tile sizes.  With these
 conventions the frequency correlation of a tap set is
 sum_k P_k exp(-j 2 pi df tau_k), its delay spectrum is the inverse
 transform with kernel exp(+j 2 pi tau df) peaking at the true delays, and a
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbsm import ray_delays
-from .hybrid import ChannelModel, KFactors, _static_paths, rician_params
+from .gbsm import _draw_clusters, ray_delays
+from .hybrid import _SERIES_BLOCK, ChannelModel, KFactors, _static_paths, rician_params
 from .raytrace import SPEED_OF_LIGHT, unit_from_angles
 
 DEFAULT_ENSEMBLE = 200
@@ -39,7 +44,9 @@ DEFAULT_ENSEMBLE = 200
 # containers
 
 def _check_evaluation(ensemble: int, t: float, dt=0.0) -> None:
-    """Reject an empty ensemble and evaluation times t + dt before zero."""
+    """Reject an ensemble that is not a positive integer and times t + dt before zero."""
+    if isinstance(ensemble, bool) or not isinstance(ensemble, (int, np.integer)):
+        raise ValueError(f"ensemble must be an integer, got {ensemble!r}")
     if ensemble < 1:
         raise ValueError(f"ensemble must be >= 1, got {ensemble}")
     if t < 0.0 or np.any(t + np.asarray(dt) < 0.0):
@@ -166,25 +173,68 @@ def _dynamic_corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc,
     (finite-difference derivatives, lag spectra) stay smooth.
     """
     dr_t, dr_r, dt, df = _offset_grids(dr_t, dr_r, dt, df)
-    q = len(df)
-    fc = model.gbsm.carrier_frequency
+    cfg = model.gbsm
+    fc = cfg.carrier_frequency
     f_base = fc if f is None else f
-    if model.gbsm.n_clusters == 0:
-        return np.zeros(q, dtype=complex)
+    if cfg.n_clusters == 0:
+        return np.zeros(len(df), dtype=complex)
 
-    # offset side: elements displaced along the axes, rx moved by dloc
-    off_t = model.tx_array.axis[None, :] * dr_t[:, None]
-    off_r = model.rx_array.axis[None, :] * dr_r[:, None] + dloc
-    origin = np.zeros(3)
-    acc = np.zeros(q, dtype=complex)
-    for member in range(ensemble):
-        clusters = model.spawn(_ensemble_seed(model.gbsm.seed, member))
-        tau0 = ray_delays(clusters, t, (0.0,), origin, origin)[0]
-        tau1 = ray_delays(clusters, t, dt, off_t, off_r)[0]
-        phase = tau1 * (2.0 * fc - f_base - df)[None, :] \
-            - tau0 * (2.0 * fc - f_base)
-        acc += clusters.ray_power.reshape(-1) @ np.exp(2j * math.pi * phase)
+    # a (dt, tx offset, rx offset) column per grid point; rx moved by dloc
+    columns = np.column_stack([dt, model.tx_array.axis * dr_t[:, None],
+                               model.rx_array.axis * dr_r[:, None] + dloc])
+    steps = np.diff(df)
+    geometric = not columns.any() and bool(np.all(steps == steps[:1]))
+    columns, inverse = np.unique(columns, axis=0, return_inverse=True)
+    rays = cfg.n_clusters * cfg.rays_per_cluster
+    block = max(1, _SERIES_BLOCK // (3 * rays * (1 if geometric else len(df))))
+    acc = np.zeros(len(df), dtype=complex)
+    for lo in range(0, ensemble, block):
+        seeds = [_ensemble_seed(cfg.seed, e) for e in range(lo, min(lo + block, ensemble))]
+        clusters = _draw_clusters(cfg, seeds, model.location)
+        tau0 = ray_delays(clusters, t, (0.0,), np.zeros(3), np.zeros(3))[0][:, 0]
+        if geometric:
+            terms = _geometric_terms(tau0, df[0], steps[0] if len(steps) else 0.0, len(df))
+        else:
+            terms = _phase_terms(clusters, tau0, t, columns, inverse.ravel(),
+                                 2.0 * fc - f_base - df, 2.0 * fc - f_base)
+        sums = np.empty((len(df), len(seeds)), dtype=complex)
+        for points, x in terms:  # (grid points, rays of every member)
+            x = x * clusters.ray_power.reshape(-1)
+            sums[points] = x.reshape(len(x), len(seeds), rays).sum(axis=2)
+        for row in sums.T:
+            acc += row
     return acc / ensemble
+
+
+def _geometric_terms(tau, df0: float, step: float, q: int):
+    """Rows exp(-2j pi tau (df0 + k step)), k < q, each a view the next overwrites.
+
+    One exponential per ray starts the rows, then a running product.
+    """
+    ratio = np.exp(-2j * math.pi * (tau * step))
+    x = np.exp(-2j * math.pi * (tau * df0))
+    for k in range(q):
+        yield k, x[None, :]
+        x *= ratio
+
+
+def _phase_terms(clusters, tau0, t: float, columns, inverse, gain, base: float):
+    """Tiles of exp(2j pi (tau1 gain - tau0 base)), tau1 at each point's column.
+
+    The delays are computed once per distinct column of a tile; the phase
+    is taken to within half a cycle of zero, where exp is faster.
+    """
+    width = max(1, _SERIES_BLOCK // (3 * len(tau0)))
+    for lo in range(0, len(inverse), width):
+        points = slice(lo, lo + width)
+        need, local = np.unique(inverse[points], return_inverse=True)
+        c = columns[need]
+        tau1 = ray_delays(clusters, t, c[:, 0], c[:, 1:4], c[:, 4:7])[0].T
+        phase = tau1[local] * gain[points, None]
+        phase -= tau0 * base
+        phase -= np.rint(phase)
+        x = 2j * math.pi * phase
+        yield points, np.exp(x, out=x)
 
 
 def _corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc=(0.0, 0.0, 0.0),

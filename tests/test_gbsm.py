@@ -5,12 +5,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.constants import c as C0
 
 from dcmkit import (AntennaArray, ClusterSet, GbsmConfig, Taps, dynamic_cir,
                     spawn_clusters)
-from dcmkit.gbsm import ray_delays
+from dcmkit.gbsm import _draw_clusters, ray_delays
 
 LOC = ((0.0, 0.0, 0.0), (50.0, 0.0, 0.0))
 ORIGIN = np.zeros(3)
@@ -118,6 +120,26 @@ def test_cluster_streams_are_order_independent():
         # powers renormalize across the ensemble, so those differ
     assert abs(sum(a.power) - 1.0) < 1e-12
     assert abs(sum(b.power) - 1.0) < 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seeds=st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=6),
+       n_clusters=st.integers(0, 6), rays=st.integers(1, 4),
+       speed=st.floats(0.0, 5.0),
+       loc=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
+def test_block_draw_equals_single_spawns(seeds, n_clusters, rays, speed, loc):
+    """Member e of a block draw is spawn_clusters with seeds[e], bit for bit."""
+    cfg = GbsmConfig(n_clusters=n_clusters, rays_per_cluster=rays, cluster_speed=speed)
+    location = (tuple(loc[:3]), tuple(loc[3:]))
+    block = _draw_clusters(cfg, seeds, location)
+    assert len(block) == len(seeds) * n_clusters
+    for e, seed in enumerate(seeds):
+        one = spawn_clusters(cfg.with_overrides(seed=seed), location)
+        rows = slice(e * n_clusters, (e + 1) * n_clusters)
+        for f in fields(ClusterSet):
+            mine, theirs = getattr(block, f.name)[rows], getattr(one, f.name)
+            assert mine.shape == theirs.shape, f.name
+            assert mine.tobytes() == theirs.tobytes(), f.name
 
 
 def test_cluster_power_normalization():

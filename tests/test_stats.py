@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from dcmkit import Mpc, rician_params, static_cir
+from dcmkit import Mpc, rician_params, static_cir, stats
+from dcmkit.gbsm import _draw_clusters, ray_delays
 from dcmkit.raytrace import unit_from_angles
 from dcmkit.stats import (CorrelationQuery, LcrInputs, Psd, angular_psd,
                           branch_power_coefficients, delay_psd, doppler_psd,
@@ -362,6 +363,7 @@ def test_doppler_psd_short_window_keeps_three_bins():
 def test_correlation_entries_check_ensemble_and_time():
     model = make_model([los_mpc(), nlos_mpc()], k_s=2.0, k_d=8.0, rx_elements=4)
     entries = [lambda **kw: fcf_closed_form(model, [0.0, 1e6], **kw),
+               lambda **kw: stfcf(model, CorrelationQuery(**kw)),
                lambda **kw: angular_psd(model, n_lags=8, **kw),
                lambda **kw: doppler_psd(model, duration=8e-3, **kw),
                lambda **kw: lcr_time_inputs(model, **kw)]
@@ -369,8 +371,77 @@ def test_correlation_entries_check_ensemble_and_time():
         for ensemble in (0, -2):
             with pytest.raises(ValueError, match="ensemble must be >= 1"):
                 entry(ensemble=ensemble)
+        # a float used to fail inside range() and a bool ran one member
+        for ensemble in (2.5, True, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="ensemble must be an integer"):
+                entry(ensemble=ensemble)
         with pytest.raises(ValueError, match="evaluation times must be >= 0"):
             entry(t=-1e-3)
+
+
+# (dr_t, dr_r, dt, df, dloc, t, f) grids for each path through the kernel
+LAMBDA = C0 / FC
+KERNEL_GRIDS = {
+    "geometric": (0.0, 0.0, 0.0, np.arange(7) * 3e6, (0.0, 0.0, 0.0), 0.0, None),
+    "uneven df": (0.0, 0.0, 0.0, np.array([0.0, 1e6, 3e6, 3e6, 2e6]),
+                  (0.0, 0.0, 0.0), 0.2, None),
+    "time lags": (0.0, 0.0, np.arange(9) * 1e-3, 0.0, (0.0, 0.0, 0.0), 0.0, None),
+    "rx lags": (0.0, np.arange(6) * LAMBDA / 4, 0.0, 0.0, (0.0, 0.0, 0.0), 0.0, None),
+    "mixed": (np.array([0.0, 0.01, 0.0, 0.0, 0.01]), 0.0,
+              np.array([0.0, 1e-3, 0.0, 2e-3, 1e-3]),
+              np.array([0.0, 1e6, 2e6, 0.0, 5e5]), (0.1, 0.0, -0.2), 0.3, 5.4e9),
+}
+
+
+def member_by_member(model, dr_t, dr_r, dt, df, dloc, t, f, ensemble):
+    """The dynamic correlation as one spawn and one delay grid per member."""
+    dr_t, dr_r, dt, df = np.broadcast_arrays(dr_t, dr_r, dt, df)
+    fc = model.gbsm.carrier_frequency
+    f_base = fc if f is None else f
+    off_t = np.outer(dr_t, model.tx_array.axis)
+    off_r = np.outer(dr_r, model.rx_array.axis) + dloc
+    acc = np.zeros(len(df), dtype=complex)
+    for member in range(ensemble):
+        seed = stats._ensemble_seed(model.gbsm.seed, member)
+        clusters = model.reseeded(seed).spawn()
+        tau0 = ray_delays(clusters, t, (0.0,), np.zeros(3), np.zeros(3))[0]
+        tau1 = ray_delays(clusters, t, dt, off_t, off_r)[0]
+        phase = tau1 * (2.0 * fc - f_base - df) - tau0 * (2.0 * fc - f_base)
+        acc += clusters.ray_power.reshape(-1) @ np.exp(2j * math.pi * phase)
+    return acc / ensemble
+
+
+@pytest.mark.parametrize("grid", sorted(KERNEL_GRIDS))
+def test_dynamic_correlation_ignores_block_and_tile_sizes(monkeypatch, grid):
+    model = make_model([], tx_elements=2, rx_elements=6, seed=11)
+    args = KERNEL_GRIDS[grid]
+
+    def corr():
+        return stats._dynamic_corr_grid(model, *args[:5], t=args[5], f=args[6],
+                                        ensemble=7)
+
+    full = corr()
+    # sums in another order, and geometric rows in place of exponentials
+    assert np.max(np.abs(full - member_by_member(model, *args, 7))) < 1e-12
+    for size in (1, 2000):  # one member and one grid point at a time; mixed
+        monkeypatch.setattr(stats, "_SERIES_BLOCK", size)
+        assert corr().tobytes() == full.tobytes(), size
+
+
+def test_geometric_fcf_rows_match_direct_exponentials():
+    model = make_model([], seed=4)
+    df = np.arange(256) * 1e6
+    seeds = [stats._ensemble_seed(model.gbsm.seed, e) for e in range(6)]
+    clusters = _draw_clusters(model.gbsm, seeds, model.location)
+    tau = ray_delays(clusters, 0.0, (0.0,), np.zeros(3), np.zeros(3))[0][:, 0]
+    direct = np.exp(-2j * math.pi * np.outer(df, tau))
+    terms = stats._geometric_terms(tau, 0.0, 1e6, 256)
+    rows = np.concatenate([x.copy() for _, x in terms])
+    assert np.max(np.abs(rows - direct)) <= 1e-12
+    expected = direct @ clusters.ray_power.reshape(-1) / len(seeds)
+    got = stats._dynamic_corr_grid(model, 0.0, 0.0, 0.0, df, (0.0, 0.0, 0.0),
+                                   ensemble=len(seeds))
+    assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
