@@ -24,8 +24,9 @@ from .gbsm import (AntennaArray, GbsmConfig, Taps, _pol_mix, dynamic_cir,
                    ray_taps, spawn_clusters)
 from .raytrace import SPEED_OF_LIGHT, unit_from_angles
 
-# elements of one (rays, samples) block of a narrowband series: 1 MiB of
-# complex amplitudes, the fastest of the sizes measured from 2**13 to 2**20
+# elements of one (rays, samples) block of a narrowband series (1 MiB of
+# complex amplitudes, the fastest size from 2**13 to 2**20), and the cap on
+# one (3, rays, points) tile of the statistics kernel
 _SERIES_BLOCK = 1 << 16
 
 
