@@ -11,7 +11,7 @@ model objects.
 
 from .scene import (Facet, Material, Scene, SceneError, load_scene,
                     loads_scene, scene_text_hash)
-from .raytrace import (Mpc, direction_angles, fresnel_coefficients,
+from .raytrace import (Mpc, PathSet, direction_angles, fresnel_coefficients,
                        friis_path_gain, trace_static_mpcs, unit_from_angles)
 from .gbsm import (AntennaArray, ClusterSet, GbsmConfig, Taps, dynamic_cir,
                    spawn_clusters)
@@ -33,7 +33,7 @@ __all__ = [
     "AntennaArray", "ChannelModel", "ChannelSnapshot", "ClusterSet",
     "CorrelationQuery", "DcmLookupError", "DcmMap", "DcmRecord", "Facet",
     "GbsmConfig", "KFactors", "LcrInputs", "MatchResult", "Material",
-    "Mpc", "Psd", "Scene", "SceneError", "Taps", "angular_psd",
+    "Mpc", "PathSet", "Psd", "Scene", "SceneError", "Taps", "angular_psd",
     "branch_power_coefficients", "build_map", "combine_cir", "delay_psd",
     "direction_angles", "doppler_psd", "doppler_psd_from_lags",
     "dumps_map", "dynamic_cir", "empirical_cdf", "estimate_k_split",

@@ -31,8 +31,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .gbsm import AntennaArray, GbsmConfig, config_field
-from .hybrid import ChannelModel, ChannelSnapshot, KFactors, _split_los
-from .raytrace import Mpc, trace_static_mpcs
+from .hybrid import ChannelModel, ChannelSnapshot, KFactors
+from .raytrace import Mpc, PathSet, _kind_order, trace_static_mpcs
 from .scene import Scene, _fields, _floats
 
 MAGIC = "DCMv2"
@@ -53,12 +53,13 @@ class DcmRecord:
     rx: tuple[float, float, float]
     k_s: float
     k_d: float
-    mpcs: tuple[Mpc, ...]
+    mpcs: PathSet
 
     def __post_init__(self):
         # the model's rules, so every record that can be saved also loads
         KFactors(self.k_s, self.k_d)
-        _split_los(self.mpcs)
+        if not isinstance(self.mpcs, PathSet):
+            raise TypeError("mpcs must be a PathSet; convert rows with PathSet.of")
 
 
 @dataclass
@@ -94,7 +95,7 @@ def _wrap_angle(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def match_mpcs(reference, simulated, scales=MATCH_SCALES,
+def match_mpcs(reference: PathSet, simulated: PathSet, scales=MATCH_SCALES,
                threshold: float = 1.0) -> MatchResult:
     """Greedily pair paths that are close in (delay, arrival azimuth).
 
@@ -102,40 +103,27 @@ def match_mpcs(reference, simulated, scales=MATCH_SCALES,
     wrapped azimuth-of-arrival difference; pairs beyond `threshold` stay
     unmatched.  Ties resolve by reference index, then simulated index.
     """
-    candidates = []
-    for i, r in enumerate(reference):
-        for j, s in enumerate(simulated):
-            d_tau = (r.delay - s.delay) / scales[0]
-            d_ang = _wrap_angle(r.aoa[1] - s.aoa[1]) / scales[1]
-            d = math.hypot(d_tau, d_ang)
-            if d <= threshold:
-                candidates.append((d, i, j))
-    candidates.sort()
-    used_r: set[int] = set()
-    used_s: set[int] = set()
-    pairs = []
-    dists = []
-    for d, i, j in candidates:
-        if i in used_r or j in used_s:
-            continue
-        used_r.add(i)
-        used_s.add(j)
-        pairs.append((i, j))
-        dists.append(d)
-    pairs_sorted = sorted(zip(pairs, dists))
-    pairs = [p for p, _ in pairs_sorted]
-    dists = [d for _, d in pairs_sorted]
+    d_tau = np.subtract.outer(reference.delay, simulated.delay) / scales[0]
+    d_ang = _wrap_angle(np.subtract.outer(reference.aoa[:, 1], simulated.aoa[:, 1]))
+    dist = np.hypot(d_tau, d_ang / scales[1])
+    near = np.nonzero(dist <= threshold)
+    chosen, used = {}, set()  # reference index -> (simulated index, distance)
+    for d, i, j in sorted(zip(dist[near].tolist(), *(k.tolist() for k in near))):
+        if i not in chosen and j not in used:
+            chosen[i] = (j, d)
+            used.add(j)
+    pairs = sorted(chosen.items())
     return MatchResult(
-        pairs=tuple(pairs),
-        distances=tuple(dists),
-        unmatched_ref=tuple(i for i in range(len(reference)) if i not in used_r),
-        unmatched_sim=tuple(j for j in range(len(simulated)) if j not in used_s),
+        pairs=tuple((i, j) for i, (j, _) in pairs),
+        distances=tuple(d for _, (_, d) in pairs),
+        unmatched_ref=tuple(sorted(set(range(len(reference))) - chosen.keys())),
+        unmatched_sim=tuple(sorted(set(range(len(simulated))) - used)),
         scales=(float(scales[0]), float(scales[1])),
         threshold=float(threshold),
     )
 
 
-def estimate_k_split(match: MatchResult, reference) -> KFactors:
+def estimate_k_split(match: MatchResult, reference: PathSet) -> KFactors:
     """Estimate the static and dynamic power ratios from matched paths.
 
     The line-of-sight power is referenced against the summed power of the
@@ -143,15 +131,15 @@ def estimate_k_split(match: MatchResult, reference) -> KFactors:
     the rest as dynamic.  An empty group yields an infinite ratio; a
     reference set without line of sight is an error.
     """
-    los_idx = [i for i, m in enumerate(reference) if m.is_los]
-    if len(los_idx) != 1:
+    los = reference.order == 0
+    if not los.any():
         raise ValueError("reference must contain exactly one line-of-sight path")
-    p_los = reference[los_idx[0]].power
-    matched = {i for i, _ in match.pairs}
-    p_static = sum(m.power for i, m in enumerate(reference)
-                   if i in matched and not m.is_los)
-    p_dynamic = sum(m.power for i, m in enumerate(reference)
-                    if i not in matched and not m.is_los)
+    matched = np.zeros(len(reference), dtype=bool)
+    matched[[i for i, _ in match.pairs]] = True
+    p_los = float(reference.power[los][0])
+    # summed in index order, as plain floats
+    p_static = sum(reference.power[matched & ~los].tolist())
+    p_dynamic = sum(reference.power[~matched & ~los].tolist())
     k_s = p_los / p_static if p_static > 0.0 else math.inf
     k_d = p_los / p_dynamic if p_dynamic > 0.0 else math.inf
     return KFactors(k_s, k_d)
@@ -197,7 +185,7 @@ def _trace_record(args):
     mpcs = trace_static_mpcs(scene, np.asarray(tx), np.asarray(point),
                              max_order=max_order, frequency=frequency)
     return DcmRecord(tx=tuple(tx), rx=tuple(point), k_s=k_s, k_d=k_d,
-                     mpcs=tuple(replace(m, facets=()) for m in mpcs))
+                     mpcs=replace(mpcs, facets=()))
 
 
 def build_map(scene: Scene, tx, points, max_order: int = 2,
@@ -281,7 +269,7 @@ def model_from_map(dcm: DcmMap, location, seed: int | None = None,
     if cfg.carrier_frequency != dcm.frequency:
         raise ValueError(_carrier_mismatch(cfg.carrier_frequency, dcm.frequency))
     return ChannelModel(
-        static_mpcs=tuple(rec.mpcs),
+        static_mpcs=rec.mpcs,
         k=KFactors(rec.k_s, rec.k_d),
         gbsm=cfg,
         tx_array=tx_array if tx_array is not None else AntennaArray(),
@@ -342,14 +330,27 @@ _RECORD_KEYS = ("tx", "rx", "ks", "kd")
 _MPC_KEYS = ("kind", "delay", "power", "aod", "aoa", "phases", "xpr")
 
 
-def _parse_mpc(line: str) -> Mpc:
+def _parse_mpc(line: str) -> tuple:
+    """One `mpc` line as a row of PathSet columns."""
     f = _fields(line.split()[1:], _MPC_KEYS)
-    # Mpc checks every value itself, so the vectors skip the finite test
-    return Mpc(delay=float(f["delay"]), power=float(f["power"]),
-               aod=_floats(f["aod"], 2, finite=False),
-               aoa=_floats(f["aoa"], 2, finite=False),
-               phases=_floats(f["phases"], 4, finite=False),
-               xpr=float(f["xpr"]), kind=f["kind"])
+    # PathSet checks every value itself, so the vectors skip the finite test
+    return (float(f["delay"]), float(f["power"]), _floats(f["aod"], 2, finite=False),
+            _floats(f["aoa"], 2, finite=False), _floats(f["phases"], 4, finite=False),
+            float(f["xpr"]), _kind_order(f["kind"]))
+
+
+def _record_paths(rows: list, lines: list) -> PathSet:
+    """The paths of one record; a bad value fails at the line that holds it."""
+    try:
+        return PathSet(*zip(*rows))
+    except ValueError:
+        # the shortest prefix that fails ends at the first bad line
+        for n in range(1, len(rows) + 1):
+            try:
+                PathSet(*zip(*rows[:n]))
+            except ValueError as exc:
+                raise ValueError(f"line {lines[n - 1]}: {exc}") from None
+        raise
 
 
 def dumps_map(dcm: DcmMap) -> str:
@@ -395,17 +396,19 @@ def loads_map(text: str) -> DcmMap:
     records: dict[tuple, DcmRecord] = {}
     section = keys = None
     current: dict = {}  # the section's values so far, each key at most once
-    mpcs: list = []
+    mpcs: list = []  # the record's parsed mpc rows, and their line numbers
+    mpc_lines: list = []
     record_line = 0
 
     def finish():
         if section != "record":
             return
+        paths = _record_paths(mpcs, mpc_lines)
         for need in _RECORD_KEYS:
             if need not in current:
                 raise ValueError(f"line {record_line}: record missing {need}=")
         rec = DcmRecord(tx=current["tx"], rx=current["rx"], k_s=current["ks"],
-                        k_d=current["kd"], mpcs=tuple(mpcs))
+                        k_d=current["kd"], mpcs=paths)
         if rec.rx in records:
             raise ValueError(f"line {record_line}: duplicate record at "
                              f"rx={_fmt_vec(rec.rx)}")
@@ -422,15 +425,14 @@ def loads_map(text: str) -> DcmMap:
             elif section == "gbsm":
                 keys, current, gbsm_line = _GBSM_KEYS, gbsm_kw, no
             else:
-                keys, current, mpcs, record_line = _RECORD_KEYS, {}, [], no
+                keys, current, mpcs, mpc_lines, record_line = _RECORD_KEYS, {}, [], [], no
             continue
         try:
             if section is None:
                 raise ValueError("content before any section header")
             if section == "record" and line.startswith("mpc "):
                 mpcs.append(_parse_mpc(line))
-                if mpcs[-1].is_los:  # a second one fails at its own line
-                    _split_los(mpcs)
+                mpc_lines.append(no)
                 continue
             # a section line is one key=value token
             (key, val), = _fields([line], keys, current).items()

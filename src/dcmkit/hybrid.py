@@ -22,7 +22,7 @@ import numpy as np
 
 from .gbsm import (AntennaArray, GbsmConfig, Taps, _pol_mix, dynamic_cir,
                    ray_taps, spawn_clusters)
-from .raytrace import SPEED_OF_LIGHT, unit_from_angles
+from .raytrace import SPEED_OF_LIGHT, PathSet, unit_from_angles
 
 # elements of one (rays, samples) block of a narrowband series (1 MiB of
 # complex amplitudes, the fastest size from 2**13 to 2**20), and the cap on
@@ -82,55 +82,29 @@ class ChannelSnapshot:
         return self.taps[(v, u)]
 
 
-def _split_los(mpcs) -> tuple[tuple, tuple]:
-    """(LoS paths, reflected paths in their order); raises on a second LoS."""
-    los = tuple(m for m in mpcs if m.is_los)
-    if len(los) > 1:
-        raise ValueError(f"expected at most one line-of-sight path, got {len(los)}")
-    return los, tuple(m for m in mpcs if not m.is_los)
-
-
-def _static_paths(mpcs) -> tuple[tuple, tuple, np.ndarray]:
-    """`_split_los` plus the reflected powers over their sum; a zero sum raises."""
-    los, refl = _split_los(mpcs)
-    p = np.array([m.power for m in refl], dtype=float)
-    total = p.sum()
-    if refl and total <= 0.0:
-        raise ValueError("static reflected paths carry no power")
-    return los, refl, p / total
-
-
-def static_cir(mpcs, tx_array: AntennaArray, rx_array: AntennaArray,
+def static_cir(paths: PathSet, tx_array: AntennaArray, rx_array: AntennaArray,
                k: KFactors, frequency: float, mu: float = 1.0) -> dict:
-    """Static-part taps per antenna pair from traced path records.
+    """Static-part taps per antenna pair from a table of traced paths.
 
     The LoS path and the reflections share the unit-power static part as
     `k.static_split` says; reflected-path powers renormalize to their
-    share.  Per-element delays shift by the plane-wave projection of the
-    element offsets on the departure/arrival directions.
+    share (`PathSet.branches`).  Per-element delays shift by the plane-wave
+    projection of the element offsets on the departure/arrival directions.
     """
-    los, refl, p = _static_paths(mpcs)
-    if not los and not refl:
-        return {(v, u): Taps.empty()
-                for v in range(tx_array.n_elements)
-                for u in range(rx_array.n_elements)}
-    w_los, w_refl = k.static_split(bool(los), bool(refl))
-    weights = np.array([w_los] * len(los) + list(w_refl * np.sqrt(p)))
+    n_los, paths, share = paths.branches()
+    w_los, w_refl = k.static_split(n_los > 0, len(paths) > n_los)
+    weights = np.repeat([w_los, w_refl], [n_los, len(paths) - n_los]) * np.sqrt(share)
 
-    ordered = los + refl
-    delays = np.array([m.delay for m in ordered])
-    kinds = tuple(m.kind for m in ordered)
+    kinds = paths.kinds
     # contiguous (elevation, azimuth) rows: strided ones may take other SIMD loops
-    aod = np.array([m.aod for m in ordered]).T.copy()
-    aoa = np.array([m.aoa for m in ordered]).T.copy()
+    aod, aoa = paths.aod.T.copy(), paths.aoa.T.copy()
     s_tx, s_rx = unit_from_angles(*aod), unit_from_angles(*aoa)
     # patterns and polarization depend on the path only, not on the pair
     f_tx, f_rx = tx_array.pattern(*aod), rx_array.pattern(*aoa)
-    gains = _pol_mix(f_rx, f_tx, np.array([m.phases for m in ordered]),
-                     np.array([m.xpr for m in ordered]), mu)
-    if los:  # the LoS path keeps its co-polar terms only
+    gains = _pol_mix(f_rx, f_tx, paths.phases, paths.xpr, mu)
+    if n_los:  # the LoS path keeps its co-polar terms only
         (tv, th), (rv, rh) = ([f[0] for f in fs] for fs in (f_tx, f_rx))
-        ph = los[0].phases
+        ph = paths.phases[0].tolist()
         gains[0] = complex(rv * tv * np.exp(1j * ph[0]) + rh * th * np.exp(1j * ph[3]))
     weighted = weights * gains
 
@@ -138,7 +112,8 @@ def static_cir(mpcs, tx_array: AntennaArray, rx_array: AntennaArray,
     for v in range(tx_array.n_elements):
         proj_tx = s_tx @ tx_array.element_offset(v)
         for u in range(rx_array.n_elements):
-            tau = delays - (proj_tx + s_rx @ rx_array.element_offset(u)) / SPEED_OF_LIGHT
+            tau = paths.delay - (proj_tx + s_rx @ rx_array.element_offset(u)) \
+                / SPEED_OF_LIGHT
             amps = weighted * np.exp(2j * math.pi * frequency * tau)
             order = np.argsort(tau, kind="stable")
             pairs[(v, u)] = Taps(tau[order], amps[order],
@@ -190,7 +165,7 @@ class ChannelModel:
     the terminal arrays.  Static taps are synthesized once and cached.
     """
 
-    static_mpcs: tuple
+    static_mpcs: PathSet
     k: KFactors
     gbsm: GbsmConfig
     tx_array: AntennaArray = field(default_factory=AntennaArray)

@@ -42,7 +42,9 @@ the scalar power.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,16 +112,8 @@ def _fresnel_arrays(eps_r, sigma, cos_inc, frequency):
 
 @dataclass(frozen=True)
 class Mpc:
-    """One multipath component.
-
-    Angles are (elevation, azimuth) in radians with elevation in
-    [-pi/2, pi/2] and azimuth in [-pi, pi).  `phases` are the four initial
-    co/cross-polar phases (vv, vh, hv, hh); `xpr` is the linear
-    cross-polarization power ratio (inf for a line-of-sight path, which has
-    no cross-polar leakage).  `kind` encodes provenance:
-    "los", "refl:<order>", or "dyn:<cluster>:<ray>".  `facets` lists the
-    reflecting facet indices for traced paths (not persisted).
-    """
+    """One row of a `PathSet`, as plain Python values; `kind` is "los" or
+    "refl:<order>".  A row is checked when `PathSet.of` tables it."""
 
     delay: float
     power: float
@@ -130,34 +124,126 @@ class Mpc:
     kind: str
     facets: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.delay < math.inf:
-            raise ValueError(f"delay must be finite and >= 0, got {self.delay}")
-        if not 0.0 <= self.power < math.inf:
-            raise ValueError(f"power must be finite and >= 0, got {self.power}")
-        if not all(map(math.isfinite, self.phases)):
-            raise ValueError(f"phases must be finite, got {self.phases}")
-        if not self.xpr > 0.0:
-            raise ValueError(f"xpr must be > 0, got {self.xpr}")
-        for name, (el, az) in (("aod", self.aod), ("aoa", self.aoa)):
-            if not -math.pi / 2 <= el <= math.pi / 2:
-                raise ValueError(f"{name} elevation out of [-pi/2, pi/2]: {el}")
-            if not -math.pi <= az < math.pi:
-                raise ValueError(f"{name} azimuth out of [-pi, pi): {az}")
-        if not (self.kind == "los" or self.kind.startswith("refl:")
-                or self.kind.startswith("dyn:")):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
     @property
     def is_los(self) -> bool:
         return self.kind == "los"
 
+
+def _kind(order: int) -> str:
+    return "los" if order == 0 else f"refl:{order}"
+
+
+def _kind_order(kind: str) -> int:
+    """Reflection order of a path kind: "los" is 0, "refl:<n>" is n >= 1."""
+    match = re.fullmatch(r"los|refl:([1-9][0-9]*)", kind)
+    if match is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    return int(match[1] or 0)
+
+
+# column name -> shape of one path's entry
+_PATH_COLUMNS = {"delay": (), "power": (), "aod": (2,), "aoa": (2,),
+                 "phases": (4,), "xpr": (), "order": ()}
+
+
+@dataclass(frozen=True, eq=False)
+class PathSet:
+    """Static multipath components as one table of read-only columns.
+
+    `delay` (s), `power` (linear), `xpr` (linear cross-polarization ratio,
+    inf for line of sight) and `order` (reflection count, 0 for line of
+    sight) are (P,); `aod` and `aoa` are (P, 2) rows of (elevation in
+    [-pi/2, pi/2], azimuth in [-pi, pi)) in radians, and `phases` (P, 4)
+    the initial phases (vv, vh, hv, hh).  `facets` holds each path's
+    reflecting facet indices when traced and is () when loaded from a map.
+    Construction checks every value and at most one line of sight.
+    Iteration and an integer index give `Mpc` rows, a slice a PathSet.
+    """
+
+    delay: np.ndarray = ()
+    power: np.ndarray = ()
+    aod: np.ndarray = ()
+    aoa: np.ndarray = ()
+    phases: np.ndarray = ()
+    xpr: np.ndarray = ()
+    order: np.ndarray = ()
+    facets: tuple = ()
+
+    def __post_init__(self):
+        for name, shape in _PATH_COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=int if name == "order" else float)
+            column = column.reshape(-1, *shape)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        facets = tuple(self.facets)
+        object.__setattr__(self, "facets", facets if any(facets) else ())
+        if any(len(getattr(self, name)) != len(self) for name in _PATH_COLUMNS) \
+                or len(self.facets) not in (0, len(self)):
+            raise ValueError("path columns must share one length")
+        d, p, ph, x, o = self.delay, self.power, self.phases, self.xpr, self.order
+        checks = [
+            ((0.0 <= d) & (d < math.inf), "delay must be finite and >= 0, got {}", d),
+            ((0.0 <= p) & (p < math.inf), "power must be finite and >= 0, got {}", p),
+            (np.isfinite(ph).all(axis=1), "phases must be finite, got {}", ph),
+            (x > 0.0, "xpr must be > 0, got {}", x)]
+        for name in ("aod", "aoa"):
+            el, az = getattr(self, name).T
+            checks += [((-math.pi / 2 <= el) & (el <= math.pi / 2),
+                        name + " elevation out of [-pi/2, pi/2]: {}", el),
+                       ((-math.pi <= az) & (az < math.pi),
+                        name + " azimuth out of [-pi, pi): {}", az)]
+        checks.append((o >= 0, "order must be >= 0, got {}", o))
+        for ok, message, values in checks:
+            if not ok.all():
+                raise ValueError(message.format(values[np.argmin(ok)].tolist()))
+        n_los = np.count_nonzero(o == 0)
+        if n_los > 1:
+            raise ValueError(f"expected at most one line-of-sight path, got {n_los}")
+
+    @classmethod
+    def of(cls, rows) -> "PathSet":
+        """The checked table of `Mpc` rows."""
+        return cls(*zip(*((m.delay, m.power, m.aod, m.aoa, m.phases, m.xpr,
+                           _kind_order(m.kind), m.facets) for m in rows)))
+
+    def __len__(self) -> int:
+        return len(self.delay)
+
+    def __iter__(self):
+        angles = (map(tuple, a.tolist()) for a in (self.aod, self.aoa, self.phases))
+        return map(Mpc, self.delay.tolist(), self.power.tolist(), *angles,
+                   self.xpr.tolist(), self.kinds, self.facets or ((),) * len(self))
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return next(itertools.islice(self, range(len(self))[index], None))
+        rows = np.arange(len(self))[index]
+        return PathSet(*(getattr(self, name)[rows] for name in _PATH_COLUMNS),
+                       tuple(self.facets[i] for i in rows) if self.facets else ())
+
+    def __eq__(self, other):
+        return isinstance(other, PathSet) and self.facets == other.facets and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _PATH_COLUMNS)
+
     @property
-    def order(self) -> int:
-        """Reflection count; 0 for line of sight and dynamic rays."""
-        if self.kind.startswith("refl:"):
-            return int(self.kind.split(":", 1)[1])
-        return 0
+    def kinds(self) -> tuple[str, ...]:
+        return tuple(map(_kind, self.order.tolist()))
+
+    def branches(self) -> tuple[int, "PathSet", np.ndarray]:
+        """(LoS count, this table with its LoS path first, power shares).
+
+        A path's share of its branch's power is 1 for the LoS path and, for a
+        reflection, its power over the reflections' sum, which must be > 0.
+        """
+        los = self.order == 0
+        refl = self.power[~los]
+        total = refl.sum()
+        if len(refl) and total <= 0.0:
+            raise ValueError("static reflected paths carry no power")
+        n_los = int(np.count_nonzero(los))
+        first = self if not n_los or los[0] else self[np.argsort(~los, kind="stable")]
+        return n_los, first, np.concatenate([np.ones(n_los), refl / total])
 
 
 def direction_angles(vec) -> tuple[float, float]:
@@ -364,13 +450,13 @@ def _walk(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, rx: np.ndarray):
 
 
 def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
-                      frequency: float = DEFAULT_FREQUENCY) -> list[Mpc]:
+                      frequency: float = DEFAULT_FREQUENCY) -> PathSet:
     """All specular paths from tx to rx up to max_order reflections.
 
-    Returns Mpcs sorted by delay.  Power is the free-space gain over the
-    unfolded path length times the polarization-averaged reflection loss of
-    each bounce.  Deterministic: equal inputs give equal outputs, including
-    the per-path phases.
+    Returns a PathSet sorted by (delay, kind, facets).  Power is the
+    free-space gain over the unfolded path length times the
+    polarization-averaged reflection loss of each bounce.  Deterministic:
+    equal inputs give equal outputs, including the per-path phases.
     """
     tx = np.asarray(tx, dtype=float)
     rx = np.asarray(rx, dtype=float)
@@ -384,19 +470,14 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
         raise ValueError(f"frequency must be > 0, got {frequency}")
 
     geom = _geometry(scene.facets)
-    out: list[Mpc] = []
+    rows = []  # PathSet columns of each path
 
     if not geom.blocked(tx[None, :], rx[None, :])[0]:
         dist = float(np.linalg.norm(rx - tx))
         delay = dist / SPEED_OF_LIGHT
-        phases, xpr = _draw_phases_xpr("los", (), delay)
-        out.append(Mpc(
-            delay=delay,
-            power=10.0 ** (friis_path_gain(dist, frequency) / 10.0),
-            aod=direction_angles(rx - tx),
-            aoa=direction_angles(tx - rx),
-            phases=phases, xpr=xpr, kind="los",
-        ))
+        rows.append((delay, 10.0 ** (friis_path_gain(dist, frequency) / 10.0),
+                     direction_angles(rx - tx), direction_angles(tx - rx),
+                     *_draw_phases_xpr("los", (), delay), 0, ()))
 
     for block in _image_tree(geom, tx, max_order):
         walked = _walk(geom, *block, rx)
@@ -426,14 +507,10 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
         for i in range(len(seq)):
             fseq = tuple(int(f) for f in seq[i])
             delay = float(length[i]) / SPEED_OF_LIGHT
-            kind = f"refl:{order}"
-            phases, xpr = _draw_phases_xpr(kind, fseq, delay)
-            out.append(Mpc(
-                delay=delay, power=float(gain[i]),
-                aod=direction_angles(qs[i, 0] - tx),
-                aoa=direction_angles(qs[i, order - 1] - rx),
-                phases=phases, xpr=xpr, kind=kind, facets=fseq,
-            ))
+            rows.append((delay, float(gain[i]),
+                         direction_angles(qs[i, 0] - tx),
+                         direction_angles(qs[i, order - 1] - rx),
+                         *_draw_phases_xpr(_kind(order), fseq, delay), order, fseq))
 
-    out.sort(key=lambda m: (m.delay, m.kind, m.facets))
-    return out
+    rows.sort(key=lambda r: (r[0], _kind(r[6]), r[7]))
+    return PathSet(*zip(*rows))

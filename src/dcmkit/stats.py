@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbsm import _draw_clusters, ray_delays
-from .hybrid import _SERIES_BLOCK, ChannelModel, KFactors, _static_paths, rician_params
+from .hybrid import _SERIES_BLOCK, ChannelModel, KFactors, rician_params
 from .raytrace import SPEED_OF_LIGHT, unit_from_angles
 
 DEFAULT_ENSEMBLE = 200
@@ -251,23 +251,19 @@ def _corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc=(0.0, 0.0, 0.0),
     dr_t, dr_r, dt, df = _offset_grids(dr_t, dr_r, dt, df)
     fc = model.gbsm.carrier_frequency
     f_base = fc if f is None else f
-    los, refl, p = _static_paths(model.static_mpcs)
-    c_l, c_s, c_d = branch_power_coefficients(model.k, bool(los), bool(refl))
-    r_los = r_refl = np.zeros(len(df), dtype=complex)
-    mpcs = los + refl
-    if mpcs:
-        taus = np.array([m.delay for m in mpcs])[:, None]
-        s_t = unit_from_angles(*np.array([m.aod for m in mpcs]).T)
-        s_r = unit_from_angles(*np.array([m.aoa for m in mpcs]).T)
-        shift = (np.outer(s_t @ model.tx_array.axis, dr_t)
-                 + np.outer(s_r @ model.rx_array.axis, dr_r)
-                 + (s_r @ dloc)[:, None]) / SPEED_OF_LIGHT
-        # (tau - shift)(2 f_c - f - df) - tau (2 f_c - f), without the two
-        # products of size tau f_c that cancel
-        phase = -shift * (2.0 * fc - f_base - df)[None, :] - taus * df[None, :]
-        paths = np.exp(2j * math.pi * phase)
-        r_los = np.ones(len(los)) @ paths[:len(los)]
-        r_refl = p @ paths[len(los):]
+    n_los, paths, share = model.static_mpcs.branches()
+    c_l, c_s, c_d = branch_power_coefficients(model.k, n_los > 0, len(paths) > n_los)
+    s_t = unit_from_angles(*paths.aod.T)
+    s_r = unit_from_angles(*paths.aoa.T)
+    shift = (np.outer(s_t @ model.tx_array.axis, dr_t)
+             + np.outer(s_r @ model.rx_array.axis, dr_r)
+             + (s_r @ dloc)[:, None]) / SPEED_OF_LIGHT
+    # (tau - shift)(2 f_c - f - df) - tau (2 f_c - f), without the two
+    # products of size tau f_c that cancel
+    phase = -shift * (2.0 * fc - f_base - df)[None, :] - paths.delay[:, None] * df[None, :]
+    terms = np.exp(2j * math.pi * phase)  # (paths, grid points), LoS first
+    r_los = share[:n_los] @ terms[:n_los]
+    r_refl = share[n_los:] @ terms[n_los:]
     out = c_l * r_los + c_s * r_refl
     if c_d > 0.0:
         out = out + c_d * _dynamic_corr_grid(model, dr_t, dr_r, dt, df, dloc,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors,
+from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, PathSet,
                     loads_scene, trace_static_mpcs)
 
 GROUND_SCENE = """
@@ -46,7 +46,7 @@ def make_model(static_mpcs=(), k_s=2.0, k_d=10.0, tx_elements=1, rx_elements=1,
                **overrides) -> ChannelModel:
     cfg = GbsmConfig().with_overrides(**overrides)
     return ChannelModel(
-        tuple(static_mpcs), KFactors(k_s, k_d), cfg,
+        PathSet.of(static_mpcs), KFactors(k_s, k_d), cfg,
         tx_array=AntennaArray(n_elements=tx_elements),
         rx_array=AntennaArray(n_elements=rx_elements),
     )

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import stats as sps
 from scipy.constants import c as C0
 
-from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc,
+from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc, PathSet,
                     build_map, estimate_k_split, fcf_closed_form,
                     friis_path_gain, grid_points, lcr_analytic,
                     lcr_time_inputs, load_map, loads_map, loads_scene,
@@ -121,7 +121,7 @@ def test_criterion_3_envelope_distribution():
     mpcs = trace_static_mpcs(room, (1.0, 1.0, 1.5), (3.0, 3.5, 1.5),
                              max_order=1)
     k = KFactors(6.0, 6.0)
-    rice_model = ChannelModel(tuple(mpcs), k, GbsmConfig(seed=0))
+    rice_model = ChannelModel(mpcs, k, GbsmConfig(seed=0))
     # 0.25 s between samples decorrelates the moving clusters (coherence
     # time is ~54 ms at 0.5 m/s), so the pool is effectively independent
     t_grid = np.arange(100) * 0.25
@@ -132,7 +132,7 @@ def test_criterion_3_envelope_distribution():
     sig = math.sqrt(sigma2)
     ks_rice = sps.kstest(env, sps.rice(b=abs(a) / sig, scale=sig).cdf)
 
-    ray_model = ChannelModel((), k, GbsmConfig(seed=1))
+    ray_model = ChannelModel(PathSet(), k, GbsmConfig(seed=1))
     env_r = np.concatenate([
         np.abs(ray_model.reseeded(20_000 + i).narrowband_series(t_grid))
         for i in range(1000)])
@@ -156,7 +156,7 @@ def test_criterion_3_envelope_distribution():
 # 4. frequency-correlation and delay-density identities
 
 def test_criterion_4_fcf_psd_identities():
-    taps = (_tap(0.0, "los"), _tap(100e-9, "refl:1", az=0.5))
+    taps = PathSet.of([_tap(0.0, "los"), _tap(100e-9, "refl:1", az=0.5)])
     static = ChannelModel(taps, KFactors(1.0, math.inf),
                           GbsmConfig(seed=0))
     hybrid = ChannelModel(taps, KFactors(2.0, 10.0),
@@ -238,8 +238,8 @@ def test_criterion_6_parameter_trends():
     # (a) doubling cluster speed doubles the rms doppler spread
     slow, fast = [], []
     for s in range(n_seeds):
-        m1 = ChannelModel((), pure_dyn, GbsmConfig(seed=s, cluster_speed=0.5))
-        m2 = ChannelModel((), pure_dyn, GbsmConfig(seed=s, cluster_speed=1.0))
+        m1 = ChannelModel(PathSet(), pure_dyn, GbsmConfig(seed=s, cluster_speed=0.5))
+        m2 = ChannelModel(PathSet(), pure_dyn, GbsmConfig(seed=s, cluster_speed=1.0))
         slow.append(rms_spread(doppler_psd(m1, duration=2.048, ensemble=1)))
         fast.append(rms_spread(doppler_psd(m2, duration=2.048, ensemble=1)))
     ratio = float(np.median(fast) / np.median(slow))
@@ -248,7 +248,7 @@ def test_criterion_6_parameter_trends():
     means = []
     for n in (5, 15, 25):
         vals = [abs(fcf_closed_form(
-            ChannelModel((), pure_dyn, GbsmConfig(seed=s, n_clusters=n)),
+            ChannelModel(PathSet(), pure_dyn, GbsmConfig(seed=s, n_clusters=n)),
             [2e6], ensemble=1)[0]) for s in range(n_seeds)]
         means.append(float(np.mean(vals)))
 
@@ -261,7 +261,7 @@ def test_criterion_6_parameter_trends():
     cone_inside = True
     route_mpcs = []
     for loc in route:
-        mm = tuple(trace_static_mpcs(room, tx, loc, max_order=1))
+        mm = trace_static_mpcs(room, tx, loc, max_order=1)
         cones = [math.acos(math.cos(m.aoa[0]) * math.cos(m.aoa[1]))
                  for m in mm]
         cone_inside &= (min(cones) < math.radians(78.0)
@@ -294,7 +294,7 @@ def test_criterion_6_parameter_trends():
     for n in (5, 15, 25):
         count = 0
         for s in range(n_seeds):
-            m = ChannelModel((), pure_dyn, GbsmConfig(
+            m = ChannelModel(PathSet(), pure_dyn, GbsmConfig(
                 seed=1000 + s, n_clusters=n, rays_per_cluster=2))
             env = np.abs(m.narrowband_series(t_grid)) / math.sqrt(c_d)
             count += int(np.count_nonzero((env[:-1] < level)
@@ -349,7 +349,7 @@ def test_criterion_7_update_speed():
     for p in pts[:5]:
         t1 = time.monotonic()
         mpcs = trace_static_mpcs(scene, tx, p, max_order=3)
-        model = ChannelModel(tuple(mpcs), KFactors(2.0, 10.0),
+        model = ChannelModel(mpcs, KFactors(2.0, 10.0),
                              GbsmConfig(seed=0), location=(tx, tuple(p)))
         model.static_taps()
         rebuilds.append(time.monotonic() - t1)
@@ -378,14 +378,16 @@ def test_criterion_7_update_speed():
 def test_criterion_8_calibration():
     t0 = time.monotonic()
     # hand-checked distance: (2 ns / 5 ns, 1 deg / 5 deg) -> 0.4472
-    ref = [_tap(100e-9, "los", az=math.radians(30.0))]
-    sim = [_tap(102e-9, "los", az=math.radians(31.0))]
+    ref = PathSet.of([_tap(100e-9, "los", az=math.radians(30.0))])
+    sim = PathSet.of([_tap(102e-9, "los", az=math.radians(31.0))])
     m = match_mpcs(ref, sim, scales=(5e-9, math.radians(5.0)), threshold=1.0)
     d_hand = m.distances[0]
 
     # exact recovery from expected powers
-    ref3 = [_tap(100e-9, "los"), _tap(150e-9, "refl:1", az=0.8, power=0.5),
-            _tap(400e-9, "dyn:0:0", az=-2.0, power=0.25)]
+    # a reference table tells the line of sight from the other paths only;
+    # the match decides which of those are static
+    ref3 = PathSet.of([_tap(100e-9, "los"), _tap(150e-9, "refl:1", az=0.8, power=0.5),
+                       _tap(400e-9, "refl:1", az=-2.0, power=0.25)])
     est0 = estimate_k_split(match_mpcs(ref3, ref3[:2]), ref3)
     exact = (est0.k_s == 2.0 and est0.k_d == 4.0 and est0.k == KFactors(2, 4).k)
 
@@ -413,7 +415,7 @@ def test_criterion_8_calibration():
                 aod=p.aod, aoa=p.aoa, phases=p.phases, xpr=p.xpr,
                 kind=p.kind, facets=p.facets)
             for p in static]
-        model = ChannelModel(tuple(static), k, GbsmConfig(seed=30_000 + i),
+        model = ChannelModel(static, k, GbsmConfig(seed=30_000 + i),
                              location=(tx, true_loc))
         cl = model.spawn()
         m = cl.rays_per_cluster
@@ -426,13 +428,15 @@ def test_criterion_8_calibration():
                          math.pi / 2)
                 el_d = min(max(cl.aod[c, 0] + aod_off[0], -math.pi / 2),
                            math.pi / 2)
+                # a scattered ray enters the reference as a non-LoS path
                 reference.append(Mpc(
                     delay=float(delays[c * m + r, 0]),
                     power=c_d * float(cl.power[c]) * (1.0 / m),
                     aod=(el_d, _wrap(cl.aod[c, 1] + aod_off[1])),
                     aoa=(el, _wrap(cl.aoa[c, 1] + aoa_off[1])),
                     phases=tuple(cl.phases[c, r].tolist()),
-                    xpr=float(cl.xpr[c, r]), kind=f"dyn:{c}:{r}"))
+                    xpr=float(cl.xpr[c, r]), kind="refl:1"))
+        reference = PathSet.of(reference)
         match = match_mpcs(reference, query(dcm, g).mpcs)
         est = estimate_k_split(match, reference)
         ks_seed.append(est.k_s)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc,
+from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc, PathSet,
                     combine_cir, rician_params, loads_scene, static_cir,
                     trace_static_mpcs)
 from dcmkit import hybrid
@@ -63,7 +63,7 @@ def test_static_branch_split_degenerate_cases():
 def test_static_cir_two_ray_equal_split():
     arr = AntennaArray()
     mpcs = [los_mpc(delay=334.77e-9), nlos_mpc(delay=335.77e-9, power=1e-9)]
-    taps = static_cir(mpcs, arr, arr, KFactors(1.0, 1.0), frequency=FC)[(0, 0)]
+    taps = static_cir(PathSet.of(mpcs), arr, arr, KFactors(1.0, 1.0), frequency=FC)[(0, 0)]
     # k_s = 1 ignores the traced absolute power, the split is exactly half
     assert np.allclose(np.abs(taps.amps) ** 2, [0.5, 0.5], atol=1e-12)
     assert np.allclose(taps.delays, [334.77e-9, 335.77e-9])
@@ -73,23 +73,25 @@ def test_static_cir_two_ray_equal_split():
 def test_static_cir_preserves_relative_nlos_power():
     arr = AntennaArray()
     mpcs = [nlos_mpc(delay=1e-7, power=0.9), nlos_mpc(delay=2e-7, power=0.3)]
-    taps = static_cir(mpcs, arr, arr, KFactors(4.0, 1.0), frequency=FC)[(0, 0)]
+    taps = static_cir(PathSet.of(mpcs), arr, arr, KFactors(4.0, 1.0), frequency=FC)[(0, 0)]
     p = np.abs(taps.amps) ** 2
     assert abs(p.sum() - 1.0) < 1e-12  # no LoS: NLoS carries everything
     assert abs(p[0] / p[1] - 3.0) < 1e-9
 
 
 def test_static_cir_rejects_double_los():
+    """static_cir reads a PathSet, and no PathSet holds two LoS paths."""
     arr = AntennaArray()
-    with pytest.raises(ValueError):
-        static_cir([los_mpc(), los_mpc(delay=2e-7)], arr, arr, KFactors(1.0, 1.0), FC)
+    with pytest.raises(ValueError, match="^expected at most one line-of-sight path, got 2$"):
+        static_cir(PathSet.of([los_mpc(), los_mpc(delay=2e-7)]), arr, arr,
+                   KFactors(1.0, 1.0), FC)
 
 
 def test_static_element_delays_follow_plane_wave():
     rx = AntennaArray(n_elements=2, spacing=0.027, orientation=(0.0, 0.0))
     tx = AntennaArray()
     m = nlos_mpc(az=0.0)  # arrival azimuth 0: straight down the rx axis
-    out = static_cir([m], tx, rx, KFactors(1.0, 1.0), frequency=FC)
+    out = static_cir(PathSet.of([m]), tx, rx, KFactors(1.0, 1.0), frequency=FC)
     t0 = out[(0, 0)].delays[0]
     t1 = out[(0, 1)].delays[0]
     # arrival unit vector dotted with the 0.027 m element offset
@@ -146,7 +148,7 @@ def test_narrowband_series_is_chunk_independent(monkeypatch):
     """Any block length gives the same bytes, the one-sample tail included."""
     room = loads_scene(ROOM_SCENE)
     mpcs = trace_static_mpcs(room, LOC[0], LOC[1], max_order=2)
-    model = ChannelModel(tuple(mpcs), KFactors(2.0, 4.0),
+    model = ChannelModel(mpcs, KFactors(2.0, 4.0),
                          GbsmConfig(seed=9, copolar_imbalance=0.8),
                          tx_array=_array(2), rx_array=_array(2), location=LOC)
     t_grid = 0.05 + np.arange(701) * 1e-3   # 701 = 7 * 100 + 1 = 256 * 2 + 189
@@ -203,8 +205,8 @@ def test_envelope_moments_follow_the_finite_ray_law(static):
     """
     room = loads_scene(ROOM_SCENE)
     location = ((1.0, 1.0, 1.5), (3.0, 3.5, 1.5))
-    mpcs = trace_static_mpcs(room, *location, max_order=1) if static else ()
-    model = ChannelModel(tuple(mpcs), KFactors(6.0, 6.0), GbsmConfig(seed=0),
+    mpcs = trace_static_mpcs(room, *location, max_order=1) if static else PathSet()
+    model = ChannelModel(mpcs, KFactors(6.0, 6.0), GbsmConfig(seed=0),
                          location=location)
     z2, z4 = envelope_moment_scores(model, list(range(4000)))
     assert abs(z2) < 4.5 and abs(z4) < 4.5, (z2, z4)

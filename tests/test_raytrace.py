@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from scipy.constants import c as C0
 from scipy.constants import epsilon_0
 
-from dcmkit import (Mpc, Scene, SceneError, direction_angles, loads_scene,
-                    fresnel_coefficients, friis_path_gain, trace_static_mpcs,
-                    unit_from_angles)
+from dcmkit import (Mpc, PathSet, Scene, SceneError, direction_angles,
+                    loads_scene, fresnel_coefficients, friis_path_gain,
+                    trace_static_mpcs, unit_from_angles)
 from dcmkit.scene import Facet, Material, default_material
 
 from conftest import GROUND_SCENE, ROOM_SCENE
@@ -358,8 +358,7 @@ def test_convex_room_first_order_count(room_scene):
     mpcs = trace_static_mpcs(room_scene, tx, rx, max_order=1)
     assert sum(m.is_los for m in mpcs) == 1
     assert sum(m.kind == "refl:1" for m in mpcs) == 6
-    orders = {m.order for m in mpcs}
-    assert orders == {0, 1}
+    assert set(mpcs.order.tolist()) == {0, 1}
 
 
 def test_room_against_oracle(room_scene):
@@ -388,7 +387,7 @@ def test_passivity_and_order(room_scene):
     delays = [m.delay for m in mpcs]
     assert delays == sorted(delays)
     assert all(0.0 < m.power < 1.0 for m in mpcs)
-    assert all(m.order <= 2 for m in mpcs)
+    assert mpcs.order.max() <= 2
 
 
 def test_determinism_including_phases(room_scene):
@@ -483,26 +482,90 @@ def test_direction_angles_roundtrip():
 
 
 def test_mpc_validation():
+    """A PathSet checks every row it is built from."""
     ok = dict(delay=1e-7, power=0.5, aod=(0.0, 0.0), aoa=(0.0, 0.0),
               phases=(0.0, 0.0, 0.0, 0.0), xpr=2.0, kind="refl:1")
-    Mpc(**ok)
-    with pytest.raises(ValueError):
-        Mpc(**{**ok, "delay": -1.0})
-    with pytest.raises(ValueError):
-        Mpc(**{**ok, "xpr": 0.0})
-    Mpc(**{**ok, "xpr": math.inf})
+
+    def check(**change):
+        return PathSet.of([Mpc(**ok), Mpc(**{**ok, **change})])
+
+    check()
+    with pytest.raises(ValueError, match="^delay must be finite and >= 0, got -1.0$"):
+        check(delay=-1.0)
+    with pytest.raises(ValueError, match="^xpr must be > 0, got 0.0$"):
+        check(xpr=0.0)
+    check(xpr=math.inf)
     for name, bad in (("delay", math.nan), ("delay", math.inf),
                       ("power", math.nan), ("power", math.inf),
                       ("phases", (math.nan, 0.0, 0.0, 0.0)),
                       ("phases", (0.0, 0.0, 0.0, -math.inf))):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            Mpc(**{**ok, name: bad})
-    with pytest.raises(ValueError):
-        Mpc(**{**ok, "kind": "mystery"})
-    with pytest.raises(ValueError):
-        Mpc(**{**ok, "aoa": (2.0, 0.0)})
-    with pytest.raises(ValueError):
-        Mpc(**{**ok, "aod": (0.0, math.pi)})
+            check(**{name: bad})
+    for kind in ("mystery", "dyn:2:7", "refl:0", "refl:x", "refl:01"):
+        with pytest.raises(ValueError, match=f"^unknown kind '{kind}'$"):
+            check(kind=kind)
+    with pytest.raises(ValueError, match=r"^aoa elevation out of \[-pi/2, pi/2\]: 2.0$"):
+        check(aoa=(2.0, 0.0))
+    with pytest.raises(ValueError, match=r"^aod azimuth out of \[-pi, pi\): 3.14159"):
+        check(aod=(0.0, math.pi))
+    with pytest.raises(ValueError, match="^expected at most one line-of-sight path, got 2$"):
+        PathSet.of([Mpc(**{**ok, "kind": "los"}), Mpc(**{**ok, "kind": "los"})])
+
+
+# values at the edges of what a table holds, and any other value in range
+_nonneg = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308]),
+                    st.floats(min_value=0.0, allow_infinity=False))
+_finite = st.one_of(st.sampled_from([-0.0, 1e-300]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_elevation = st.one_of(st.sampled_from([-math.pi / 2.0, math.pi / 2.0, -0.0]),
+                       st.floats(-math.pi / 2.0, math.pi / 2.0))
+_azimuth = st.one_of(st.sampled_from([-math.pi, math.nextafter(math.pi, 0.0), -0.0]),
+                     st.floats(-math.pi, math.pi, exclude_max=True))
+_xpr = st.one_of(st.just(math.inf), st.floats(min_value=5e-324))
+
+
+@st.composite
+def _rows(draw):
+    """Up to six rows, at most one of them line of sight, traced or loaded."""
+    n = draw(st.integers(0, 6))
+    los = draw(st.integers(-1, n - 1))
+    traced = draw(st.booleans())
+    kinds = ["los" if i == los else draw(st.sampled_from(["refl:1", "refl:2", "refl:12"]))
+             for i in range(n)]
+    return [Mpc(delay=draw(_nonneg), power=draw(_nonneg),
+                aod=(draw(_elevation), draw(_azimuth)),
+                aoa=(draw(_elevation), draw(_azimuth)),
+                phases=tuple(draw(_finite) for _ in range(4)), xpr=draw(_xpr),
+                kind=kind,
+                facets=tuple(range(int(kind[5:]))) if traced and kind != "los" else ())
+            for kind in kinds]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_rows())
+def test_path_table_round_trips_rows_exactly(rows):
+    """Rows into a PathSet and back are the same values, bit for bit, and
+    indexing, slicing and == keep the columns of one path together."""
+    def exact(paths):  # repr tells -0.0 from 0.0
+        return [repr(m) for m in paths]
+
+    table = PathSet.of(rows)
+    assert len(table) == len(rows)
+    assert exact(table) == exact(rows)
+    assert exact(table[i] for i in range(-len(rows), len(rows))) == exact(rows * 2)
+    for part in (slice(1, None), slice(None, -1), slice(None, None, -2)):
+        assert exact(table[part]) == exact(rows[part])
+        assert table[part] == PathSet.of(rows[part])
+    assert exact(table[np.arange(len(rows))[::-1]]) == exact(rows[::-1])
+    assert table == PathSet.of(rows)
+    if rows:
+        assert table != table[1:]
+    assert table.kinds == tuple(m.kind for m in rows)
+    assert table.order.tolist() == [0 if m.is_los else int(m.kind[5:]) for m in rows]
+    with pytest.raises(IndexError):
+        table[len(rows)]
+    with pytest.raises(ValueError, match="read-only"):
+        table.delay[:] = 1.0
 
 
 def test_trace_argument_validation(room_scene):

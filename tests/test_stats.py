@@ -124,10 +124,14 @@ MALFORMED_STATIC = [
 ], ids=["static_cir", "snapshot", "fcf_closed_form", "stfcf", "doppler_psd",
         "angular_psd"])
 def test_malformed_static_paths_fail_alike(mpcs, message, call):
-    """Synthesis and every statistic split the static paths with one check."""
-    model = make_model(mpcs, rx_elements=2, n_clusters=2, rays_per_cluster=2)
+    """Synthesis and every statistic fail alike on malformed static paths.
+
+    A second LoS path fails where the model's PathSet is built, so no call
+    sees it; reflections without power fail in `PathSet.branches`, which
+    every call uses.
+    """
     with pytest.raises(ValueError, match=f"^{message}$"):
-        call(model)
+        call(make_model(mpcs, rx_elements=2, n_clusters=2, rays_per_cluster=2))
 
 
 # ---------------------------------------------------------------------------
