@@ -48,10 +48,21 @@ def _finite(text: str) -> float:
     return _numbers(text, 1)[0]
 
 
+def _count(text: str) -> int:
+    """An integer >= 1: a count of items to make or time."""
+    count = int(text) if text.strip().isdecimal() else 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return count
+
+
 def _counts(text: str) -> tuple[int, ...]:
     """Grid point counts nx,ny,nz: three integers >= 1."""
-    counts = tuple(int(p) if p.strip().isdecimal() else 0 for p in text.split(","))
-    if len(counts) != 3 or min(counts) < 1:
+    try:
+        counts = tuple(map(_count, text.split(",")))
+    except argparse.ArgumentTypeError:
+        counts = ()
+    if len(counts) != 3:
         raise argparse.ArgumentTypeError(f"expected three integers >= 1, got {text!r}")
     return counts
 
@@ -126,9 +137,12 @@ def _build_points(args) -> list[tuple[float, float, float]]:
         pts = []
         no = 0
         try:
-            with open(args.points, "r", encoding="ascii") as fh:
+            with open(args.points, "rb") as fh:
                 for no, line in enumerate(fh, start=1):
-                    line = line.strip()
+                    bad = [b for b in line if b > 0x7F]
+                    if bad:
+                        raise ValueError(f"non-ASCII byte 0x{bad[0]:02x}")
+                    line = line.decode("ascii").strip()
                     if line and not line.startswith("#"):
                         pts.append(_floats(line, 3))
         except ValueError as exc:
@@ -394,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = stat.add_parser("fcf", help="frequency correlation")
     _add_map_args(p)
     p.add_argument("--df-step", type=_finite, default=1e6)
-    p.add_argument("--df-count", type=int, default=101)
+    p.add_argument("--df-count", type=_count, default=101)
     p.add_argument("--ensemble", type=int, default=200)
     p.set_defaults(func=_cmd_stats_fcf)
 
     p = stat.add_parser("delay-psd", help="delay power density")
     _add_map_args(p)
     p.add_argument("--df-step", type=_finite, default=1e6)
-    p.add_argument("--df-count", type=int, default=256)
+    p.add_argument("--df-count", type=_count, default=256)
     p.add_argument("--ensemble", type=int, default=200)
     p.set_defaults(func=_cmd_stats_delay_psd)
 
@@ -435,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare full rebuild against online update timing")
     _add_trace_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rebuilds", type=int, default=5,
+    p.add_argument("--rebuilds", type=_count, default=5,
                    help="locations to re-trace for the baseline timing")
-    p.add_argument("--updates", type=int, default=20,
+    p.add_argument("--updates", type=_count, default=20,
                    help="online snapshot updates to time")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)

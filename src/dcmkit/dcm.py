@@ -7,17 +7,17 @@ query returns the stored record and an update composes it with freshly
 spawned dynamic clusters, which costs milliseconds instead of the full
 trace.
 
-Maps persist to a line-oriented text format (magic `DCMv2`).  Values are
+Maps persist to a line-oriented ASCII format (magic `DCMv2`).  Values are
 stored in SI units (seconds, linear power, radians) and every float is
 written as its shortest round-trip `repr`, so a load returns exactly the
 values that were saved and save, load and save again produce byte-identical
 files.  Loads follow the scene grammar: every `[map]`, `[gbsm]` and record
-key at most once, each `mpc` line exactly its seven keys, every number
-finite (except an `xpr`, `ks` or `kd` of `inf`), one `kind=los` path per
-record at most, and a malformed line fails with its 1-based number.  A map
-is derived data: a file in another format is rejected and has to be rebuilt
-from its scene.  Writes go to a fresh temporary file that is atomically
-renamed over the target.
+key at most once, each `mpc` line exactly its seven keys and a kind of
+`los` or `refl:<n>`, every number finite (except an `xpr`, `ks` or `kd` of
+`inf`), one `kind=los` path per record at most, and a malformed line fails
+with its 1-based number.  A map is derived data: a file in another format
+is rejected and has to be rebuilt from its scene.  Writes go to a fresh
+temporary file that is atomically renamed over the target.
 """
 
 from __future__ import annotations
@@ -514,5 +514,12 @@ def save_map(dcm: DcmMap, path) -> None:
 
 
 def load_map(path) -> DcmMap:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_map(fh.read())
+    """Read a map file; a byte that is not ASCII fails with its 1-based line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+    return loads_map(text)

@@ -7,16 +7,17 @@ at unit power and scaled so the power shares come out as
  1/(1/k_s + 1/k_d + 1)              line of sight,
  (1/k_s)/(1/k_s + 1/k_d + 1)        static reflections,
  (1/k_d)/(1/k_s + 1/k_d + 1)        dynamic scatter.
-Synthesis and statistics split the static paths with one check: at most
-one line of sight, and reflections that carry power.  Tap amplitudes keep
-exp(j 2 pi f_c tau) as their initial phase; the transfer function
-multiplies by exp(-j 2 pi tau (f - f_c)).
+The static paths come as one `PathSet`, which holds at most one line of
+sight; synthesis and statistics take the reflections' power shares from
+`PathSet.branches`, which rejects reflections without power.  Tap
+amplitudes keep exp(j 2 pi f_c tau) as their initial phase; the transfer
+function multiplies by exp(-j 2 pi tau (f - f_c)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -186,9 +187,7 @@ class ChannelModel:
 
     def reseeded(self, seed: int) -> "ChannelModel":
         """Copy of this model whose stochastic part uses another seed."""
-        return ChannelModel(self.static_mpcs, self.k,
-                            self.gbsm.with_overrides(seed=int(seed)),
-                            self.tx_array, self.rx_array, self.location)
+        return replace(self, gbsm=self.gbsm.with_overrides(seed=int(seed)))
 
     def snapshot(self, t: float) -> ChannelSnapshot:
         clusters = self.spawn()

@@ -139,6 +139,9 @@ def test_malformed_map_exits_one_with_line(built_map, workdir, capsys):
                                  count=1),
         "carrier mismatch": re.sub(r"\ncarrier_frequency=\S+", "\ncarrier_frequency=28e9",
                                    text, count=1),
+        # only los and refl:<n>, n >= 1, are static path kinds
+        "dynamic kind": text.replace("kind=refl:1", "kind=dyn:2:7", 1),
+        "non-ASCII byte": text.replace("\nscene=", "\nscene=caf\u00e9", 1),
     }
     for label, bad_text in cases.items():
         bad = workdir / "bad.dcm"
@@ -147,6 +150,8 @@ def test_malformed_map_exits_one_with_line(built_map, workdir, capsys):
                                   "--seed", "1"])
         assert rc == 1, label
         assert err.startswith("error: line ") and "Traceback" not in err, label
+        if label == "non-ASCII byte":  # the first byte of the UTF-8 e-acute
+            assert err == "error: line 5: non-ASCII byte 0xc3\n"
 
 
 def test_bad_config_override_exits_one(built_map, workdir, capsys):
@@ -362,6 +367,12 @@ def test_points_file_validation(workdir, capsys):
         "build", "--scene", str(workdir / "room.scene"), "--tx", TX,
         "--points", str(bad), "--out", str(workdir / "x.dcm")])
     assert rc == 1 and "bad_points.csv:1: expected 3 finite comma-separated" in err
+    accented = workdir / "accented_points.csv"
+    accented.write_bytes("2,2,1.5\n2.5,2,1.5\n# caf\u00e9\n".encode("utf-8"))
+    rc, _, err = run(capsys, [
+        "build", "--scene", str(workdir / "room.scene"), "--tx", TX,
+        "--points", str(accented), "--out", str(workdir / "x.dcm")])
+    assert (rc, err) == (1, f"error: {accented}:3: non-ASCII byte 0xc3\n")
     empty = workdir / "empty_points.csv"
     empty.write_text("# nothing\n")
     rc, _, err = run(capsys, [
@@ -425,6 +436,11 @@ def test_stats_fcf_rejects_a_second_los_line(built_map, workdir, capsys):
     ("build", "--shape", "0,1,1", "argument --shape: expected three integers >= 1"),
     ("bench", "--shape", "2.7,1,1", "argument --shape: expected three integers >= 1"),
     ("bench", "--shape", "0,1,1", "argument --shape: expected three integers >= 1"),
+    # a count of zero timed nothing and printed nan rows; -1 dropped a location
+    ("bench", "--rebuilds", "0", "argument --rebuilds: expected an integer >= 1"),
+    ("bench", "--rebuilds", "-1", "argument --rebuilds: expected an integer >= 1"),
+    ("bench", "--updates", "0", "argument --updates: expected an integer >= 1"),
+    ("bench", "--updates", "1.5", "argument --updates: expected an integer >= 1"),
 ])
 def test_build_options_out_of_range_are_usage_errors(workdir, capsys, cmd, option,
                                                      value, message):
@@ -530,7 +546,11 @@ def test_readers_share_one_grammar(workdir, capsys, reader, defect, base, edit,
      "argument --duration: expected a finite number, got '1e999'"),
     (["stats", "fcf", "--at", "2,2,1.5", "--seed", "1", "--df-step", "x"],
      "argument --df-step: expected a finite number, got 'x'"),
-], ids=["t", "at", "tolerance", "duration", "df-step"])
+    (["stats", "fcf", "--at", "2,2,1.5", "--seed", "1", "--df-count", "0"],
+     "argument --df-count: expected an integer >= 1, got '0'"),
+    (["stats", "delay-psd", "--at", "2,2,1.5", "--seed", "1", "--df-count", "0"],
+     "argument --df-count: expected an integer >= 1, got '0'"),
+], ids=["t", "at", "tolerance", "duration", "df-step", "fcf-df-count", "psd-df-count"])
 def test_bad_numeric_options_are_usage_errors(built_map, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--map", str(built_map)])

@@ -1,6 +1,7 @@
 """Channel map building, matching, persistence, and online updates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dcmkit import (AntennaArray, ChannelModel, DcmLookupError, DcmMap,
                     load_map, loads_map, match_mpcs, model_from_map, query,
                     save_map, trace_static_mpcs, update_snapshot, worker_count)
 from dcmkit.dcm import MatchResult
+from dcmkit.gbsm import Taps
 
 TX = (1.0, 1.0, 1.5)
 POINTS = [(2.0, 2.0, 1.5), (2.5, 2.0, 1.5), (2.0, 2.5, 1.2)]
@@ -273,6 +275,10 @@ def test_loads_map_error_reporting():
         ("xpr=inf", "xpr=-inf"),
         ("delay=1e-07 ", "delay=-1e-07 "),
         ("kind=los", "kind=weird"),
+        # a map holds static paths only, each with a reflection order >= 1
+        ("kind=los", "kind=dyn:2:7"),
+        ("kind=los", "kind=refl:x"),
+        ("kind=los", "kind=refl:0"),
         # non-finite values are rejected, not loaded
         ("delay=1e-07", "delay=nan"),
         ("delay=1e-07", "delay=inf"),
@@ -453,6 +459,24 @@ def test_map_update_equals_direct_model(room_scene, room_grid_map, rx, t, seed):
         assert via_map.taps[key].delays.tobytes() == taps.delays.tobytes()
         assert via_map.taps[key].amps.tobytes() == taps.amps.tobytes()
         assert via_map.taps[key].kinds == taps.kinds
+
+
+def test_benchmark_surface_of_records_and_snapshots(room_grid_map):
+    """The parts of a record and a snapshot that perfbench reads and edits."""
+    rec = query(room_grid_map, ROOM_GRID[0])
+    assert len(rec.mpcs) > 1
+    rows = list(rec.mpcs)
+    assert sum(m.is_los for m in rows) == 1
+    assert all(m.kind == "los" or m.kind.startswith("refl:") for m in rows)
+    shorter = replace(rec, mpcs=rec.mpcs[1:])
+    assert isinstance(shorter.mpcs, PathSet) and list(shorter.mpcs) == rows[1:]
+    snap = update_snapshot(room_grid_map, ROOM_GRID[0], 0.1, seed=1)
+    assert isinstance(snap.taps, dict)
+    taps = snap.taps[(0, 0)]
+    assert isinstance(taps, Taps) and isinstance(taps.kinds, tuple)
+    assert all(isinstance(k, str) for k in taps.kinds)
+    snap.taps[(0, 0)] = Taps(taps.delays[:-1], taps.amps[:-1], taps.kinds[:-1])
+    assert len(snap.pair()) == len(taps) - 1
 
 
 def test_save_map_ignores_a_stale_temp_name(room_scene, tmp_path):

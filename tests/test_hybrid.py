@@ -232,6 +232,15 @@ def test_reseeded_changes_only_the_draw():
     assert not np.allclose(s1, s2)
 
 
+def test_reseeded_keeps_the_static_taps():
+    """Static taps do not depend on the seed, so a reseeded copy reuses them."""
+    model = make_model([los_mpc(), nlos_mpc()], seed=1)
+    taps = model.static_taps()
+    assert model.reseeded(2).static_taps() is taps
+    fresh = make_model([los_mpc(), nlos_mpc()], seed=2).static_taps()
+    assert all(fresh[key].amps.tobytes() == taps[key].amps.tobytes() for key in taps)
+
+
 def test_snapshot_static_subset_constant_over_time():
     model = make_model([los_mpc(), nlos_mpc()], seed=5)
     early = model.snapshot(0.0).pair(0, 0)
