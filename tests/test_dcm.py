@@ -13,7 +13,7 @@ from dcmkit import (AntennaArray, ChannelModel, DcmLookupError, DcmMap,
                     build_map, dumps_map, estimate_k_split, grid_points,
                     load_map, loads_map, match_mpcs, model_from_map, query,
                     save_map, trace_static_mpcs, update_snapshot, worker_count)
-from dcmkit.dcm import MatchResult
+from dcmkit.dcm import MATCH_SCALES, MatchResult
 from dcmkit.gbsm import Taps
 
 TX = (1.0, 1.0, 1.5)
@@ -75,6 +75,41 @@ def test_match_mpcs_symmetric_pairing():
     rev = match_mpcs(sim, ref)
     assert {(i, j) for i, j in fwd.pairs} == {(j, i) for i, j in rev.pairs}
     assert fwd.scales == rev.scales
+
+
+def _match_by_loops(reference, simulated, scales, threshold):
+    """The scalar form of match_mpcs' candidate distances: (d, i, j) pairs."""
+    out = []
+    for i, r in enumerate(reference):
+        for j, s in enumerate(simulated):
+            d_ang = (r.aoa[1] - s.aoa[1] + math.pi) % (2.0 * math.pi) - math.pi
+            d = math.hypot((r.delay - s.delay) / scales[0], d_ang / scales[1])
+            if d <= threshold:
+                out.append((d, i, j))
+    return out
+
+
+def test_match_mpcs_equals_its_scalar_form():
+    """The array distances pick the pairs the scalar loop picks, and differ
+    from math.hypot's by at most one rounding (numpy's hypot is libm's)."""
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        ref, sim = (table(*(path(d, a) for d, a in zip(
+            rng.uniform(90e-9, 130e-9, n), rng.uniform(-math.pi, math.pi, n))))
+            for n in rng.integers(0, 12, 2))
+        res = match_mpcs(ref, sim, threshold=2.0)
+        candidates = sorted(_match_by_loops(ref, sim, MATCH_SCALES, 2.0))
+        used_r, used_s, want = set(), set(), {}
+        for d, i, j in candidates:
+            if i not in used_r and j not in used_s:
+                used_r.add(i)
+                used_s.add(j)
+                want[i] = (j, d)
+        assert res.pairs == tuple((i, j) for i, (j, _) in sorted(want.items()))
+        for got, (_, (_, d)) in zip(res.distances, sorted(want.items())):
+            assert abs(got - d) <= 2.3e-16 * d
+        assert set(res.unmatched_ref) == set(range(len(ref))) - used_r
+        assert set(res.unmatched_sim) == set(range(len(sim))) - used_s
 
 
 def test_estimate_k_split_from_match():
