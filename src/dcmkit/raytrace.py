@@ -133,6 +133,7 @@ def _kind(order: int) -> str:
     return "los" if order == 0 else f"refl:{order}"
 
 
+@lru_cache(maxsize=64)
 def _kind_order(kind: str) -> int:
     """Reflection order of a path kind: "los" is 0, "refl:<n>" is n >= 1."""
     match = re.fullmatch(r"los|refl:([1-9][0-9]*)", kind)
