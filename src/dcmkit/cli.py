@@ -106,6 +106,11 @@ def _fmt(x: float) -> str:
     return "%.10g" % x
 
 
+def _db(power: float) -> float:
+    """10 log10 of a power; -inf for zero power."""
+    return 10.0 * math.log10(power) if power > 0.0 else -math.inf
+
+
 def _write_csv(out: str | None, header: str, rows) -> None:
     text = header + "\n" + "".join(row + "\n" for row in rows)
     if out is None:
@@ -189,7 +194,7 @@ def _cmd_query(args) -> int:
         rows.append(",".join([
             m.kind,
             _fmt(m.delay * 1e9),
-            _fmt(10.0 * math.log10(m.power)),
+            _fmt(_db(m.power)),
             _fmt(math.degrees(m.aod[0])), _fmt(math.degrees(m.aod[1])),
             _fmt(math.degrees(m.aoa[0])), _fmt(math.degrees(m.aoa[1])),
         ]))
@@ -249,9 +254,7 @@ def _cmd_stats_delay_psd(args) -> int:
     widths = np.gradient(psd.support)
     rows = []
     for tau, dens, w in zip(psd.support, psd.density, widths):
-        mass = dens * w
-        level = 10.0 * math.log10(mass) if mass > 0.0 else -math.inf
-        rows.append(",".join([_fmt(tau * 1e9), _fmt(level)]))
+        rows.append(",".join([_fmt(tau * 1e9), _fmt(_db(dens * w))]))
     _write_csv(args.out, "delay_ns,power_db", rows)
     return 0
 
@@ -422,15 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = stat.add_parser("angular-spread-cdf",
                         help="arrival spread distribution across realizations")
     _add_map_args(p)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--rx-elements", type=int, default=8)
-    p.add_argument("--n-lags", type=int, default=64)
+    p.add_argument("--samples", type=_count, default=50)
+    p.add_argument("--rx-elements", type=_count, default=8)
+    p.add_argument("--n-lags", type=_count, default=64)
     p.set_defaults(func=_cmd_stats_angular)
 
     p = stat.add_parser("doppler-spread-cdf",
                         help="Doppler spread distribution across realizations")
     _add_map_args(p)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--duration", type=_finite, default=0.512)
     p.add_argument("--dt", type=_positive, default=1e-3)
     p.set_defaults(func=_cmd_stats_doppler)

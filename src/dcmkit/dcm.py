@@ -285,8 +285,9 @@ def update_snapshot(dcm: DcmMap, location, t: float, seed: int | None = None,
                     tolerance: float = 1e-6) -> ChannelSnapshot:
     """Fast online snapshot: stored static paths plus fresh dynamic clusters.
 
-    The static side is reused exactly as stored, so the cost is one cluster
-    spawn and one mixing pass.
+    The static side is reused exactly as stored: updates at one record
+    share one memo entry of static taps, so a repeat costs one cluster
+    spawn, the dynamic taps and one mixing pass.
     """
     model = model_from_map(dcm, location, seed=seed, overrides=overrides,
                            tx_array=tx_array, rx_array=rx_array,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,13 +158,28 @@ def rician_params(snapshot: ChannelSnapshot, pair: tuple[int, int] = (0, 0)
     return a, sigma2
 
 
-@dataclass
+# on a receiver route over the 63-record room map, 1 entry serves 86 % of
+# the updates, 8 serve 90 % and 64 serve 99 %
+@lru_cache(maxsize=64)
+def _static_taps(paths: PathSet, tx_array: AntennaArray, rx_array: AntennaArray,
+                 k: KFactors, frequency: float, mu: float) -> dict:
+    # the module global, so a replaced `static_cir` is the one that runs
+    taps = static_cir(paths, tx_array, rx_array, k, frequency, mu=mu)
+    for pair in taps.values():  # shared by every model with these inputs
+        pair.delays.flags.writeable = pair.amps.flags.writeable = False
+    return taps
+
+
+@dataclass(frozen=True)
 class ChannelModel:
     """Static path set plus the stochastic generator for one link.
 
-    This is the state every statistics routine operates on: the frozen
-    traced paths, the power split, the cluster generator configuration and
-    the terminal arrays.  Static taps are synthesized once and cached.
+    This is the state every statistics routine operates on: the traced
+    paths, the power split, the cluster generator configuration and the
+    terminal arrays.  A model is an immutable value, so `replace` gives a
+    consistent model.  Its static taps come from one memo keyed by exactly
+    what `static_cir` reads, which excludes the seed, so models with equal
+    static inputs share one synthesis and one dict of taps.
     """
 
     static_mpcs: PathSet
@@ -172,15 +188,10 @@ class ChannelModel:
     tx_array: AntennaArray = field(default_factory=AntennaArray)
     rx_array: AntennaArray = field(default_factory=AntennaArray)
     location: tuple = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    _static_cache: dict | None = field(default=None, repr=False, compare=False)
 
     def static_taps(self) -> dict:
-        if self._static_cache is None:
-            self._static_cache = static_cir(
-                self.static_mpcs, self.tx_array, self.rx_array,
-                self.k, self.gbsm.carrier_frequency,
-                mu=self.gbsm.copolar_imbalance)
-        return self._static_cache
+        return _static_taps(self.static_mpcs, self.tx_array, self.rx_array, self.k,
+                            self.gbsm.carrier_frequency, self.gbsm.copolar_imbalance)
 
     def spawn(self):
         return spawn_clusters(self.gbsm, self.location)

@@ -157,8 +157,9 @@ class PathSet:
     [-pi/2, pi/2], azimuth in [-pi, pi)) in radians, and `phases` (P, 4)
     the initial phases (vv, vh, hv, hh).  `facets` holds each path's
     reflecting facet indices when traced and is () when loaded from a map.
-    Construction checks every value and at most one line of sight.
-    Iteration and an integer index give `Mpc` rows, a slice a PathSet.
+    Construction checks every value and at most one line of sight.  Equal
+    tables hash equal.  Iteration and an integer index give `Mpc` rows, a
+    slice a PathSet.
     """
 
     delay: np.ndarray = ()
@@ -226,6 +227,11 @@ class PathSet:
         return isinstance(other, PathSet) and self.facets == other.facets and all(
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in _PATH_COLUMNS)
+
+    def __hash__(self):
+        # the delays tell tables apart and are cheap to hash; + 0.0 folds
+        # -0.0 into 0.0, which array_equal holds equal
+        return hash((self.delay + 0.0).tobytes())
 
     @property
     def kinds(self) -> tuple[str, ...]:

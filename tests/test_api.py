@@ -1,6 +1,7 @@
 """The README's Python API section lists exactly the public names, and its
 Python quick start runs as written."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -31,6 +32,15 @@ def test_readme_api_equals_all():
     assert set(names) == set(dcmkit.__all__)
     for module, name in entries:
         assert getattr(dcmkit, name).__module__ == module, name
+
+
+def test_public_values_are_frozen():
+    """Every public dataclass is an immutable value except the containers of
+    taps, snapshots and maps."""
+    classes = [getattr(dcmkit, name) for name in dcmkit.__all__]
+    mutable = {cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)
+               and not cls.__dataclass_params__.frozen}
+    assert mutable == {"Taps", "ChannelSnapshot", "DcmMap"}
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch):

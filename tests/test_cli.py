@@ -412,6 +412,20 @@ def test_stats_fcf_rejects_powerless_reflections(built_map, workdir, capsys):
 
 
 
+def test_query_prints_minus_inf_for_a_path_of_zero_power(built_map, workdir, capsys):
+    """Zero power is a valid map value: query prints it as -inf dB."""
+    text = re.sub(r"(mpc kind=refl\S* delay=\S+ power=)\S+", r"\g<1>0.0",
+                  built_map.read_text(), count=1)
+    dim = workdir / "dim.dcm"
+    dim.write_text(text)
+    at = ["--map", str(dim), "--at", "2,2,1.5"]
+    rc, out, err = run(capsys, ["query", *at])
+    assert (rc, err) == (0, "")
+    levels = [line.split(",")[2] for line in out.splitlines()[1:]]
+    assert levels.count("-inf") == 1 and len(levels) == 7
+    assert run(capsys, ["update", *at, "--seed", "1"])[0] == 0
+
+
 def test_stats_fcf_rejects_a_second_los_line(built_map, workdir, capsys):
     lines = built_map.read_text().splitlines(keepends=True)
     first = lines.index("rx=2.0,2.0,1.5\n") + 3  # past ks= and kd=
@@ -550,7 +564,17 @@ def test_readers_share_one_grammar(workdir, capsys, reader, defect, base, edit,
      "argument --df-count: expected an integer >= 1, got '0'"),
     (["stats", "delay-psd", "--at", "2,2,1.5", "--seed", "1", "--df-count", "0"],
      "argument --df-count: expected an integer >= 1, got '0'"),
-], ids=["t", "at", "tolerance", "duration", "df-step", "fcf-df-count", "psd-df-count"])
+    (["stats", "angular-spread-cdf", "--at", "2,2,1.5", "--seed", "1", "--n-lags", "0"],
+     "argument --n-lags: expected an integer >= 1, got '0'"),
+    (["stats", "angular-spread-cdf", "--at", "2,2,1.5", "--seed", "1", "--samples", "0"],
+     "argument --samples: expected an integer >= 1, got '0'"),
+    (["stats", "doppler-spread-cdf", "--at", "2,2,1.5", "--seed", "1", "--samples", "0"],
+     "argument --samples: expected an integer >= 1, got '0'"),
+    (["stats", "angular-spread-cdf", "--at", "2,2,1.5", "--seed", "1",
+      "--rx-elements", "0"],
+     "argument --rx-elements: expected an integer >= 1, got '0'"),
+], ids=["t", "at", "tolerance", "duration", "df-step", "fcf-df-count", "psd-df-count",
+        "n-lags", "angular-samples", "doppler-samples", "rx-elements"])
 def test_bad_numeric_options_are_usage_errors(built_map, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--map", str(built_map)])

@@ -13,6 +13,7 @@ from dcmkit import (AntennaArray, ChannelModel, DcmLookupError, DcmMap,
                     build_map, dumps_map, estimate_k_split, grid_points,
                     load_map, loads_map, match_mpcs, model_from_map, query,
                     save_map, trace_static_mpcs, update_snapshot, worker_count)
+from dcmkit import hybrid
 from dcmkit.dcm import MATCH_SCALES, MatchResult
 from dcmkit.gbsm import Taps
 
@@ -238,6 +239,36 @@ def test_update_snapshot_static_map_ignores_time(room_scene):
     b = update_snapshot(dmap, POINTS[2], t=7.5, seed=9).pair()
     assert np.array_equal(a.amps, b.amps)
     assert np.array_equal(a.delays, b.delays)
+
+
+def test_update_snapshot_synthesizes_static_taps_once_per_record(room_scene,
+                                                                 monkeypatch):
+    """Updates at one record share one static synthesis, whatever their seed
+    and time, and each snapshot owns its arrays."""
+    synthesized = []
+    static_cir = hybrid.static_cir
+
+    def counted(*args, **kwargs):
+        synthesized.append(args[0])
+        return static_cir(*args, **kwargs)
+
+    monkeypatch.setattr(hybrid, "static_cir", counted)
+    hybrid._static_taps.cache_clear()
+    dmap = build_map(room_scene, TX, POINTS, max_order=1)
+    for seed, t in ((1, 0.0), (2, 0.5), (3, 1.25)):
+        update_snapshot(dmap, POINTS[0], t, seed=seed)
+    assert len(synthesized) == 1
+    update_snapshot(dmap, POINTS[1], 0.0, seed=1)
+    assert len(synthesized) == 2
+    update_snapshot(dmap, POINTS[1], 0.0, seed=1, rx_array=AntennaArray(n_elements=2))
+    assert len(synthesized) == 3
+
+    first = update_snapshot(dmap, POINTS[0], 0.5, seed=2).pair()
+    expected = first.amps.tobytes()
+    first.amps[:] = 0.0
+    again = update_snapshot(dmap, POINTS[0], 0.5, seed=2).pair()
+    assert again.amps.tobytes() == expected
+    assert len(synthesized) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Static/dynamic mixing, power bookkeeping and narrowband series."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,38 @@ def test_reseeded_keeps_the_static_taps():
     assert model.reseeded(2).static_taps() is taps
     fresh = make_model([los_mpc(), nlos_mpc()], seed=2).static_taps()
     assert all(fresh[key].amps.tobytes() == taps[key].amps.tobytes() for key in taps)
+
+
+@pytest.mark.parametrize("change", [
+    lambda m: {"k": KFactors(0.1, 10.0)},
+    lambda m: {"rx_array": AntennaArray(n_elements=2)},
+    lambda m: {"gbsm": m.gbsm.with_overrides(carrier_frequency=28e9)},
+], ids=["k", "rx_array", "carrier"])
+def test_replaced_model_has_fresh_static_taps(change):
+    """A replaced field reaches the static taps: no copy keeps stale ones."""
+    model = make_model([los_mpc(), nlos_mpc()], seed=1)
+    old = model.static_taps()
+    new = replace(model, **change(model))
+    expected = static_cir(PathSet.of([los_mpc(), nlos_mpc()]), new.tx_array,
+                          new.rx_array, new.k, new.gbsm.carrier_frequency)
+    taps = new.static_taps()
+    assert taps.keys() == expected.keys()
+    for key, pair in expected.items():
+        assert taps[key].delays.tobytes() == pair.delays.tobytes()
+        assert taps[key].amps.tobytes() == pair.amps.tobytes()
+        assert taps[key].kinds == pair.kinds
+    assert any(key not in old or taps[key].amps.tobytes() != old[key].amps.tobytes()
+               for key in taps)
+    assert new.snapshot(0.0).taps.keys() == taps.keys()
+
+
+def test_channel_model_is_an_immutable_value():
+    model = make_model([los_mpc(), nlos_mpc()])
+    with pytest.raises(FrozenInstanceError):
+        model.k = KFactors(1.0, 1.0)
+    # the taps are shared by every model with these static inputs
+    with pytest.raises(ValueError, match="read-only"):
+        model.static_taps()[(0, 0)].amps[0] = 0.0
 
 
 def test_snapshot_static_subset_constant_over_time():

@@ -556,8 +556,10 @@ def test_path_table_round_trips_rows_exactly(rows):
     for part in (slice(1, None), slice(None, -1), slice(None, None, -2)):
         assert exact(table[part]) == exact(rows[part])
         assert table[part] == PathSet.of(rows[part])
+        assert hash(table[part]) == hash(PathSet.of(rows[part]))
     assert exact(table[np.arange(len(rows))[::-1]]) == exact(rows[::-1])
     assert table == PathSet.of(rows)
+    assert hash(table) == hash(PathSet.of(rows))
     if rows:
         assert table != table[1:]
     assert table.kinds == tuple(m.kind for m in rows)
@@ -566,6 +568,17 @@ def test_path_table_round_trips_rows_exactly(rows):
         table[len(rows)]
     with pytest.raises(ValueError, match="read-only"):
         table.delay[:] = 1.0
+
+
+def test_tables_differing_only_in_signed_zeros_hash_equal():
+    """-0.0 == 0.0 in every column, so such tables are equal and hash equal."""
+    def row(zero):
+        return Mpc(delay=zero, power=zero, aod=(zero, zero), aoa=(zero, zero),
+                   phases=(zero,) * 4, xpr=1.0, kind="refl:1")
+
+    plus, minus = PathSet.of([row(0.0)]), PathSet.of([row(-0.0)])
+    assert repr(list(plus)) != repr(list(minus))
+    assert plus == minus and hash(plus) == hash(minus)
 
 
 def test_trace_argument_validation(room_scene):
