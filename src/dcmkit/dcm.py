@@ -26,12 +26,12 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .gbsm import AntennaArray, GbsmConfig, config_field
-from .hybrid import ChannelModel, ChannelSnapshot, KFactors
+from .hybrid import _ONE_ELEMENT, ChannelModel, ChannelSnapshot, KFactors
 from .raytrace import Mpc, PathSet, _kind_order, trace_static_mpcs
 from .scene import Scene, _fields, _floats
 
@@ -71,9 +71,15 @@ class DcmMap:
     scene_hash: str
     gbsm: GbsmConfig
     records: dict[tuple[float, float, float], DcmRecord]
+    _located: tuple = field(default=((), None), init=False, repr=False, compare=False)
 
     def locations(self) -> np.ndarray:
-        return np.array(list(self.records), dtype=float).reshape(-1, 3)
+        """Record locations (N, 3), read-only, rebuilt when the record keys change."""
+        keys = tuple(self.records)
+        if keys != self._located[0]:
+            self._located = keys, np.array(keys, dtype=float).reshape(-1, 3)
+            self._located[1].flags.writeable = False
+        return self._located[1]
 
 
 @dataclass(frozen=True)
@@ -229,23 +235,25 @@ def build_map(scene: Scene, tx, points, max_order: int = 2,
 # online use
 
 def query(dcm: DcmMap, location, tolerance: float = 1e-6) -> DcmRecord:
-    """Record at `location`, or the nearest within `tolerance` meters."""
+    """Record at `location` (three finite numbers) or the nearest within `tolerance` m."""
     loc = np.asarray(location, dtype=float)
-    key = tuple(float(v) for v in loc)
+    key = tuple(loc.tolist()) if loc.shape == (3,) else ()
+    if not (key and all(map(math.isfinite, key))):
+        raise ValueError(f"location must be three finite numbers, got {location!r}")
     rec = dcm.records.get(key)
     if rec is not None:
         return rec
     if not dcm.records:
         raise DcmLookupError("map holds no records")
-    pts = dcm.locations()
-    dists = np.linalg.norm(pts - loc[None, :], axis=1)
-    best = int(np.argmin(dists))
+    offsets = dcm.locations() - loc
+    dists = np.sqrt(np.add.reduce(offsets * offsets, axis=1))  # np.linalg.norm's sum
+    best = int(dists.argmin())
+    near = dcm._located[0][best]
     if dists[best] <= tolerance:
-        return dcm.records[tuple(pts[best])]
-    near = tuple(float(v) for v in pts[best])
+        return dcm.records[near]
     raise DcmLookupError(
         f"no record within {tolerance:g} m of {key}; "
-        f"nearest is {near} at {dists[best]:.6g} m")
+        f"nearest is {tuple(map(float, near))} at {dists[best]:.6g} m")
 
 
 def model_from_map(dcm: DcmMap, location, seed: int | None = None,
@@ -272,8 +280,8 @@ def model_from_map(dcm: DcmMap, location, seed: int | None = None,
         static_mpcs=rec.mpcs,
         k=KFactors(rec.k_s, rec.k_d),
         gbsm=cfg,
-        tx_array=tx_array if tx_array is not None else AntennaArray(),
-        rx_array=rx_array if rx_array is not None else AntennaArray(),
+        tx_array=tx_array if tx_array is not None else _ONE_ELEMENT,
+        rx_array=rx_array if rx_array is not None else _ONE_ELEMENT,
         location=(rec.tx, rec.rx),
     )
 
@@ -285,9 +293,11 @@ def update_snapshot(dcm: DcmMap, location, t: float, seed: int | None = None,
                     tolerance: float = 1e-6) -> ChannelSnapshot:
     """Fast online snapshot: stored static paths plus fresh dynamic clusters.
 
-    The static side is reused exactly as stored: updates at one record
-    share one memo entry of static taps, so a repeat costs one cluster
-    spawn, the dynamic taps and one mixing pass.
+    The static side is reused exactly as stored: updates at one record share
+    one memo entry of static taps.  An update costs a lookup (a near miss
+    scans the map's kept location array), one cluster spawn, whose
+    `ClusterSet` holds the per-ray layouts every synthesis reads, the
+    dynamic taps of each antenna pair and one mixing pass.
     """
     model = model_from_map(dcm, location, seed=seed, overrides=overrides,
                            tx_array=tx_array, rx_array=rx_array,

@@ -14,9 +14,11 @@ equals their single spawns bit for bit.
 from __future__ import annotations
 
 import math
+import struct
 import typing
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,8 +29,8 @@ DEFAULT_CARRIER = 5.5e9
 
 def isotropic_pattern(elevation, azimuth):
     """Unit vertical response, no horizontal response.  Accepts arrays."""
-    shape = np.broadcast(elevation, azimuth).shape
-    return np.ones(shape), np.zeros(shape)
+    zeros = np.zeros(np.broadcast(elevation, azimuth).shape)
+    return zeros + 1.0, zeros
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,11 @@ class AntennaArray:
         if self.spacing <= 0.0:
             raise ValueError(f"spacing must be > 0, got {self.spacing}")
 
-    @property
+    @cached_property
     def axis(self) -> np.ndarray:
-        return unit_from_angles(*self.orientation)
+        axis = unit_from_angles(*self.orientation)
+        axis.flags.writeable = False
+        return axis
 
     def element_offset(self, v: int) -> np.ndarray:
         if not 0 <= v < self.n_elements:
@@ -92,8 +96,21 @@ class GbsmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _FIELD_TYPES:
-            object.__setattr__(self, name, config_field(name, getattr(self, name)))
+        self._set(vars(self))
+
+    def with_overrides(self, **kwargs) -> "GbsmConfig":
+        """A copy that converts only the fields given, then checks all rules."""
+        unknown = sorted(kwargs.keys() - _FIELD_TYPES.keys())
+        if unknown:
+            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        new = object.__new__(type(self))
+        vars(new).update(vars(self))
+        new._set(kwargs)
+        return new
+
+    def _set(self, values: dict) -> None:
+        for name, value in list(values.items()):
+            object.__setattr__(self, name, config_field(name, value))
         if self.n_clusters < 0:
             raise ValueError(f"n_clusters must be >= 0, got {self.n_clusters}")
         if self.rays_per_cluster < 1:
@@ -109,12 +126,6 @@ class GbsmConfig:
             low, high = getattr(self, name)
             if not (math.isfinite(low) and math.isfinite(high) and low <= high):
                 raise ValueError(f"bad {name} {(low, high)}")
-
-    def with_overrides(self, **kwargs) -> "GbsmConfig":
-        unknown = sorted(set(kwargs) - _FIELD_TYPES.keys())
-        if unknown:
-            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        return replace(self, **kwargs)
 
 
 _INTEGERS = (int, np.integer)
@@ -159,9 +170,12 @@ class ClusterSet:
     rows, `velocity_a`/`velocity_z` the anchor velocity vectors in m/s and
     `virtual_delay` the delay of the unobserved bounce.  Per-ray arrays lead
     with (C, m): angle offsets (C, m, 2), phases (C, m, 4) and linear XPR.
-    Rays split their cluster's power evenly.  The ray anchors at t = 0,
-    `tx_anchor`/`rx_anchor` of shape (C, m, 3) in meters from the link
-    ends, are derived once on construction.
+    Rays split their cluster's power evenly.  Construction derives once what
+    every synthesis reads: the ray anchors at t = 0 (C, m, 3) in meters from
+    the link ends, `tx_anchor`/`rx_anchor`; anchors (2, 3, C, m, 1) and
+    velocities (2, 3, C, 1, 1) of both ends, component-major (`_anchors`,
+    `_velocities`); and for the R = C m rays the virtual delays and
+    sqrt(ray power), (R, 1).
     """
 
     power: np.ndarray
@@ -180,14 +194,25 @@ class ClusterSet:
     rx_anchor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if np.any(self.power < 0.0):
+        if self.power.min(initial=0.0) < 0.0:
             raise ValueError("cluster power must be >= 0")
-        if np.any(self.virtual_delay < 0.0):
+        if self.virtual_delay.min(initial=0.0) < 0.0:
             raise ValueError("virtual delay must be >= 0")
-        object.__setattr__(self, "tx_anchor", self.d_t0[:, None, None]
-                           * _ray_directions(self.aod, self.aod_offset))
-        object.__setattr__(self, "rx_anchor", self.d_r0[:, None, None]
-                           * _ray_directions(self.aoa, self.aoa_offset))
+        m = self.rays_per_cluster
+        # both ends in one pass: angles (2, C, m, 2) and anchors (2, C, m, 3)
+        angles = np.array([self.aod, self.aoa])[:, :, None] \
+            + np.array([self.aod_offset, self.aoa_offset])
+        el = np.minimum(np.maximum(angles[..., 0], -math.pi / 2), math.pi / 2)
+        anchors = np.array([self.d_t0, self.d_r0])[:, :, None, None] \
+            * unit_from_angles(el, angles[..., 1])
+        for name, value in (
+                ("tx_anchor", anchors[0]), ("rx_anchor", anchors[1]),
+                ("_anchors", anchors.transpose(0, 3, 1, 2)[..., None]),
+                ("_velocities",
+                 np.array([self.velocity_a.T, self.velocity_z.T])[..., None, None]),
+                ("_virtual", np.repeat(self.virtual_delay, m)[:, None]),
+                ("_amplitude", np.sqrt(self.power * (1.0 / m)).repeat(m)[:, None])):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.power)
@@ -201,11 +226,6 @@ class ClusterSet:
         """Power of every ray, (C, m)."""
         m = self.rays_per_cluster
         return np.repeat(self.power[:, None] * (1.0 / m), m, axis=1)
-
-
-def _ray_directions(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    el = np.clip(base[:, None, 0] + offsets[:, :, 0], -math.pi / 2, math.pi / 2)
-    return unit_from_angles(el, base[:, None, 1] + offsets[:, :, 1])
 
 
 def spawn_clusters(config: GbsmConfig, location) -> ClusterSet:
@@ -237,22 +257,24 @@ def _draw_clusters(config: GbsmConfig, seeds, location) -> ClusterSet:
     own generator; each transform runs once over all rows, and the delay
     minimum and power sum once per member, so each member's powers sum to one.
     """
-    loc = np.asarray(location, dtype=np.float64).reshape(-1).view(np.uint64).tolist()
+    tx, rx = location  # entropy: the float64 bits of the pair
+    loc = _entropy_words(struct.unpack("<6Q", struct.pack("<6d", *tx, *rx)))
     members, n, m = len(seeds), config.n_clusters, config.rays_per_cluster
     u = np.empty((members * n, 13 + 14 * m))
     for e, seed in enumerate(seeds):
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            [seed & 0xFFFFFFFFFFFFFFFF, *loc]))).random(out=u[e * n:(e + 1) * n])
-    ranges = [config.anchor_range, config.elevation_range, config.azimuth_range] * 2 \
-        + [(-1.0, 1.0), (-math.pi, math.pi)] * 2
-    lows, highs = np.array(ranges).T
-    uniform = lows + (highs - lows) * u[:, :10]
-    virtual = -config.virtual_delay_mean * np.log1p(-u[:, 10])
-    normal = np.sqrt(-2.0 * np.log1p(-u[:, 11:12 + m])) \
+        words = np.array(_entropy_words([seed & 0xFFFFFFFFFFFFFFFF]) + loc, np.uint32)
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(words))).random(
+            out=u[e * n:(e + 1) * n])
+    lows, spans = _uniform_scales(config.anchor_range, config.elevation_range,
+                                  config.azimuth_range)
+    uniform = lows + spans * u[:, :10]
+    # log1p(-u) of every column from the virtual delay to the Laplace ones
+    logs = np.log1p(-u[:, 10:13 + 10 * m])
+    virtual = -config.virtual_delay_mean * logs[:, 0]
+    normal = np.sqrt(-2.0 * logs[:, 1:2 + m]) \
         * np.cos(2.0 * math.pi * u[:, 12 + m:13 + 2 * m])
-    exps = -np.log1p(-u[:, 13 + 2 * m:13 + 10 * m])
-    offsets = (config.angle_spread_intra * (exps[:, :4 * m] - exps[:, 4 * m:])
-               ).reshape(-1, m, 4)
+    offsets = (config.angle_spread_intra
+               * (logs[:, 3 + 6 * m:] - logs[:, 3 + 2 * m:3 + 6 * m])).reshape(-1, m, 4)
     velocity = config.cluster_speed * unit_from_angles(np.arcsin(uniform[:, 6::2]),
                                                        uniform[:, 7::2])
     d_t, d_r = uniform[:, 0], uniform[:, 3]
@@ -270,6 +292,19 @@ def _draw_clusters(config: GbsmConfig, seeds, location) -> ClusterSet:
         xpr=10.0 ** ((config.xpr_mean_db + config.xpr_std_db * normal[:, 1:]) / 10.0))
 
 
+@lru_cache(maxsize=8)
+def _uniform_scales(*ranges) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high - low) of the uniform columns; ranges that differ only in the
+    sign of a zero give bit-equal columns low + (high - low) u."""
+    lows, highs = np.array([*ranges * 2, *[(-1.0, 1.0), (-math.pi, math.pi)] * 2]).T
+    return lows, highs - lows
+
+
+def _entropy_words(values) -> list[int]:
+    """SeedSequence's words of ints < 2**64: the low 32 bits, then any non-zero rest."""
+    return [w for v in values for w in ((v & 0xFFFFFFFF, v >> 32) if v >> 32 else (v,))]
+
+
 def ray_delays(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset):
     """Delays of every ray once its anchors have moved on to t + dt.
 
@@ -282,16 +317,16 @@ def ray_delays(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset):
     (R, Q) plane.
     """
     dt = np.asarray(dt, dtype=float)
-    m = clusters.rays_per_cluster
+    # (anchor + v t) + v dt - offset, per end one contiguous plane per
+    # component; a cluster's velocity broadcasts over its rays
+    moved = clusters._velocities * dt
+    start = clusters._anchors + clusters._velocities * t
     legs = []
-    for anchor, velocity, offset in ((clusters.tx_anchor, clusters.velocity_a, tx_offset),
-                                     (clusters.rx_anchor, clusters.velocity_z, rx_offset)):
-        # (anchor + v t) + v dt - offset, one contiguous plane per component
-        vel = np.repeat(velocity.T, m, axis=1)[:, :, None]
-        rel = vel * dt
-        rel += anchor.reshape(-1, 3).T[:, :, None] + vel * t
-        if np.any(offset):  # subtracting a zero offset changes no length
-            rel -= np.asarray(offset, dtype=float).T.reshape(3, 1, -1)
+    for end, offset in enumerate((tx_offset, rx_offset)):
+        rel = np.add(moved[end], start[end]).reshape(3, -1, dt.size)
+        offset = np.asarray(offset, dtype=float)
+        if offset.any():  # subtracting a zero offset changes no length
+            rel -= offset.T.reshape(3, 1, -1)
         x, y, z = rel
         norm = x * x
         norm += y * y
@@ -300,7 +335,7 @@ def ray_delays(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset):
     (_, d_t), (_, d_r) = legs
     delays = d_t + d_r
     delays /= SPEED_OF_LIGHT
-    delays += np.repeat(clusters.virtual_delay, m)[:, None]
+    delays += clusters._virtual
     return delays, legs[0], legs[1]
 
 
@@ -320,7 +355,7 @@ def ray_taps(clusters: ClusterSet, t: float, dt, tx_array: AntennaArray,
     f_rx = rx_array.pattern(*_angles_of(rel_r, d_r))
     gains = _pol_mix(f_rx, f_tx, clusters.phases.reshape(-1, 1, 4),
                      clusters.xpr.reshape(-1, 1), config.copolar_imbalance)
-    amps = np.sqrt(clusters.ray_power).reshape(-1, 1) * gains \
+    amps = clusters._amplitude * gains \
         * np.exp(2j * math.pi * config.carrier_frequency * delays)
     return delays, amps
 
@@ -349,28 +384,29 @@ class Taps:
 
     def merged(self, other: "Taps") -> "Taps":
         delays = np.concatenate([self.delays, other.delays])
-        amps = np.concatenate([self.amps, other.amps])
-        kinds = self.kinds + other.kinds
-        order = np.argsort(delays, kind="stable")
-        return Taps(delays[order], amps[order], tuple(kinds[i] for i in order))
+        order = delays.argsort(kind="stable")
+        kinds = self.kinds + other.kinds  # itemgetter of one index returns no tuple
+        kinds = itemgetter(*order.tolist())(kinds) if len(kinds) > 1 else kinds
+        amps = np.concatenate([self.amps, other.amps]).take(order)
+        return Taps(delays.take(order), amps, kinds)
 
 
 def _angles_of(vectors: np.ndarray, norms: np.ndarray):
     """(elevation, azimuth) of component-major vectors (3, ...) of length norms."""
-    el = np.arcsin(np.clip(vectors[2] / norms, -1.0, 1.0))
+    sin_el = vectors[2] / norms
+    el = np.arcsin(np.minimum(np.maximum(sin_el, -1.0, out=sin_el), 1.0, out=sin_el))
     az = np.arctan2(vectors[1], vectors[0])
     return el, az
 
 
 def _pol_mix(f_rx, f_tx, phases: np.ndarray, xpr: np.ndarray, mu: float) -> np.ndarray:
     """Polarization mix of element responses; phases (..., 4) broadcast with xpr."""
-    rv, rh = f_rx
-    tv, th = f_tx
-    inv = 1.0 / xpr
-    return (rv * (np.exp(1j * phases[..., 0]) * tv
-                  + np.sqrt(mu * inv) * np.exp(1j * phases[..., 1]) * th)
-            + rh * (np.sqrt(inv) * np.exp(1j * phases[..., 2]) * tv
-                    + math.sqrt(mu) * np.exp(1j * phases[..., 3]) * th))
+    (rv, rh), (tv, th), inv = f_rx, f_tx, 1.0 / xpr
+    # exp(j phase) as four contiguous planes, in one call
+    e = phases.transpose((-1,) + tuple(range(phases.ndim - 1)))
+    e0, e1, e2, e3 = np.exp(np.multiply(1j, e, out=np.empty(e.shape, complex)))
+    return (rv * (e0 * tv + np.sqrt(mu * inv) * e1 * th)
+            + rh * (np.sqrt(inv) * e2 * tv + math.sqrt(mu) * e3 * th))
 
 
 @lru_cache(maxsize=8)
@@ -386,8 +422,8 @@ def dynamic_cir(clusters: ClusterSet, tx_array: AntennaArray,
     The expected total power over all taps is one by construction (unit
     patterns).
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     kinds = _ray_kinds(len(clusters), clusters.rays_per_cluster)
     out = {}
     for v in range(tx_array.n_elements):

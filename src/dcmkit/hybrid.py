@@ -17,7 +17,7 @@ function multiplies by exp(-j 2 pi tau (f - f_c)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +30,9 @@ from .raytrace import SPEED_OF_LIGHT, PathSet, unit_from_angles
 # complex amplitudes, the fastest size from 2**13 to 2**20), and the cap on
 # one (3, rays, points) tile of the statistics kernel
 _SERIES_BLOCK = 1 << 16
+# the default array, shared so that its axis is computed once
+_ONE_ELEMENT = AntennaArray()
+_NO_TAPS = Taps.empty()
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,8 @@ def combine_cir(h_static: dict, h_dynamic: dict, k: KFactors,
         raise ValueError("static and dynamic parts cover different antenna pairs")
     taps = {}
     for key in sorted(keys):
-        dyn = h_dynamic.get(key, Taps.empty()) if w_d != 0.0 else Taps.empty()
-        taps[key] = h_static.get(key, Taps.empty()).scaled(w_s).merged(dyn.scaled(w_d))
+        dyn = h_dynamic.get(key, _NO_TAPS) if w_d != 0.0 else _NO_TAPS
+        taps[key] = h_static.get(key, _NO_TAPS).scaled(w_s).merged(dyn.scaled(w_d))
     return ChannelSnapshot(t=t, location=location, taps=taps)
 
 
@@ -185,8 +188,8 @@ class ChannelModel:
     static_mpcs: PathSet
     k: KFactors
     gbsm: GbsmConfig
-    tx_array: AntennaArray = field(default_factory=AntennaArray)
-    rx_array: AntennaArray = field(default_factory=AntennaArray)
+    tx_array: AntennaArray = _ONE_ELEMENT
+    rx_array: AntennaArray = _ONE_ELEMENT
     location: tuple = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
     def static_taps(self) -> dict:
@@ -219,8 +222,8 @@ class ChannelModel:
         t_grid = np.asarray(t_grid, dtype=float)
         if t_grid.ndim != 1:
             raise ValueError(f"t_grid must be 1-D, got shape {t_grid.shape}")
-        if np.any(t_grid < 0.0):
-            raise ValueError("times must be >= 0")
+        if not ((0.0 <= t_grid) & (t_grid < math.inf)).all():
+            raise ValueError("times must be >= 0 and finite")
         w_s, w_d = self.k.branch_weights
         static_sum = complex(self.static_taps()[pair].amps.sum()) * w_s
 

@@ -269,8 +269,11 @@ def direction_angles(vec) -> tuple[float, float]:
 def unit_from_angles(elevation, azimuth) -> np.ndarray:
     """Unit vectors of (elevation, azimuth) angles of one shape, (..., 3)."""
     ce = np.cos(elevation)
-    return np.stack([ce * np.cos(azimuth), ce * np.sin(azimuth),
-                     np.sin(elevation)], axis=-1)
+    out = np.empty(np.shape(ce) + (3,))
+    np.multiply(np.cos(azimuth), ce, out=out[..., 0])
+    np.multiply(np.sin(azimuth), ce, out=out[..., 1])
+    np.sin(elevation, out=out[..., 2])
+    return out
 
 
 def _path_rng(kind: str, facets: tuple[int, ...], delay: float) -> np.random.Generator:

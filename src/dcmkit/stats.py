@@ -44,13 +44,14 @@ DEFAULT_ENSEMBLE = 200
 # containers
 
 def _check_evaluation(ensemble: int, t: float, dt=0.0) -> None:
-    """Reject an ensemble that is not a positive integer and times t + dt before zero."""
+    """Reject a bad ensemble count and times t, t + dt that are not finite and >= 0."""
     if isinstance(ensemble, bool) or not isinstance(ensemble, (int, np.integer)):
         raise ValueError(f"ensemble must be an integer, got {ensemble!r}")
     if ensemble < 1:
         raise ValueError(f"ensemble must be >= 1, got {ensemble}")
-    if t < 0.0 or np.any(t + np.asarray(dt) < 0.0):
-        raise ValueError("evaluation times must be >= 0")
+    times = np.append(t, t + np.asarray(dt, dtype=float))
+    if not ((0.0 <= times) & (times < math.inf)).all():
+        raise ValueError("evaluation times must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,36 @@ def test_query_tolerance_and_misses(room_scene):
         query(empty, POINTS[0])
 
 
+@pytest.mark.parametrize("location", [(2.5, 2.0), (2.5, 2.0, 1.5, 0.0),
+                                      (2.5, math.nan, 1.5), (math.inf, 2.0, 1.5),
+                                      ((2.5, 2.0, 1.5),)])
+def test_malformed_locations_are_rejected(room_scene, location):
+    dmap = build_map(room_scene, TX, POINTS, max_order=1)
+    for call in (lambda: query(dmap, location, tolerance=10.0),
+                 lambda: model_from_map(dmap, location, tolerance=10.0),
+                 lambda: update_snapshot(dmap, location, t=0.0, tolerance=10.0)):
+        with pytest.raises(ValueError, match="location must be three finite numbers"):
+            call()
+
+
+def test_update_snapshot_times_must_be_finite(room_scene):
+    dmap = build_map(room_scene, TX, POINTS, max_order=1)
+    for t in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            update_snapshot(dmap, POINTS[0], t=t, seed=1)
+
+
+def test_map_locations_follow_the_records(room_scene):
+    dmap = build_map(room_scene, TX, POINTS, max_order=1)
+    assert dmap.locations().tolist() == [list(p) for p in POINTS]
+    assert dmap.locations() is dmap.locations()
+    # a record added or removed after a lookup is found by the next one
+    moved = (3.0, 4.0, 1.0)
+    dmap.records[moved] = replace(dmap.records.pop(POINTS[0]), rx=moved)
+    assert query(dmap, (3.0, 4.0, 1.05), tolerance=0.1).rx == moved
+    assert dmap.locations().tolist()[-1] == list(moved)
+
+
 def test_model_from_map_applies_overrides(room_scene):
     dmap = build_map(room_scene, TX, POINTS, max_order=1, k_s=4.0, k_d=8.0)
     model = model_from_map(dmap, POINTS[0], seed=5,

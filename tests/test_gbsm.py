@@ -56,7 +56,9 @@ def test_cluster_streams_follow_their_seed_sequence():
     # distance d_t in column 0 and its virtual delay in column 10
     loc = ((0.0, -0.0, 1.5), (2.5e-310, -3.0, 1e300))  # zero, subnormal, sign bits
     words = np.asarray(loc, dtype=np.float64).reshape(-1).view(np.uint64)
-    for seed in (0, 5, -1, 2**70 + 3):
+    # 2**32 - 1 and 2**32 straddle a word boundary: a zero low word with a
+    # non-zero high word
+    for seed in (0, 5, -1, 2**70 + 3, 2**32 - 1, 2**32):
         cfg = GbsmConfig(seed=seed, n_clusters=3)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             [seed & 0xFFFFFFFFFFFFFFFF, *(int(w) for w in words)])))
@@ -307,6 +309,56 @@ def test_config_validation():
     cfg = GbsmConfig().with_overrides(n_clusters=7, seed=99)
     assert cfg.n_clusters == 7 and cfg.seed == 99
     assert GbsmConfig().n_clusters == 15
+
+
+# one valid value per field, different from its default
+OVERRIDES = {
+    "n_clusters": 4, "rays_per_cluster": 3, "carrier_frequency": 28e9,
+    "cluster_speed": 1.5, "delay_decay": 1e-7, "virtual_delay_mean": 5e-9,
+    "angle_spread_intra": 0.1, "xpr_mean_db": 6.0, "xpr_std_db": 2.0,
+    "copolar_imbalance": 0.5, "shadow_std_db": 4.0, "anchor_range": (10.0, 50.0),
+    "elevation_range": (-0.1, 0.2), "azimuth_range": (0.0, 1.0), "seed": 2**40 + 1,
+}
+
+
+def construction_error(**kwargs) -> str:
+    with pytest.raises(ValueError) as err:
+        GbsmConfig(**kwargs)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(OVERRIDES))
+def test_overrides_equal_construction(name):
+    assert set(OVERRIDES) == {f.name for f in fields(GbsmConfig)}
+    value = OVERRIDES[name]
+    # numpy scalars and lists convert as they do on construction
+    pair = isinstance(value, tuple)
+    given = [value, list(value) if pair else np.asarray(value)[()]]
+    for v in given:
+        over, built = GbsmConfig().with_overrides(**{name: v}), GbsmConfig(**{name: v})
+        assert over == built and hash(over) == hash(built)
+        assert type(getattr(over, name)) is type(getattr(built, name))
+    bads = [True, "1", math.nan, math.inf] + ([(1.0,), (1.0, 2.0, 3.0), (1.0, math.nan),
+                                              (value[1] + 1.0, value[1])] if pair else [])
+    for bad in bads:
+        message = construction_error(**{name: bad})
+        with pytest.raises(ValueError) as err:
+            GbsmConfig().with_overrides(**{name: bad})
+        assert str(err.value) == message, (name, bad)
+
+
+def test_overrides_keep_cross_field_rules():
+    base = GbsmConfig()
+    for bad in ({"n_clusters": -1}, {"rays_per_cluster": 0}, {"delay_decay": 0.0},
+                {"cluster_speed": -1.0}, {"anchor_range": (0.0, 10.0)}):
+        message = construction_error(**bad)
+        with pytest.raises(ValueError) as err:
+            base.with_overrides(**bad)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="unknown config fields: bogus, nope"):
+        base.with_overrides(nope=1, bogus=2)
+    # a valid override leaves the original untouched
+    assert base.with_overrides(n_clusters=2).n_clusters == 2 and base.n_clusters == 15
 
 
 def test_dynamic_rays_identified_by_cluster_and_ray():

@@ -11,7 +11,7 @@ from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc, PathS
                     combine_cir, rician_params, loads_scene, static_cir,
                     trace_static_mpcs)
 from dcmkit import hybrid
-from dcmkit.gbsm import Taps, _draw_clusters, ray_taps
+from dcmkit.gbsm import Taps, _draw_clusters, dynamic_cir, ray_taps
 
 from conftest import ROOM_SCENE, make_model, total_power
 from test_golden import LOC, _array
@@ -221,6 +221,18 @@ def test_narrowband_series_rejects_bad_arguments():
         model.narrowband_series(0.5)
     with pytest.raises(ValueError, match="times must be >= 0"):
         model.narrowband_series([0.0, -1e-3])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="times must be >= 0 and finite"):
+            model.narrowband_series([0.0, bad])
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1e-3])
+def test_snapshot_times_must_be_finite(t):
+    model = make_model([los_mpc()], seed=1)
+    with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+        model.snapshot(t)
+    with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+        dynamic_cir(model.spawn(), model.tx_array, model.rx_array, t, model.gbsm)
 
 
 def test_reseeded_changes_only_the_draw():

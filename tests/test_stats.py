@@ -379,8 +379,12 @@ def test_correlation_entries_check_ensemble_and_time():
         for ensemble in (2.5, True, np.float64(3.0), "3"):
             with pytest.raises(ValueError, match="ensemble must be an integer"):
                 entry(ensemble=ensemble)
-        with pytest.raises(ValueError, match="evaluation times must be >= 0"):
-            entry(t=-1e-3)
+        for t in (-1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="evaluation times must be >= 0"):
+                entry(t=t)
+    for dt in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="evaluation times must be >= 0 and finite"):
+            CorrelationQuery(t=0.5, dt=dt)
 
 
 # (dr_t, dr_r, dt, df, dloc, t, f) grids for each path through the kernel
