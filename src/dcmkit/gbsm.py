@@ -39,7 +39,10 @@ class AntennaArray:
 
     Element v sits at v * spacing along the axis given by `orientation`
     (elevation, azimuth).  `pattern(el, az) -> (F_v, F_h)` is the common
-    element response per polarization and must broadcast over arrays.
+    element response per polarization and must broadcast over arrays.  The
+    default, `isotropic_pattern`, reads no angle: when both ends use it, ray
+    synthesis skips the angles and the polarization mix.  Any other pattern
+    takes the general path, and one that returns (1, 0) gives the same bits.
     """
 
     n_elements: int = 1
@@ -175,7 +178,8 @@ class ClusterSet:
     the link ends, `tx_anchor`/`rx_anchor`; anchors (2, 3, C, m, 1) and
     velocities (2, 3, C, 1, 1) of both ends, component-major (`_anchors`,
     `_velocities`); and for the R = C m rays the virtual delays and
-    sqrt(ray power), (R, 1).
+    sqrt(ray power), (R, 1).  The ray gains between isotropic elements are
+    derived on first use.
     """
 
     power: np.ndarray
@@ -220,6 +224,12 @@ class ClusterSet:
     @property
     def rays_per_cluster(self) -> int:
         return self.xpr.shape[1]
+
+    @cached_property
+    def _isotropic_gain(self) -> np.ndarray:
+        """sqrt(ray power) exp(j phase_vv), (R, 1): each ray's gain when both
+        ends have unit vertical and no horizontal response."""
+        return self._amplitude * np.exp(1j * self.phases[..., 0].reshape(-1, 1))
 
     @property
     def ray_power(self) -> np.ndarray:
@@ -346,18 +356,28 @@ def ray_taps(clusters: ClusterSet, t: float, dt, tx_array: AntennaArray,
     Anchors move on to t + dt as in `ray_delays`.  Amplitude is sqrt(ray
     power) times the polarization mix of the element patterns, read at the
     angles of the (3, R, Q) element-to-anchor vectors, and the carrier
-    phase exp(j 2 pi f_c tau).
+    phase exp(j 2 pi f_c tau).  When both arrays use `isotropic_pattern`
+    itself, the mix is exp(j phase_vv) whatever the angles, so the gain is
+    one per ray, kept by the cluster set, and no angle is computed.  Any
+    other pattern, one returning (1, 0) too, takes the general path, which
+    gives those same bits: every term it adds is a signed zero.
     """
     delays, (rel_t, d_t), (rel_r, d_r) = ray_delays(
         clusters, t, dt, tx_array.element_offset(pair[0]),
         rx_array.element_offset(pair[1]))
-    f_tx = tx_array.pattern(*_angles_of(rel_t, d_t))
-    f_rx = rx_array.pattern(*_angles_of(rel_r, d_r))
-    gains = _pol_mix(f_rx, f_tx, clusters.phases.reshape(-1, 1, 4),
-                     clusters.xpr.reshape(-1, 1), config.copolar_imbalance)
-    amps = clusters._amplitude * gains \
-        * np.exp(2j * math.pi * config.carrier_frequency * delays)
-    return delays, amps
+    if tx_array.pattern is rx_array.pattern is isotropic_pattern:
+        gains = clusters._isotropic_gain
+    else:
+        f_tx = tx_array.pattern(*_angles_of(rel_t, d_t))
+        f_rx = rx_array.pattern(*_angles_of(rel_r, d_r))
+        gains = clusters._amplitude * _pol_mix(
+            f_rx, f_tx, clusters.phases.reshape(-1, 1, 4),
+            clusters.xpr.reshape(-1, 1), config.copolar_imbalance)
+    # gains first, into the carrier's buffer: numpy's fused complex product
+    # rounds a b unlike b a, and `gains * np.exp(...)` may run as the large
+    # temporary times gains, in place
+    carrier = np.exp(2j * math.pi * config.carrier_frequency * delays)
+    return delays, np.multiply(gains, carrier, out=carrier)
 
 
 @dataclass
@@ -420,7 +440,9 @@ def dynamic_cir(clusters: ClusterSet, tx_array: AntennaArray,
 
     Taps are the rays of `ray_taps` at time t, tagged `dyn:<cluster>:<ray>`.
     The expected total power over all taps is one by construction (unit
-    patterns).
+    patterns).  Arrays that both use `isotropic_pattern` take the shortcut
+    of `ray_taps`; a custom pattern takes the general path, with the same
+    bits when it returns (1, 0).
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")

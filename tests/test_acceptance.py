@@ -358,6 +358,13 @@ def test_criterion_7_update_speed():
         t1 = time.monotonic()
         update_snapshot(dcm, p, t=0.1, seed=i)
         updates.append(time.monotonic() - t1)
+    # each update above is the first at its record, so it synthesizes the
+    # static taps; repeats at one record reuse them, as a moving terminal does
+    repeats = []
+    for i in range(20):
+        t1 = time.monotonic()
+        update_snapshot(dcm, pts[0], t=0.1, seed=100 + i)
+        repeats.append(time.monotonic() - t1)
     med_rebuild = float(np.median(rebuilds))
     med_update = float(np.median(updates))
     frac = med_update / med_rebuild
@@ -367,7 +374,8 @@ def test_criterion_7_update_speed():
          f"{scene.n_facets} facets, {len(pts)} grid points, 3 bounces"),
         (frac <= 0.05,
          f"median update {med_update * 1e3:.2f} ms vs rebuild "
-         f"{med_rebuild * 1e3:.0f} ms = {frac:.2%} <= 5%"),
+         f"{med_rebuild * 1e3:.0f} ms = {frac:.2%} <= 5%; steady state "
+         f"{np.median(repeats) * 1e3:.2f} ms at one record"),
         (elapsed < 300.0, f"{elapsed:.1f} s < 300 s"),
     ])
 

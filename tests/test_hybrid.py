@@ -11,7 +11,9 @@ from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc, PathS
                     combine_cir, rician_params, loads_scene, static_cir,
                     trace_static_mpcs)
 from dcmkit import hybrid
-from dcmkit.gbsm import Taps, _draw_clusters, dynamic_cir, ray_taps
+from dcmkit import gbsm
+from dcmkit.gbsm import (Taps, _draw_clusters, dynamic_cir, isotropic_pattern,
+                         ray_taps, spawn_clusters)
 
 from conftest import ROOM_SCENE, make_model, total_power
 from test_golden import LOC, _array
@@ -298,3 +300,47 @@ def test_snapshot_static_subset_constant_over_time():
     dyn_early = [d for d, k in zip(early.delays, early.kinds) if k.startswith("dyn:")]
     dyn_late = [d for d, k in zip(late.delays, late.kinds) if k.startswith("dyn:")]
     assert dyn_early != dyn_late
+
+
+def test_isotropic_shortcut_equals_the_general_path(monkeypatch):
+    """Arrays that both use `isotropic_pattern` skip the angles and the
+    polarization mix.  A wrapper returns the same (1, 0) but is another
+    object, so it takes the general path; both give the same bytes.  The
+    directional path is pinned bit for bit by the `dynamic_cir` and
+    `narrowband_series` golden digests (tilted pattern, mu = 0.8)."""
+    def wrapped(elevation, azimuth):
+        return isotropic_pattern(elevation, azimuth)
+
+    def general(array: AntennaArray) -> AntennaArray:
+        return replace(array, pattern=wrapped)
+
+    cfg = GbsmConfig(seed=5)
+    clusters = spawn_clusters(cfg, LOC)
+    tx, rx = AntennaArray(n_elements=2), AntennaArray(n_elements=3)
+    slow_cir = dynamic_cir(clusters, general(tx), general(rx), 0.3, cfg)
+    mpcs = trace_static_mpcs(loads_scene(ROOM_SCENE), LOC[0], LOC[1], max_order=2)
+    assert "los" in mpcs.kinds
+    t_grid = 0.05 + np.arange(300) * 1e-3
+    models = [ChannelModel(mpcs, KFactors(2.0, 4.0),
+                           GbsmConfig(seed=9, copolar_imbalance=mu),
+                           tx_array=AntennaArray(n_elements=2),
+                           rx_array=AntennaArray(n_elements=2), location=LOC)
+              for mu in (1.0, 0.8)]
+    slow = [(m.narrowband_series(t_grid, pair=(1, 1)), m.static_taps()[(1, 1)])
+            for m in (replace(m, tx_array=general(m.tx_array),
+                              rx_array=general(m.rx_array)) for m in models)]
+
+    def no_angles(*args):
+        raise AssertionError("the isotropic shortcut reads no angle")
+
+    monkeypatch.setattr(gbsm, "_angles_of", no_angles)
+    fast_cir = dynamic_cir(clusters, tx, rx, 0.3, cfg)
+    assert sorted(fast_cir) == sorted(slow_cir)
+    for key, taps in fast_cir.items():
+        assert taps.delays.tobytes() == slow_cir[key].delays.tobytes()
+        assert taps.amps.tobytes() == slow_cir[key].amps.tobytes()
+    for model, (series, static) in zip(models, slow):
+        assert model.narrowband_series(t_grid, pair=(1, 1)).tobytes() == series.tobytes()
+        fast_static = model.static_taps()[(1, 1)]
+        assert fast_static.amps.tobytes() == static.amps.tobytes()
+        assert fast_static.delays.tobytes() == static.delays.tobytes()
