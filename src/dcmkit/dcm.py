@@ -186,12 +186,26 @@ def worker_count() -> int:
     return n or os.cpu_count() or 1
 
 
-def _trace_record(args):
-    scene, tx, point, max_order, frequency, k_s, k_d = args
+def _trace_record(build, point):
+    scene, tx, max_order, frequency, k_s, k_d = build
     mpcs = trace_static_mpcs(scene, np.asarray(tx), np.asarray(point),
                              max_order=max_order, frequency=frequency)
     return DcmRecord(tx=tuple(tx), rx=tuple(point), k_s=k_s, k_d=k_d,
                      mpcs=replace(mpcs, facets=()))
+
+
+# what a build_map pool worker traces against, sent once per worker: a
+# scene sent with every point would also be packed again for every point
+_worker_build = ()
+
+
+def _start_worker(build):
+    global _worker_build
+    _worker_build = build
+
+
+def _worker_trace(point):
+    return _trace_record(_worker_build, point)
 
 
 def build_map(scene: Scene, tx, points, max_order: int = 2,
@@ -214,14 +228,14 @@ def build_map(scene: Scene, tx, points, max_order: int = 2,
         twice = next(p for i, p in enumerate(pts) if p in pts[:i])
         raise ValueError(f"receiver location {_fmt_vec(twice)} is given twice")
     KFactors(k_s, k_d)  # validate early
-    jobs = [(scene, tx, p, max_order, gbsm.carrier_frequency, k_s, k_d)
-            for p in pts]
+    build = (scene, tx, max_order, gbsm.carrier_frequency, k_s, k_d)
     workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trace_record, jobs, chunksize=1))
+    if workers > 1 and len(pts) > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(build,)) as pool:
+            records = list(pool.map(_worker_trace, pts, chunksize=1))
     else:
-        records = [_trace_record(j) for j in jobs]
+        records = [_trace_record(build, p) for p in pts]
     return DcmMap(
         frequency=gbsm.carrier_frequency,
         max_order=max_order,

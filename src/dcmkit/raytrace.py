@@ -33,6 +33,17 @@ therefore d (1 + (|v - I| + d) / h) at each vertex v of g; it is convex in
 v, so testing the vertices covers all of g.  When I lies on f's plane
 (h = 0) the margin is infinite and every child is kept.
 
+The tests run as products over the vertices of all facets at once, each
+vertex a homogeneous column (v, 1): the plane side of v is (n, -offset) .
+(v, 1), its height over a beam plane (w, -w . I) . (v, 1), and |v - I| the
+root of |v|^2 - 2 I . v + |I|^2.  A product of four terms rounds by a few
+ulps of |v| + |I|, about 1e-13 m at 100 m from the origin, far inside d.
+Only the expansion can lose more: as v nears I it cancels, and |v - I|
+then reads its rounding error, a few eps (|v|^2 + |I|^2).  So |v|^2 and
+|I|^2 enter multiplied by _ROUND_UP = 1 + 16 eps, which exceeds that error:
+the computed |v - I|, and with it the margin, never falls below the exact
+value, and the test still drops only what the walk would reject.
+
 Per-bounce loss uses the polarization-averaged squared reflection magnitude
 (|G_perp|^2 + |G_par|^2) / 2; the full 2x2 polarization behaviour of a path
 is carried by its per-path phases and cross-polarization ratio instead of by
@@ -44,6 +55,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,6 +78,9 @@ XPR_STD_DB = 3.0
 _BLOCK = 400_000
 # metric slack of the pruning tests, m; see the module docstring
 _PRUNE_SLACK = 1e-5
+# factor on |v|^2 and |I|^2 that keeps the expanded |v - I|^2 from rounding
+# below its exact value; see the module docstring
+_ROUND_UP = 1.0 + 16.0 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +336,13 @@ class _Geometry:
             self.edge_len[i, :m] = np.where(lengths > 0.0, lengths, 1.0)
             self.eps_r[i] = f.material.eps_r
             self.sigma[i] = f.material.sigma
+        # for the image tree's products: each facet's plane (normal, -offset)
+        # and the vertices as homogeneous columns (x, y, z, 1), vertex-major,
+        # so column v n + g is vertex v of g and reductions over v are cheap
+        self.planes = np.concatenate([self.normals, -self.offsets[:, None]], axis=1)
+        xyz = self.verts.transpose(2, 1, 0).reshape(3, -1)
+        self.flat = np.concatenate([xyz, np.ones((1, xyz.shape[1]))])
+        self.flat_sq = _ROUND_UP * np.einsum("kc,kc->c", xyz, xyz)
 
     def mirror(self, points: np.ndarray, fi: np.ndarray) -> np.ndarray:
         n = self.normals[fi]
@@ -379,7 +401,7 @@ def _image_tree(geom: _Geometry, tx: np.ndarray, max_order: int):
     """Yield (seq, imgs) blocks of surviving sequences of orders 1..max_order.
 
     seq is (m, k) facet indices and imgs (m, k, 3) the images of tx through
-    each prefix.  Every block holds at most _BLOCK // (V * max(V, 3)) rows
+    each prefix.  Every block holds at most _BLOCK // V^2 rows
     for V vertices per facet, order 1 aside, which holds one row per facet.
     """
     n = geom.count
@@ -395,7 +417,7 @@ def _grow(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, max_order: int):
     if seq.shape[1] == max_order:
         return
     nv = geom.verts.shape[1]
-    step = max(1, _BLOCK // (geom.count * nv * max(nv, 3)))
+    step = max(1, _BLOCK // (geom.count * nv * nv))
     for start in range(0, len(seq), step):
         pseq, pimgs = seq[start:start + step], imgs[start:start + step]
         parent, child = _children(geom, pseq, pimgs)
@@ -410,25 +432,32 @@ def _children(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray):
     """(parent row, child facet) pairs that pass the plane-side and beam tests."""
     f = seq[:, -1]
     img = imgs[:, -1]
-    verts = geom.verts                                        # (n, V, 3)
-    normal, offset = geom.normals[f], geom.offsets[f]
-    side = np.einsum("pk,pk->p", img, normal) - offset
-    sign = np.sign(side)[:, None, None]
-    # plane side: some vertex of g on the real side of f, opposite the image
-    level = np.einsum("pk,gvk->pgv", normal, verts) - offset[:, None, None]
-    keep = (sign * level < _PRUNE_SLACK).any(axis=2)
+    p, (n, nv) = len(f), geom.verts.shape[:2]
+    flat = geom.flat                                          # (4, V n)
+    plane = geom.planes[f]                                    # (p, 4)
+    side = np.einsum("pk,pk->p", img, plane[:, :3]) + plane[:, 3]
+    sign = np.sign(side)[:, None]
+    # plane side: some vertex of g on the real side of f, opposite the image;
+    # einsum, not @: BLAS threads products this large, which oversubscribes
+    # the cores under a build_map pool
+    level = np.einsum("pk,kc->pc", plane, flat)
+    keep = (sign * level < _PRUNE_SLACK).reshape(p, nv, n).any(axis=1)
     # beam: the planes through the image and each edge of f, normals toward f
-    walls = np.cross(verts[f] - img[:, None, :], geom.edges[f]) * -sign
+    walls = np.cross(geom.verts[f] - img[:, None, :], geom.edges[f]) * -sign[:, :, None]
     norm = np.linalg.norm(walls, axis=2, keepdims=True)
     walls /= np.where(norm > 0.0, norm, 1.0)                  # (p, V, 3)
-    height = np.einsum("pwk,gvk->pwgv", walls, verts) \
-        - np.einsum("pwk,pk->pw", walls, img)[:, :, None, None]
-    reach = np.linalg.norm(verts[None] - img[:, None, None, :], axis=3)
+    walls = np.concatenate([walls, -np.einsum("pwk,pk->pw", walls, img)[:, :, None]], axis=2)
+    height = np.einsum("pwk,kc->pwc", walls, flat)
+    # |v - I| from |v|^2 - 2 I.v + |I|^2, one more (p, V n) product
+    ray = np.concatenate(
+        [-2.0 * img, _ROUND_UP * np.einsum("pk,pk->p", img, img)[:, None]], axis=1)
+    reach = np.einsum("pk,kc->pc", ray, flat) + geom.flat_sq
+    np.sqrt(np.maximum(reach, 0.0, out=reach), out=reach)
     with np.errstate(divide="ignore"):
-        growth = (reach + _PRUNE_SLACK) / np.abs(side)[:, None, None]
+        growth = (reach + _PRUNE_SLACK) / np.abs(side)[:, None]
     margin = _PRUNE_SLACK * (1.0 + growth)
-    keep &= ~(height < -margin[:, None]).all(axis=3).any(axis=1)
-    keep[np.arange(len(f)), f] = False
+    keep &= ~(height < -margin[:, None]).reshape(p, nv, nv, n).all(axis=2).any(axis=1)
+    keep[np.arange(p), f] = False
     return np.nonzero(keep)
 
 
@@ -459,6 +488,13 @@ def _walk(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, rx: np.ndarray):
     return seq_a, qs_a, imgs_a[:, order - 1]
 
 
+def _point(name: str, value) -> np.ndarray:
+    point = np.asarray(value, dtype=float)
+    if point.shape != (3,) or not np.isfinite(point).all():
+        raise ValueError(f"{name} must be three finite numbers, got {value!r}")
+    return point
+
+
 def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
                       frequency: float = DEFAULT_FREQUENCY) -> PathSet:
     """All specular paths from tx to rx up to max_order reflections.
@@ -468,16 +504,14 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
     polarization-averaged reflection loss of each bounce.  Deterministic:
     equal inputs give equal outputs, including the per-path phases.
     """
-    tx = np.asarray(tx, dtype=float)
-    rx = np.asarray(rx, dtype=float)
-    if tx.shape != (3,) or rx.shape != (3,):
-        raise ValueError("tx and rx must be 3-vectors")
+    tx, rx = _point("tx", tx), _point("rx", rx)
     if np.array_equal(tx, rx):
         raise ValueError("tx and rx coincide")
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-    if frequency <= 0.0:
-        raise ValueError(f"frequency must be > 0, got {frequency}")
+    if isinstance(max_order, bool) or not isinstance(max_order, numbers.Integral) \
+            or max_order < 0:
+        raise ValueError(f"max_order must be an integer >= 0, got {max_order!r}")
+    if not 0.0 < frequency < math.inf:
+        raise ValueError(f"frequency must be finite and > 0, got {frequency}")
 
     geom = _geometry(scene.facets)
     rows = []  # PathSet columns of each path

@@ -26,6 +26,24 @@ ROOM_SCENE = """
 """
 
 
+def panel_field_scene(nx=10, ny=10):
+    """nx*ny small vertical panels over a large ground plane."""
+    lines = ["[material] name=concrete eps_r=5.31 sigma=0.0326",
+             "[material] name=glass eps_r=6.27 sigma=0.0167",
+             "[facet] material=concrete v=-400,-400,0;400,-400,0;"
+             "400,400,0;-400,400,0"]
+    for i in range(nx):
+        for j in range(ny):
+            x, y = -45.0 + 10.0 * i, -45.0 + 10.0 * j
+            mat = "concrete" if (i + j) % 2 == 0 else "glass"
+            if (i + j) % 2 == 0:
+                v = f"{x},{y - 1.5},0;{x},{y + 1.5},0;{x},{y + 1.5},3;{x},{y - 1.5},3"
+            else:
+                v = f"{x - 1.5},{y},0;{x + 1.5},{y},0;{x + 1.5},{y},3;{x - 1.5},{y},3"
+            lines.append(f"[facet] material={mat} v={v}")
+    return loads_scene("\n".join(lines))
+
+
 @pytest.fixture(scope="session")
 def ground_scene():
     return loads_scene(GROUND_SCENE)

@@ -26,7 +26,7 @@ from dcmkit.gbsm import ray_delays
 from dcmkit.stats import (CorrelationQuery, LcrInputs, angular_psd,
                           branch_power_coefficients, delay_psd, stfcf)
 
-from conftest import GROUND_SCENE, ROOM_SCENE, make_model
+from conftest import GROUND_SCENE, ROOM_SCENE, make_model, panel_field_scene
 from test_raytrace import _oracle_paths, _random_scene
 
 
@@ -320,27 +320,9 @@ def test_criterion_6_parameter_trends():
 # --------------------------------------------------------------------------
 # 7. map update speed
 
-def _panel_field_scene(nx=10, ny=10):
-    """nx*ny small vertical panels over a large ground plane."""
-    lines = ["[material] name=concrete eps_r=5.31 sigma=0.0326",
-             "[material] name=glass eps_r=6.27 sigma=0.0167",
-             "[facet] material=concrete v=-400,-400,0;400,-400,0;"
-             "400,400,0;-400,400,0"]
-    for i in range(nx):
-        for j in range(ny):
-            x, y = -45.0 + 10.0 * i, -45.0 + 10.0 * j
-            mat = "concrete" if (i + j) % 2 == 0 else "glass"
-            if (i + j) % 2 == 0:
-                v = f"{x},{y - 1.5},0;{x},{y + 1.5},0;{x},{y + 1.5},3;{x},{y - 1.5},3"
-            else:
-                v = f"{x - 1.5},{y},0;{x + 1.5},{y},0;{x + 1.5},{y},3;{x - 1.5},{y},3"
-            lines.append(f"[facet] material={mat} v={v}")
-    return loads_scene("\n".join(lines))
-
-
 def test_criterion_7_update_speed():
     t0 = time.monotonic()
-    scene = _panel_field_scene()
+    scene = panel_field_scene()
     tx = (0.5, 0.5, 5.0)
     pts = grid_points((-8.0, -8.0, 1.5), (10, 10, 1), 1.75)
     dcm = build_map(scene, tx, pts, max_order=3)

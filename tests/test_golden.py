@@ -20,8 +20,7 @@ from dcmkit import (AntennaArray, ChannelModel, ClusterSet, GbsmConfig, KFactors
                     spawn_clusters, trace_static_mpcs)
 from dcmkit.cli import main
 
-from conftest import ROOM_SCENE
-from test_acceptance import _panel_field_scene
+from conftest import ROOM_SCENE, panel_field_scene
 
 TX = "1,1,1.5"
 LOC = ((1.0, 1.0, 1.5), (2.5, 2.0, 1.5))
@@ -133,7 +132,7 @@ def test_narrowband_series_digest():
 
 @pytest.fixture(scope="module")
 def panel_scene():
-    return _panel_field_scene()
+    return panel_field_scene()
 
 
 def test_panel_trace_digest(panel_scene):

@@ -6,8 +6,10 @@ implementation.  It shares no code with the package tracer.
 """
 
 import cmath
+import collections
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from scipy.constants import epsilon_0
 from dcmkit import (Mpc, PathSet, Scene, SceneError, direction_angles,
                     loads_scene, fresnel_coefficients, friis_path_gain,
                     trace_static_mpcs, unit_from_angles)
+from dcmkit import raytrace
 from dcmkit.scene import Facet, Material, default_material
 
-from conftest import GROUND_SCENE, ROOM_SCENE
+from conftest import GROUND_SCENE, ROOM_SCENE, panel_field_scene
 
 TOL = 1e-9  # meters, same intersection slack the package documents
 
@@ -313,6 +316,35 @@ def test_tree_matches_oracle_at_order_three(case):
         assert abs(m.power - power) <= 1e-9 * power
 
 
+def _every_child(geom, seq, imgs):
+    """The image tree's children without pruning: every facet g != f."""
+    keep = np.ones((len(seq), geom.count), dtype=bool)
+    keep[np.arange(len(seq)), seq[:, -1]] = False
+    return np.nonzero(keep)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(_box_with_panels())
+def test_pruning_keeps_every_path_of_the_unpruned_tree(case):
+    """The pruned trace equals, facets and all, the trace of every facet
+    sequence: a check of the pruning alone, which a tracer/oracle
+    disagreement at degenerate geometry does not touch."""
+    scene, tx, rx = case
+    pruned = trace_static_mpcs(scene, tx, rx, max_order=3)
+    with mock.patch.object(raytrace, "_children", _every_child):
+        full = trace_static_mpcs(scene, tx, rx, max_order=3)
+    assert pruned == full
+
+
+def test_image_tree_survivors_on_the_panel_field():
+    """The survivor counts per order that the raytrace docstring states."""
+    geom = raytrace._geometry(panel_field_scene().facets)
+    counts = collections.Counter()
+    for seq, _ in raytrace._image_tree(geom, np.array([0.5, 0.5, 5.0]), 3):
+        counts[seq.shape[1]] += len(seq)
+    assert counts == {1: 101, 2: 337, 3: 10556}
+
+
 # ---------------------------------------------------------------------------
 # hand-checked ground bounce
 
@@ -584,10 +616,21 @@ def test_tables_differing_only_in_signed_zeros_hash_equal():
 def test_trace_argument_validation(room_scene):
     with pytest.raises(ValueError):
         trace_static_mpcs(room_scene, (1, 1, 1), (1, 1, 1))
-    with pytest.raises(ValueError):
-        trace_static_mpcs(room_scene, (1, 1, 1), (2, 2, 2), max_order=-1)
-    with pytest.raises(ValueError):
-        trace_static_mpcs(room_scene, (1, 1), (2, 2, 2))
+    # a fractional order never ends the tree's growth, and True is no order
+    for bad in (-1, 2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="^max_order must be an integer >= 0, got "):
+            trace_static_mpcs(room_scene, (1, 1, 1), (2, 2, 2), max_order=bad)
+    assert trace_static_mpcs(room_scene, (1, 1, 1), (2, 2, 2), max_order=np.int64(1)) \
+        == trace_static_mpcs(room_scene, (1, 1, 1), (2, 2, 2), max_order=1)
+    for name, bad in (("tx", (1, 1)), ("tx", (1, 1, 1, 1)), ("tx", (math.nan, 1, 1)),
+                      ("rx", (2, 2, math.nan)), ("rx", (2, 2, math.inf)),
+                      ("rx", (-math.inf, 2, 2))):
+        ends = {"tx": (1, 1, 1), "rx": (2, 2, 2), name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be three finite numbers, got "):
+            trace_static_mpcs(room_scene, ends["tx"], ends["rx"])
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^frequency must be finite and > 0, got "):
+            trace_static_mpcs(room_scene, (1, 1, 1), (2, 2, 2), frequency=bad)
 
 
 def test_empty_scene_has_only_los():
