@@ -17,11 +17,10 @@ from .gbsm import (AntennaArray, ClusterSet, GbsmConfig, Taps, dynamic_cir,
                    spawn_clusters)
 from .hybrid import (ChannelModel, ChannelSnapshot, KFactors, combine_cir,
                      rician_params, static_cir)
-from .stats import (CorrelationQuery, LcrInputs, Psd, angular_psd,
-                    branch_power_coefficients, delay_psd, doppler_psd,
-                    doppler_psd_from_lags, empirical_cdf, fcf_closed_form,
-                    lcr_analytic, lcr_empirical, lcr_time_inputs, rms_spread,
-                    stfcf)
+from .stats import (LcrInputs, Psd, angular_psd, branch_power_coefficients,
+                    delay_psd, doppler_psd, doppler_psd_from_lags,
+                    empirical_cdf, fcf_closed_form, lcr_analytic,
+                    lcr_empirical, lcr_time_inputs, rms_spread, stfcf)
 from .dcm import (DcmLookupError, DcmMap, DcmRecord, MatchResult, build_map,
                   dumps_map, estimate_k_split, grid_points, load_map,
                   loads_map, match_mpcs, model_from_map, query, save_map,
@@ -31,9 +30,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntennaArray", "ChannelModel", "ChannelSnapshot", "ClusterSet",
-    "CorrelationQuery", "DcmLookupError", "DcmMap", "DcmRecord", "Facet",
-    "GbsmConfig", "KFactors", "LcrInputs", "MatchResult", "Material",
-    "Mpc", "PathSet", "Psd", "Scene", "SceneError", "Taps", "angular_psd",
+    "DcmLookupError", "DcmMap", "DcmRecord", "Facet", "GbsmConfig",
+    "KFactors", "LcrInputs", "MatchResult", "Material", "Mpc", "PathSet",
+    "Psd", "Scene", "SceneError", "Taps", "angular_psd",
     "branch_power_coefficients", "build_map", "combine_cir", "delay_psd",
     "direction_angles", "doppler_psd", "doppler_psd_from_lags",
     "dumps_map", "dynamic_cir", "empirical_cdf", "estimate_k_split",

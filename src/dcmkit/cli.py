@@ -189,15 +189,13 @@ def _cmd_build(args) -> int:
 def _cmd_query(args) -> int:
     dmap = dcmmod.load_map(args.map)
     rec = dcmmod.query(dmap, args.at, tolerance=args.tolerance)
+    paths = rec.mpcs
     rows = []
-    for m in rec.mpcs:
-        rows.append(",".join([
-            m.kind,
-            _fmt(m.delay * 1e9),
-            _fmt(_db(m.power)),
-            _fmt(math.degrees(m.aod[0])), _fmt(math.degrees(m.aod[1])),
-            _fmt(math.degrees(m.aoa[0])), _fmt(math.degrees(m.aoa[1])),
-        ]))
+    for kind, delay, power, aod, aoa in zip(paths.kinds, paths.delay.tolist(),
+                                            paths.power.tolist(), paths.aod.tolist(),
+                                            paths.aoa.tolist()):
+        values = [delay * 1e9, _db(power), *map(math.degrees, aod + aoa)]
+        rows.append(",".join([kind, *map(_fmt, values)]))
     _write_csv(args.out,
                "kind,delay_ns,power_db,aod_el_deg,aod_az_deg,aoa_el_deg,aoa_az_deg",
                rows)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .gbsm import AntennaArray, GbsmConfig, config_field
 from .hybrid import _ONE_ELEMENT, ChannelModel, ChannelSnapshot, KFactors
-from .raytrace import Mpc, PathSet, _kind_order, trace_static_mpcs
+from .raytrace import PathSet, _kind_order, trace_static_mpcs
 from .scene import Scene, _fields, _floats
 
 MAGIC = "DCMv2"
@@ -331,13 +331,11 @@ def _fmt_vec(vec) -> str:
     return ",".join(_fmt(v) for v in vec)
 
 
-def _mpc_line(m: Mpc) -> str:
-    return "mpc kind=%s delay=%s power=%s aod=%s aoa=%s phases=%s xpr=%s" % (
-        m.kind, _fmt(m.delay), _fmt(m.power), _fmt_vec(m.aod),
-        _fmt_vec(m.aoa), _fmt_vec(m.phases), _fmt(m.xpr))
-
-
 def _record_lines(rec: DcmRecord) -> list[str]:
+    paths = rec.mpcs
+    # %r of each column's tolist() float is _fmt's repr
+    table = np.column_stack([paths.delay, paths.power, paths.aod, paths.aoa,
+                             paths.phases, paths.xpr]).tolist()
     lines = [
         "[record]",
         "tx=" + _fmt_vec(rec.tx),
@@ -345,7 +343,8 @@ def _record_lines(rec: DcmRecord) -> list[str]:
         "ks=" + _fmt(rec.k_s),
         "kd=" + _fmt(rec.k_d),
     ]
-    lines.extend(_mpc_line(m) for m in rec.mpcs)
+    lines.extend("mpc kind=%s delay=%r power=%r aod=%r,%r aoa=%r,%r phases=%r,%r,%r,%r"
+                 " xpr=%r" % (kind, *row) for kind, row in zip(paths.kinds, table))
     return lines
 
 

@@ -22,9 +22,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .raytrace import SPEED_OF_LIGHT, unit_from_angles
-
-DEFAULT_CARRIER = 5.5e9
+from .raytrace import DEFAULT_FREQUENCY, SPEED_OF_LIGHT, unit_from_angles
 
 
 def isotropic_pattern(elevation, azimuth):
@@ -46,7 +44,7 @@ class AntennaArray:
     """
 
     n_elements: int = 1
-    spacing: float = 0.5 * SPEED_OF_LIGHT / DEFAULT_CARRIER
+    spacing: float = 0.5 * SPEED_OF_LIGHT / DEFAULT_FREQUENCY
     orientation: tuple[float, float] = (0.0, 0.0)
     pattern: object = isotropic_pattern
 
@@ -84,7 +82,7 @@ class GbsmConfig:
 
     n_clusters: int = 15
     rays_per_cluster: int = 10
-    carrier_frequency: float = DEFAULT_CARRIER
+    carrier_frequency: float = DEFAULT_FREQUENCY
     cluster_speed: float = 0.5
     delay_decay: float = 200e-9
     virtual_delay_mean: float = 30e-9

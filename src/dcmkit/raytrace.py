@@ -88,10 +88,10 @@ _ROUND_UP = 1.0 + 16.0 * np.finfo(float).eps
 
 def friis_path_gain(distance: float, frequency: float) -> float:
     """Free-space power gain in dB: -20 log10(4 pi d f / c)."""
-    if distance <= 0.0:
-        raise ValueError(f"distance must be > 0, got {distance}")
-    if frequency <= 0.0:
-        raise ValueError(f"frequency must be > 0, got {frequency}")
+    if not 0.0 < distance < math.inf:
+        raise ValueError(f"distance must be finite and > 0, got {distance}")
+    if not 0.0 < frequency < math.inf:
+        raise ValueError(f"frequency must be finite and > 0, got {frequency}")
     return -20.0 * math.log10(4.0 * math.pi * distance * frequency / SPEED_OF_LIGHT)
 
 
@@ -104,8 +104,8 @@ def fresnel_coefficients(material: Material, incidence: float, frequency: float)
     """
     if not 0.0 <= incidence <= math.pi / 2:
         raise ValueError(f"incidence must be in [0, pi/2], got {incidence}")
-    if frequency <= 0.0:
-        raise ValueError(f"frequency must be > 0, got {frequency}")
+    if not 0.0 < frequency < math.inf:
+        raise ValueError(f"frequency must be finite and > 0, got {frequency}")
     g_perp, g_par = _fresnel_arrays(
         np.asarray(material.eps_r), np.asarray(material.sigma),
         np.asarray(math.cos(incidence)), frequency,

@@ -5,8 +5,9 @@ All second-order statistics descend from one correlation definition
     R(offsets) = E[ H*(base) H(base + offsets) ]
 
 with offsets in transmit element spacing, receive element spacing, time,
-frequency, and receiver location.  One kernel, `_corr_grid`, evaluates it
-for `stfcf`, `fcf_closed_form`, `angular_psd` and `doppler_psd`.  The
+frequency, and receiver location.  One kernel, `stfcf`, evaluates it
+over grids of offsets, and `fcf_closed_form`, `angular_psd` and
+`doppler_psd` each call it with one grid.  The
 line-of-sight and static-reflection branches are evaluated in closed form
 (their only randomness, the frozen initial phases, drops diagonal terms);
 the dynamic branch is averaged over seeded cluster ensembles, drawn in
@@ -35,7 +36,7 @@ import numpy as np
 
 from .gbsm import _draw_clusters, ray_delays
 from .hybrid import _SERIES_BLOCK, ChannelModel, KFactors, rician_params
-from .raytrace import SPEED_OF_LIGHT, unit_from_angles
+from .raytrace import SPEED_OF_LIGHT, _point, unit_from_angles
 
 DEFAULT_ENSEMBLE = 200
 
@@ -52,30 +53,6 @@ def _check_evaluation(ensemble: int, t: float, dt=0.0) -> None:
     times = np.append(t, t + np.asarray(dt, dtype=float))
     if not ((0.0 <= times) & (times < math.inf)).all():
         raise ValueError("evaluation times must be >= 0 and finite")
-
-
-@dataclass(frozen=True)
-class CorrelationQuery:
-    """Offsets for one correlation evaluation.
-
-    dr_t / dr_r displace the transmit / receive element along the array
-    axis (meters), dt and df offset time and frequency, dloc displaces the
-    receiver location.  `t` and `f` set the evaluation point (f = None means
-    the carrier); `ensemble` sizes the Monte-Carlo average of the dynamic
-    branch.
-    """
-
-    dr_t: float = 0.0
-    dr_r: float = 0.0
-    dt: float = 0.0
-    df: float = 0.0
-    dloc: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    t: float = 0.0
-    f: float | None = None
-    ensemble: int = DEFAULT_ENSEMBLE
-
-    def __post_init__(self):
-        _check_evaluation(self.ensemble, self.t, self.dt)
 
 
 @dataclass(frozen=True)
@@ -238,18 +215,31 @@ def _phase_terms(clusters, tau0, t: float, columns, inverse, gain, base: float):
         yield points, np.exp(x, out=x)
 
 
-def _corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc=(0.0, 0.0, 0.0),
-               t=0.0, f=None, ensemble=DEFAULT_ENSEMBLE) -> np.ndarray:
-    """Branch-weighted correlation R(offsets) over grids of offsets.
+def stfcf(model: ChannelModel, dr_t=0.0, dr_r=0.0, dt=0.0, df=0.0,
+          dloc=(0.0, 0.0, 0.0), t=0.0, f=None,
+          ensemble: int = DEFAULT_ENSEMBLE) -> np.ndarray:
+    """Space-time-frequency correlation R(offsets), (Q,) over offset grids.
 
-    dr_t, dr_r, dt and df are scalars or 1-D grids of one length Q; dloc is
-    one (3,) receiver displacement.  The LoS and static-reflection branches
+    dr_t / dr_r displace the transmit / receive element along the array
+    axis (meters), dt and df offset time and frequency; each is a scalar or
+    a 1-D grid of one length Q, and scalars alone give Q = 1.  dloc is one
+    finite (3,) receiver displacement, `t` and `f` the evaluation point
+    (f = None means the carrier).  The LoS and static-reflection branches
     are exact sums over the frozen paths, each path displaced in delay by
     its projection on the offsets; the dynamic branch is averaged over
-    `ensemble` seeded cluster sets.
+    `ensemble` seeded cluster sets.  All offsets zero gives the summed
+    branch powers: 1 exactly when the model has a static path, w_d² when it
+    has none (see `branch_power_coefficients`).
     """
     _check_evaluation(ensemble, t, dt)
     dr_t, dr_r, dt, df = _offset_grids(dr_t, dr_r, dt, df)
+    for name, grid in (("dr_t", dr_t), ("dr_r", dr_r), ("df", df)):
+        bad = grid[~np.isfinite(grid)]
+        if len(bad):
+            raise ValueError(f"{name} must be finite, got {bad[0]}")
+    dloc = _point("dloc", dloc)
+    if f is not None and not 0.0 < f < math.inf:
+        raise ValueError(f"f must be finite and > 0, got {f!r}")
     fc = model.gbsm.carrier_frequency
     f_base = fc if f is None else f
     n_los, paths, share = model.static_mpcs.branches()
@@ -272,18 +262,6 @@ def _corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc=(0.0, 0.0, 0.0),
     return out
 
 
-def stfcf(model: ChannelModel, query: CorrelationQuery) -> complex:
-    """Space-time-frequency correlation at one offset tuple.
-
-    Branch-weighted sum of the closed-form static correlations and the
-    Monte-Carlo dynamic correlation.  All offsets zero gives the summed
-    branch powers: 1 exactly when the model has a static path, w_d² when it
-    has none (see `branch_power_coefficients`).
-    """
-    return complex(_corr_grid(model, query.dr_t, query.dr_r, query.dt, query.df,
-                              query.dloc, query.t, query.f, query.ensemble)[0])
-
-
 def fcf_closed_form(model: ChannelModel, df_grid, t: float = 0.0,
                     ensemble: int = DEFAULT_ENSEMBLE) -> np.ndarray:
     """Frequency correlation over a grid of frequency offsets.
@@ -293,7 +271,7 @@ def fcf_closed_form(model: ChannelModel, df_grid, t: float = 0.0,
     FCF(0) = 1 exactly when the model has a static path; with none it is
     the dynamic share w_d² (see `branch_power_coefficients`).
     """
-    return _corr_grid(model, 0.0, 0.0, 0.0, df_grid, t=t, ensemble=ensemble)
+    return stfcf(model, df=df_grid, t=t, ensemble=ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +376,7 @@ def angular_psd(model: ChannelModel, n_lags: int = 64, ensemble: int = 64,
     grid = np.linspace(0.0, math.pi, 181)
     dr = np.arange(n_lags) * (SPEED_OF_LIGHT / model.gbsm.carrier_frequency) / 4.0
     nu, masses, clipped = _lag_spectrum_masses(
-        _corr_grid(model, 0.0, dr, 0.0, 0.0, t=t, ensemble=ensemble))
+        stfcf(model, dr_r=dr, t=t, ensemble=ensemble))
     # lag phase exp(-j 2 pi q cos/4) meets kernel exp(+j 2 pi q nu), so an
     # arrival at cone angle theta lands at direction cosine 4 nu = cos theta
     cosines = 4.0 * nu
@@ -421,7 +399,7 @@ def doppler_psd(model: ChannelModel, duration: float = 0.512, dt: float = 1e-3,
         raise ValueError(f"duration and dt must be > 0, got {duration}, {dt}")
     lags_t = np.arange(max(2, int(round(duration / dt)))) * dt
     return doppler_psd_from_lags(
-        _corr_grid(model, 0.0, 0.0, lags_t, 0.0, t=t, ensemble=ensemble), dt)
+        stfcf(model, dt=lags_t, t=t, ensemble=ensemble), dt)
 
 
 def doppler_psd_from_lags(lags, dt: float) -> Psd:
@@ -507,6 +485,7 @@ def lcr_time_inputs(model: ChannelModel, t: float = 0.0,
     lags 0 and the time over which the clusters move a hundredth of a
     wavelength.  Rates from these inputs are per second.
     """
+    _check_evaluation(ensemble, t)
     amp, sigma2 = rician_params(model.snapshot(0.0))
     if sigma2 <= 0.0:
         raise ValueError("no diffuse power: envelope never crosses")
@@ -515,7 +494,6 @@ def lcr_time_inputs(model: ChannelModel, t: float = 0.0,
     if speed <= 0.0:
         raise ValueError("time statistics need a positive cluster speed")
     step = SPEED_OF_LIGHT / model.gbsm.carrier_frequency / (100.0 * speed)
-    _check_evaluation(ensemble, t)
     r = _dynamic_corr_grid(model, 0.0, 0.0, np.array([0.0, step]), 0.0,
                            (0.0, 0.0, 0.0), t=t, ensemble=ensemble)
     # spectral moments from the correlation at lags 0 and step

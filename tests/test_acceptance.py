@@ -23,8 +23,8 @@ from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors, Mpc, PathS
                     trace_static_mpcs, update_snapshot)
 from dcmkit.cli import main as cli_main
 from dcmkit.gbsm import ray_delays
-from dcmkit.stats import (CorrelationQuery, LcrInputs, angular_psd,
-                          branch_power_coefficients, delay_psd, stfcf)
+from dcmkit.stats import (LcrInputs, angular_psd, branch_power_coefficients,
+                          delay_psd, stfcf)
 
 from conftest import GROUND_SCENE, ROOM_SCENE, make_model, panel_field_scene
 from test_raytrace import _oracle_paths, _random_scene
@@ -166,7 +166,7 @@ def test_criterion_4_fcf_psd_identities():
     grid = np.arange(100) * 1e6  # 100 ns lands exactly on delay bin 10
     fcf = fcf_closed_form(static, grid)
     psd = delay_psd(fcf, grid)
-    r0 = stfcf(static, CorrelationQuery())
+    r0 = stfcf(static)[0]
     spread = rms_spread(psd)
 
     null_grid = np.arange(41) * 0.25e6

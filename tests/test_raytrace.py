@@ -485,6 +485,9 @@ def test_fresnel_rejects_bad_arguments():
         fresnel_coefficients(mat, -0.1, 5.5e9)
     with pytest.raises(ValueError):
         fresnel_coefficients(mat, 0.5, 0.0)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="^frequency must be finite and > 0, got "):
+            fresnel_coefficients(mat, 0.3, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +502,11 @@ def test_friis_reference_value():
         friis_path_gain(0.0, 5.5e9)
     with pytest.raises(ValueError):
         friis_path_gain(1.0, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^distance must be finite and > 0, got "):
+            friis_path_gain(bad, 5.5e9)
+        with pytest.raises(ValueError, match="^frequency must be finite and > 0, got "):
+            friis_path_gain(1.0, bad)
 
 
 def test_direction_angles_roundtrip():

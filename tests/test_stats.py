@@ -10,8 +10,7 @@ from scipy.constants import c as C0
 from dcmkit import Mpc, rician_params, static_cir, stats
 from dcmkit.gbsm import _draw_clusters, ray_delays
 from dcmkit.raytrace import unit_from_angles
-from dcmkit.stats import (CorrelationQuery, LcrInputs, Psd, angular_psd,
-                          branch_power_coefficients, delay_psd, doppler_psd,
+from dcmkit.stats import (LcrInputs, Psd, angular_psd, branch_power_coefficients, delay_psd, doppler_psd,
                           doppler_psd_from_lags, empirical_cdf,
                           fcf_closed_form, lcr_analytic, lcr_empirical,
                           lcr_time_inputs, rms_spread, stfcf)
@@ -50,16 +49,20 @@ def test_fcf_rejects_powerless_reflections():
         fcf_closed_form(model, np.array([0.0, 1e6]), ensemble=2)
 
 
-def test_correlation_query_validation():
-    q = CorrelationQuery()
-    assert q.dloc == (0.0, 0.0, 0.0) and q.f is None
+def test_stfcf_defaults_and_validation():
+    # no displacement and the carrier by default, one point for scalar offsets
+    model = two_tap_model(k_s=2.0, k_d=10.0)
+    r = stfcf(model, ensemble=2)
+    assert r.shape == (1,)
+    for kw in ({"dloc": (0.0, 0.0, 0.0), "f": None}, {"f": FC}):
+        assert stfcf(model, ensemble=2, **kw).tobytes() == r.tobytes()
     with pytest.raises(ValueError):
-        CorrelationQuery(ensemble=0)
+        stfcf(model, ensemble=0)
     with pytest.raises(ValueError):
-        CorrelationQuery(t=-1.0)
+        stfcf(model, t=-1.0)
     with pytest.raises(ValueError):
-        CorrelationQuery(t=1.0, dt=-2.0)
-    CorrelationQuery(t=2.0, dt=-1.0)
+        stfcf(model, t=1.0, dt=-2.0)
+    stfcf(model, t=2.0, dt=-1.0, ensemble=2)
 
 
 def test_psd_validation_and_mass():
@@ -118,7 +121,7 @@ MALFORMED_STATIC = [
     lambda m: static_cir(m.static_mpcs, m.tx_array, m.rx_array, m.k, FC),
     lambda m: m.snapshot(0.0),
     lambda m: fcf_closed_form(m, np.arange(4) * 1e6, ensemble=1),
-    lambda m: stfcf(m, CorrelationQuery(df=1e6, ensemble=1)),
+    lambda m: stfcf(m, df=1e6, ensemble=1),
     lambda m: doppler_psd(m, duration=0.004, ensemble=1),
     lambda m: angular_psd(m, n_lags=4, ensemble=1),
 ], ids=["static_cir", "snapshot", "fcf_closed_form", "stfcf", "doppler_psd",
@@ -139,8 +142,8 @@ def test_malformed_static_paths_fail_alike(mpcs, message, call):
 
 def test_stfcf_is_one_at_zero_offsets():
     model = two_tap_model(k_s=2.0, k_d=10.0)
-    r = stfcf(model, CorrelationQuery(ensemble=50))
-    assert abs(r - 1.0) < 1e-12
+    r = stfcf(model, ensemble=50)
+    assert r.shape == (1,) and abs(r[0] - 1.0) < 1e-12
 
 
 def test_stfcf_matches_fcf_closed_form_on_grid():
@@ -148,17 +151,17 @@ def test_stfcf_matches_fcf_closed_form_on_grid():
     model = two_tap_model(k_s=2.0, k_d=10.0)
     df = np.arange(5) * 2e6
     fcf = fcf_closed_form(model, df, ensemble=50)
-    pointwise = np.array(
-        [stfcf(model, CorrelationQuery(df=float(d), ensemble=50)) for d in df])
+    pointwise = np.array([stfcf(model, df=float(d), ensemble=50)[0] for d in df])
     assert np.max(np.abs(fcf - pointwise)) < 1e-12
+    assert stfcf(model, df=df, ensemble=50).tobytes() == fcf.tobytes()
 
 
 def test_los_only_correlation_has_unit_magnitude():
     model = make_model([los_mpc()], k_s=5.0, k_d=math.inf)
     for df in [0.0, 3.7e6, 41e6]:
-        r = stfcf(model, CorrelationQuery(df=df))
+        r = stfcf(model, df=df)[0]
         assert abs(abs(r) - 1.0) < 1e-12
-    r = stfcf(model, CorrelationQuery(dr_r=0.012, df=1e6))
+    r = stfcf(model, dr_r=0.012, df=1e6)[0]
     assert abs(abs(r) - 1.0) < 1e-12
 
 
@@ -174,7 +177,7 @@ def test_los_only_correlation_follows_spatial_offsets():
                            carrier_frequency=fc)
         for dr_t, dloc, f in [(0.004, (0.03, -0.02, 0.011), 0.97 * fc),
                               (-0.013, (-0.2, 0.15, 0.05), 1.02 * fc)]:
-            r = stfcf(model, CorrelationQuery(dr_t=dr_t, dloc=dloc, f=f))
+            r = stfcf(model, dr_t=dr_t, dloc=dloc, f=f)[0]
             shift = (unit_from_angles(*mpc.aod) @ model.tx_array.axis * dr_t
                      + unit_from_angles(*mpc.aoa) @ np.asarray(dloc)) / C0
             assert abs(r - np.exp(-2j * math.pi * (2.0 * fc - f) * shift)) < 1e-12
@@ -367,7 +370,7 @@ def test_doppler_psd_short_window_keeps_three_bins():
 def test_correlation_entries_check_ensemble_and_time():
     model = make_model([los_mpc(), nlos_mpc()], k_s=2.0, k_d=8.0, rx_elements=4)
     entries = [lambda **kw: fcf_closed_form(model, [0.0, 1e6], **kw),
-               lambda **kw: stfcf(model, CorrelationQuery(**kw)),
+               lambda **kw: stfcf(model, **kw),
                lambda **kw: angular_psd(model, n_lags=8, **kw),
                lambda **kw: doppler_psd(model, duration=8e-3, **kw),
                lambda **kw: lcr_time_inputs(model, **kw)]
@@ -384,7 +387,26 @@ def test_correlation_entries_check_ensemble_and_time():
                 entry(t=t)
     for dt in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="evaluation times must be >= 0 and finite"):
-            CorrelationQuery(t=0.5, dt=dt)
+            stfcf(model, t=0.5, dt=dt)
+    # each offset is named: a non-finite one would turn the correlation into NaN
+    for name in ("dr_t", "dr_r", "df"):
+        for bad in (math.nan, math.inf, -math.inf, [0.0, math.nan]):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+                stfcf(model, **{name: bad}, ensemble=2)
+    with pytest.raises(ValueError, match="^df must be finite, got "):
+        fcf_closed_form(make_model([]), [0.0, math.nan], ensemble=2)
+    for dloc in ((math.nan, 0.0, 0.0), (0.0, 0.0, math.inf), (1.0, 2.0), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="^dloc must be three finite numbers, got "):
+            stfcf(model, dloc=dloc, ensemble=2)
+    for f in (math.nan, math.inf, 0.0, -FC):
+        with pytest.raises(ValueError, match="^f must be finite and > 0, got "):
+            stfcf(model, f=f, ensemble=2)
+    # the inputs are checked before a model without diffuse power is seen
+    frozen = two_tap_model(k_s=2.0, k_d=math.inf)
+    with pytest.raises(ValueError, match="ensemble must be >= 1"):
+        lcr_time_inputs(frozen, ensemble=0)
+    with pytest.raises(ValueError, match="evaluation times must be >= 0"):
+        lcr_time_inputs(frozen, t=math.nan)
 
 
 # (dr_t, dr_r, dt, df, dloc, t, f) grids for each path through the kernel
