@@ -137,8 +137,8 @@ def _offset_grids(*offsets) -> list[np.ndarray]:
     """Broadcast scalar or 1-D offsets to one grid of Q points."""
     arrays = [np.asarray(x, dtype=float) for x in offsets]
     q = max(a.size for a in arrays)
-    if any(a.ndim and len(a) != q for a in arrays):
-        raise ValueError("offset grids must share one length")
+    if any(a.ndim > 1 or a.ndim and len(a) != q for a in arrays):
+        raise ValueError("offsets must be scalars or 1-D grids of one length")
     return [np.broadcast_to(a, (q,)) for a in arrays]
 
 

@@ -10,10 +10,10 @@ from scipy.constants import c as C0
 from dcmkit import Mpc, rician_params, static_cir, stats
 from dcmkit.gbsm import _draw_clusters, ray_delays
 from dcmkit.raytrace import unit_from_angles
-from dcmkit.stats import (LcrInputs, Psd, angular_psd, branch_power_coefficients, delay_psd, doppler_psd,
-                          doppler_psd_from_lags, empirical_cdf,
-                          fcf_closed_form, lcr_analytic, lcr_empirical,
-                          lcr_time_inputs, rms_spread, stfcf)
+from dcmkit.stats import (LcrInputs, Psd, angular_psd, branch_power_coefficients,
+                          delay_psd, doppler_psd, doppler_psd_from_lags,
+                          empirical_cdf, fcf_closed_form, lcr_analytic,
+                          lcr_empirical, lcr_time_inputs, rms_spread, stfcf)
 
 from conftest import make_model
 
@@ -398,6 +398,10 @@ def test_correlation_entries_check_ensemble_and_time():
     for dloc in ((math.nan, 0.0, 0.0), (0.0, 0.0, math.inf), (1.0, 2.0), (1, 2, 3, 4)):
         with pytest.raises(ValueError, match="^dloc must be three finite numbers, got "):
             stfcf(model, dloc=dloc, ensemble=2)
+    for grids in ({"df": np.zeros((4, 1))}, {"df": np.zeros((2, 2))},
+                  {"dt": np.zeros(3), "df": np.zeros(2)}):
+        with pytest.raises(ValueError, match="^offsets must be scalars or 1-D grids"):
+            stfcf(model, **grids, ensemble=2)
     for f in (math.nan, math.inf, 0.0, -FC):
         with pytest.raises(ValueError, match="^f must be finite and > 0, got "):
             stfcf(model, f=f, ensemble=2)
