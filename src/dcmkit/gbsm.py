@@ -175,9 +175,10 @@ class ClusterSet:
     every synthesis reads: the ray anchors at t = 0 (C, m, 3) in meters from
     the link ends, `tx_anchor`/`rx_anchor`; anchors (2, 3, C, m, 1) and
     velocities (2, 3, C, 1, 1) of both ends, component-major (`_anchors`,
-    `_velocities`); and for the R = C m rays the virtual delays and
-    sqrt(ray power), (R, 1).  The ray gains between isotropic elements are
-    derived on first use.
+    `_velocities`); the power of every ray, `ray_power` (C, m);
+    and for the R = C m rays the virtual delays and sqrt(ray power),
+    (R, 1).  The ray gains between isotropic elements are derived on first
+    use.
     """
 
     power: np.ndarray
@@ -207,13 +208,15 @@ class ClusterSet:
         el = np.minimum(np.maximum(angles[..., 0], -math.pi / 2), math.pi / 2)
         anchors = np.array([self.d_t0, self.d_r0])[:, :, None, None] \
             * unit_from_angles(el, angles[..., 1])
+        ray_power = (self.power * (1.0 / m)).repeat(m).reshape(-1, m)
         for name, value in (
                 ("tx_anchor", anchors[0]), ("rx_anchor", anchors[1]),
                 ("_anchors", anchors.transpose(0, 3, 1, 2)[..., None]),
                 ("_velocities",
                  np.array([self.velocity_a.T, self.velocity_z.T])[..., None, None]),
                 ("_virtual", np.repeat(self.virtual_delay, m)[:, None]),
-                ("_amplitude", np.sqrt(self.power * (1.0 / m)).repeat(m)[:, None])):
+                ("ray_power", ray_power),
+                ("_amplitude", np.sqrt(ray_power).reshape(-1, 1))):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -228,12 +231,6 @@ class ClusterSet:
         """sqrt(ray power) exp(j phase_vv), (R, 1): each ray's gain when both
         ends have unit vertical and no horizontal response."""
         return self._amplitude * np.exp(1j * self.phases[..., 0].reshape(-1, 1))
-
-    @property
-    def ray_power(self) -> np.ndarray:
-        """Power of every ray, (C, m)."""
-        m = self.rays_per_cluster
-        return np.repeat(self.power[:, None] * (1.0 / m), m, axis=1)
 
 
 def spawn_clusters(config: GbsmConfig, location) -> ClusterSet:
@@ -313,38 +310,56 @@ def _entropy_words(values) -> list[int]:
     return [w for v in values for w in ((v & 0xFFFFFFFF, v >> 32) if v >> 32 else (v,))]
 
 
-def ray_delays(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset):
-    """Delays of every ray once its anchors have moved on to t + dt.
+def _ray_vectors(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset):
+    """Element-to-anchor vectors of every ray once its anchors have moved on to t + dt.
 
     `dt` is a grid of Q time offsets; `tx_offset`/`rx_offset` are antenna
     element positions relative to the link ends, one (3,) vector or one per
-    grid point (Q, 3).  Returns the delays (R, Q) of the R = C m rays in
-    cluster-major order, end-to-anchor legs plus virtual delay, and per end
-    the element-to-anchor vectors with their lengths (R, Q).  The vectors
-    are component-major, (3, R, Q): x, y and z are each one contiguous
-    (R, Q) plane.
+    grid point (Q, 3).  Yields six planes (R, Q) of the R = C m rays in
+    cluster-major order, one at a time: x, y and z of (anchor + v t) + v dt
+    - offset at the transmit end, then at the receive end.
     """
     dt = np.asarray(dt, dtype=float)
-    # (anchor + v t) + v dt - offset, per end one contiguous plane per
-    # component; a cluster's velocity broadcasts over its rays
+    q = dt.size
+    # a cluster's velocity broadcasts over its rays
     moved = clusters._velocities * dt
     start = clusters._anchors + clusters._velocities * t
-    legs = []
-    for end, offset in enumerate((tx_offset, rx_offset)):
-        rel = np.add(moved[end], start[end]).reshape(3, -1, dt.size)
+    for end_moved, end_start, offset in zip(moved, start, (tx_offset, rx_offset)):
         offset = np.asarray(offset, dtype=float)
-        if offset.any():  # subtracting a zero offset changes no length
-            rel -= offset.T.reshape(3, 1, -1)
-        x, y, z = rel
-        norm = x * x
-        norm += y * y
-        norm += z * z
-        legs.append((rel, np.sqrt(norm, out=norm)))
-    (_, d_t), (_, d_r) = legs
-    delays = d_t + d_r
+        # subtracting a zero offset changes no length; count_nonzero is the
+        # cheaper test on a handful of numbers
+        shifts = offset.T.reshape(3, 1, -1) if np.count_nonzero(offset) else (None,) * 3
+        for v_dt, anchor, shift in zip(end_moved, end_start, shifts):
+            rel = np.add(v_dt, anchor).reshape(-1, q)
+            if shift is not None:
+                rel -= shift
+            yield rel
+
+
+def _leg_length(planes) -> np.ndarray:
+    """sqrt((x x + y y) + z z) of the next three planes; squares them in place."""
+    norm = next(planes)
+    norm *= norm
+    for _ in range(2):
+        plane = next(planes)
+        norm += np.multiply(plane, plane, out=plane)
+        del plane  # free before the next plane is formed
+    return np.sqrt(norm, out=norm)
+
+
+def ray_delays(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset) -> np.ndarray:
+    """Delays (R, Q) of every ray once its anchors have moved on to t + dt.
+
+    Arguments as in `_ray_vectors`.  A delay is the two element-to-anchor
+    legs over c plus the virtual delay.  The legs are taken one end and one
+    component at a time, so no (3, R, Q) array is formed.
+    """
+    planes = _ray_vectors(clusters, t, dt, tx_offset, rx_offset)
+    delays = _leg_length(planes)
+    delays += _leg_length(planes)
     delays /= SPEED_OF_LIGHT
     delays += clusters._virtual
-    return delays, legs[0], legs[1]
+    return delays
 
 
 def ray_taps(clusters: ClusterSet, t: float, dt, tx_array: AntennaArray,
@@ -353,21 +368,22 @@ def ray_taps(clusters: ClusterSet, t: float, dt, tx_array: AntennaArray,
 
     Anchors move on to t + dt as in `ray_delays`.  Amplitude is sqrt(ray
     power) times the polarization mix of the element patterns, read at the
-    angles of the (3, R, Q) element-to-anchor vectors, and the carrier
-    phase exp(j 2 pi f_c tau).  When both arrays use `isotropic_pattern`
-    itself, the mix is exp(j phase_vv) whatever the angles, so the gain is
-    one per ray, kept by the cluster set, and no angle is computed.  Any
-    other pattern, one returning (1, 0) too, takes the general path, which
-    gives those same bits: every term it adds is a signed zero.
+    angles of the element-to-anchor vectors of `_ray_vectors`, and the
+    carrier phase exp(j 2 pi f_c tau).  When both arrays use
+    `isotropic_pattern` itself, the mix is exp(j phase_vv) whatever the
+    angles, so the gain is one per ray, kept by the cluster set, and no
+    vector or angle is computed.  Any other pattern, one returning (1, 0)
+    too, takes the general path, which gives those same bits: every term it
+    adds is a signed zero.
     """
-    delays, (rel_t, d_t), (rel_r, d_r) = ray_delays(
-        clusters, t, dt, tx_array.element_offset(pair[0]),
-        rx_array.element_offset(pair[1]))
+    offsets = tx_array.element_offset(pair[0]), rx_array.element_offset(pair[1])
+    delays = ray_delays(clusters, t, dt, *offsets)
     if tx_array.pattern is rx_array.pattern is isotropic_pattern:
         gains = clusters._isotropic_gain
     else:
-        f_tx = tx_array.pattern(*_angles_of(rel_t, d_t))
-        f_rx = rx_array.pattern(*_angles_of(rel_r, d_r))
+        vectors = list(_ray_vectors(clusters, t, dt, *offsets))
+        f_tx = tx_array.pattern(*_angles_of(*vectors[:3]))
+        f_rx = rx_array.pattern(*_angles_of(*vectors[3:]))
         gains = clusters._amplitude * _pol_mix(
             f_rx, f_tx, clusters.phases.reshape(-1, 1, 4),
             clusters.xpr.reshape(-1, 1), config.copolar_imbalance)
@@ -409,11 +425,11 @@ class Taps:
         return Taps(delays.take(order), amps, kinds)
 
 
-def _angles_of(vectors: np.ndarray, norms: np.ndarray):
-    """(elevation, azimuth) of component-major vectors (3, ...) of length norms."""
-    sin_el = vectors[2] / norms
+def _angles_of(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """(elevation, azimuth) of vectors given as x, y and z planes."""
+    sin_el = z / np.sqrt(x * x + y * y + z * z)
     el = np.arcsin(np.minimum(np.maximum(sin_el, -1.0, out=sin_el), 1.0, out=sin_el))
-    az = np.arctan2(vectors[1], vectors[0])
+    az = np.arctan2(y, x)
     return el, az
 
 

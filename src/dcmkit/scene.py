@@ -108,16 +108,17 @@ def _newell_normal(verts: np.ndarray) -> np.ndarray:
 
 
 def _check_convex(verts: np.ndarray, unit_n: np.ndarray) -> None:
-    m = len(verts)
     edges = np.roll(verts, -1, axis=0) - verts
     scale = np.linalg.norm(edges, axis=1)
     if np.any(scale == 0.0):
         raise ValueError("degenerate facet: repeated consecutive vertices")
-    for i in range(m):
-        turn = np.cross(edges[i], edges[(i + 1) % m]) @ unit_n
-        # allow collinear runs, reject reflex corners
-        if turn < -1e-9 * scale[i] * scale[(i + 1) % m]:
-            raise ValueError("facet polygon is not convex")
+    # the turn at every corner; a (1, 3) @ (3, 1) product per corner is the
+    # dot product that `cross @ unit_n` takes for one corner, to the bit
+    cross = np.cross(edges, np.roll(edges, -1, axis=0))
+    turns = (cross[:, None] @ unit_n[:, None])[:, 0, 0]
+    # allow collinear runs, reject reflex corners
+    if np.any(turns < -1e-9 * scale * np.roll(scale, -1)):
+        raise ValueError("facet polygon is not convex")
 
 
 @dataclass(frozen=True)

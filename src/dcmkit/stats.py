@@ -14,8 +14,10 @@ the dynamic branch is averaged over seeded cluster ensembles, drawn in
 member blocks and worked in tiles of at most `_SERIES_BLOCK` elements per
 array.  Ray delays are computed once per distinct offset column; a uniform
 frequency grid with no other offset takes one exponential per ray and a
-running product.  Sums run in ray and then member order, so no result
-depends on the block or tile sizes.  With these
+running product, and every other grid takes its unit phasors from a
+1024-entry table and a short series (`_phasor`), not from libm's complex
+exp.  Sums run in ray and then member order, so no result depends on the
+block or tile sizes.  With these
 conventions the frequency correlation of a tap set is
 sum_k P_k exp(-j 2 pi df tau_k), its delay spectrum is the inverse
 transform with kernel exp(+j 2 pi tau df) peaking at the true delays, and a
@@ -169,7 +171,8 @@ def _dynamic_corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc,
     for lo in range(0, ensemble, block):
         seeds = [_ensemble_seed(cfg.seed, e) for e in range(lo, min(lo + block, ensemble))]
         clusters = _draw_clusters(cfg, seeds, model.location)
-        tau0 = ray_delays(clusters, t, (0.0,), np.zeros(3), np.zeros(3))[0][:, 0]
+        power = clusters.ray_power.reshape(-1)
+        tau0 = ray_delays(clusters, t, (0.0,), np.zeros(3), np.zeros(3))[:, 0]
         if geometric:
             terms = _geometric_terms(tau0, df[0], steps[0] if len(steps) else 0.0, len(df))
         else:
@@ -177,7 +180,7 @@ def _dynamic_corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc,
                                  2.0 * fc - f_base - df, 2.0 * fc - f_base)
         sums = np.empty((len(df), len(seeds)), dtype=complex)
         for points, x in terms:  # (grid points, rays of every member)
-            x = x * clusters.ray_power.reshape(-1)
+            x = x * power
             sums[points] = x.reshape(len(x), len(seeds), rays).sum(axis=2)
         for row in sums.T:
             acc += row
@@ -199,20 +202,66 @@ def _geometric_terms(tau, df0: float, step: float, q: int):
 def _phase_terms(clusters, tau0, t: float, columns, inverse, gain, base: float):
     """Tiles of exp(2j pi (tau1 gain - tau0 base)), tau1 at each point's column.
 
-    The delays are computed once per distinct column of a tile; the phase
-    is taken to within half a cycle of zero, where exp is faster.
+    The delays are computed once per distinct column of a tile, and the
+    unit phasors by `_phasor`.
     """
     width = max(1, _SERIES_BLOCK // (3 * len(tau0)))
     for lo in range(0, len(inverse), width):
         points = slice(lo, lo + width)
         need, local = np.unique(inverse[points], return_inverse=True)
         c = columns[need]
-        tau1 = ray_delays(clusters, t, c[:, 0], c[:, 1:4], c[:, 4:7])[0].T
-        phase = tau1[local] * gain[points, None]
+        tau1 = ray_delays(clusters, t, c[:, 0], c[:, 1:4], c[:, 4:7]).T
+        phase = tau1[local]
+        phase *= gain[points, None]
         phase -= tau0 * base
-        phase -= np.rint(phase)
-        x = 2j * math.pi * phase
-        yield points, np.exp(x, out=x)
+        yield points, _phasor(phase)
+
+
+# exp(2j pi k / 1024), k < 1024: one quadrant from exp, the other three from
+# it exactly, as products with j, -1 and -j
+_QUARTER = np.exp(1j * (np.arange(256) * (math.pi / 512)))
+_TURNS = np.concatenate([_QUARTER, 1j * _QUARTER, -_QUARTER, -1j * _QUARTER])
+# cos and sin of a r, a = 2 pi / 1024, as series in r: the first omitted
+# terms are below (pi / 1024)**6 / 720 < 2e-18 for |r| <= 1/2
+_A = math.pi / 512
+_C2, _C4 = -_A ** 2 / 2, _A ** 4 / 24
+_S1, _S3, _S5 = _A, -_A ** 3 / 6, _A ** 5 / 120
+
+
+def _phasor(cycles: np.ndarray) -> np.ndarray:
+    """exp(2j pi cycles), table-driven (Tang, ACM TOMS 1989).
+
+    1024 cycles = k + r, with k = rint(1024 cycles): the scaling and the
+    subtraction are exact, and |r| <= 1/2.  The result is the table entry
+    exp(2j pi k / 1024) times a cos/sin series in r.  It is within 2e-15 of
+    `np.exp(2j * pi * (cycles - rint(cycles)))` with |z| within 4e-16 of
+    1, and it costs a fraction of libm's complex exp.  Past |cycles| of
+    2**52 every float is whole and the result is 1.
+    """
+    r = np.clip(cycles, -2.0 ** 52, 2.0 ** 52)
+    r *= 1024.0
+    k = np.rint(r)
+    r -= k
+    index = k.astype(np.intp)
+    z = _TURNS.take(np.bitwise_and(index, 1023, out=index))
+    del index
+    # the series by Horner's rule on contiguous arrays, reusing buffers:
+    # u = r r in k's, sin r (...) in r's, cos in one more
+    u = np.multiply(r, r, out=k)
+    t = u * _S5
+    t += _S3
+    t *= u
+    t += _S1
+    r *= t
+    np.multiply(u, _C4, out=t)
+    t += _C2
+    t *= u
+    t += 1.0
+    w = np.empty(r.shape, dtype=complex)
+    w.real = t
+    w.imag = r
+    z *= w
+    return z
 
 
 def stfcf(model: ChannelModel, dr_t=0.0, dr_r=0.0, dt=0.0, df=0.0,

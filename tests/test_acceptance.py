@@ -409,7 +409,7 @@ def test_criterion_8_calibration():
                              location=(tx, true_loc))
         cl = model.spawn()
         m = cl.rays_per_cluster
-        delays = ray_delays(cl, 0.0, (0.0,), np.zeros(3), np.zeros(3))[0]
+        delays = ray_delays(cl, 0.0, (0.0,), np.zeros(3), np.zeros(3))
         for c in range(len(cl)):
             for r in range(m):
                 aod_off = cl.aod_offset[c, r]

@@ -12,7 +12,7 @@ from scipy.constants import c as C0
 
 from dcmkit import (AntennaArray, ClusterSet, GbsmConfig, Taps, dynamic_cir,
                     spawn_clusters)
-from dcmkit.gbsm import _draw_clusters, ray_delays
+from dcmkit.gbsm import _draw_clusters, _ray_vectors, ray_delays
 
 LOC = ((0.0, 0.0, 0.0), (50.0, 0.0, 0.0))
 ORIGIN = np.zeros(3)
@@ -33,7 +33,7 @@ def one_ray_cluster(d_t=50.0, d_r=65.0, aod=(0.0, 0.0), aoa=(0.0, math.pi / 2),
 
 def ray_delay(cl, t, tx_offset=ORIGIN):
     """Delay of the first ray at time t."""
-    return float(ray_delays(cl, t, (0.0,), tx_offset, ORIGIN)[0][0, 0])
+    return float(ray_delays(cl, t, (0.0,), tx_offset, ORIGIN)[0, 0])
 
 
 def same(a: ClusterSet, b: ClusterSet) -> bool:
@@ -179,16 +179,22 @@ def test_speed_scales_velocities_without_redrawing():
     assert np.array_equal(fast.velocity_z, 2.0 * slow.velocity_z)
 
 
+def end_vectors(cl, t, dt):
+    """Element-to-anchor vectors (3, R, Q) at the transmit and receive ends."""
+    planes = np.array(list(_ray_vectors(cl, t, dt, ORIGIN, ORIGIN)))
+    return planes[:3], planes[3:]
+
+
 def test_anchor_displacement_is_speed_times_time():
     cluster = spawn_clusters(GbsmConfig(seed=1, n_clusters=1), LOC)
-    _, (tx_before, _), (rx_before, _) = ray_delays(cluster, 0.0, (0.0,), ORIGIN, ORIGIN)
-    _, (tx_after, _), (rx_after, _) = ray_delays(cluster, 1.0, (0.0,), ORIGIN, ORIGIN)
+    tx_before, rx_before = end_vectors(cluster, 0.0, (0.0,))
+    tx_after, rx_after = end_vectors(cluster, 1.0, (0.0,))
     moved_tx = np.linalg.norm(tx_after - tx_before, axis=0)
     moved_rx = np.linalg.norm(rx_after - rx_before, axis=0)
     assert np.allclose(moved_tx, 0.5, atol=1e-12)
     assert np.allclose(moved_rx, 0.5, atol=1e-12)
     # a time offset moves the anchors like the base time does
-    _, (tx_later, _), _ = ray_delays(cluster, 0.0, (1.0,), ORIGIN, ORIGIN)
+    tx_later, _ = end_vectors(cluster, 0.0, (1.0,))
     assert np.allclose(tx_later, tx_after, atol=1e-12)
     with pytest.raises(ValueError):
         dynamic_cir(cluster, AntennaArray(), AntennaArray(), -0.1,
@@ -206,6 +212,32 @@ def test_ray_delay_matches_geometry():
         one_ray_cluster(power=-1.0)
     with pytest.raises(ValueError):
         one_ray_cluster(virtual=-1e-9)
+
+
+@st.composite
+def delay_grids(draw):
+    """(t, dt grid, tx offset, rx offset); an offset is one (3,) vector or one per dt."""
+    coordinate = st.floats(-2.0, 2.0)
+    vector = st.tuples(coordinate, coordinate, coordinate)
+    dt = draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6))
+    per_point = st.lists(vector, min_size=len(dt), max_size=len(dt))
+    tx, rx = (np.array(draw(st.one_of(vector, per_point))) for _ in range(2))
+    return draw(st.floats(0.0, 100.0)), np.array(dt), tx, rx
+
+
+@settings(max_examples=40, deadline=None)
+@given(delay_grids())
+def test_ray_delays_are_leg_lengths_of_ray_vectors(grid):
+    # component by component, the same bits as the lengths of the vectors
+    t, dt, tx_offset, rx_offset = grid
+    clusters = spawn_clusters(GbsmConfig(seed=7, n_clusters=3, rays_per_cluster=4), LOC)
+    x_t, y_t, z_t, x_r, y_r, z_r = _ray_vectors(clusters, t, dt, tx_offset, rx_offset)
+    d_t = np.sqrt(x_t * x_t + y_t * y_t + z_t * z_t)
+    d_r = np.sqrt(x_r * x_r + y_r * y_r + z_r * z_r)
+    expected = (d_t + d_r) / C0 + clusters.virtual_delay.repeat(4)[:, None]
+    delays = ray_delays(clusters, t, dt, tx_offset, rx_offset)
+    assert delays.shape == (12, len(dt))
+    assert delays.tobytes() == expected.tobytes()
 
 
 def test_radial_recession_doppler():

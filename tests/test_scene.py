@@ -72,6 +72,18 @@ def test_facet_rejects_degenerate_and_nonplanar():
         Facet([(0, 0, 0), (1, 1, 0), (1, 0, 0), (0, 1, 0)], mat)
 
 
+def test_facet_convexity_is_checked_at_every_corner():
+    mat = default_material()
+    # a pentagon whose fourth corner turns the other way
+    with pytest.raises(ValueError, match="facet polygon is not convex"):
+        Facet([(0, 0, 0), (2, 0, 0), (2, 2, 0), (1, 1, 0), (0, 2, 0)], mat)
+    with pytest.raises(SceneError, match="line 1: facet polygon is not convex"):
+        loads_scene("[facet] v=0,0,0;2,0,0;2,2,0;1,1,0;0,2,0")
+    # a vertex in the middle of an edge is a straight corner, not a reflex one
+    scene = loads_scene("[facet] v=0,0,0;1,0,0;2,0,0;2,1,0;0,1,0")
+    assert scene.facets[0].area == 2.0
+
+
 def test_material_validation():
     with pytest.raises(ValueError):
         Material("m", eps_r=0.5, sigma=0.0)

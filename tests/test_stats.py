@@ -438,8 +438,8 @@ def member_by_member(model, dr_t, dr_r, dt, df, dloc, t, f, ensemble):
     for member in range(ensemble):
         seed = stats._ensemble_seed(model.gbsm.seed, member)
         clusters = model.reseeded(seed).spawn()
-        tau0 = ray_delays(clusters, t, (0.0,), np.zeros(3), np.zeros(3))[0]
-        tau1 = ray_delays(clusters, t, dt, off_t, off_r)[0]
+        tau0 = ray_delays(clusters, t, (0.0,), np.zeros(3), np.zeros(3))
+        tau1 = ray_delays(clusters, t, dt, off_t, off_r)
         phase = tau1 * (2.0 * fc - f_base - df) - tau0 * (2.0 * fc - f_base)
         acc += clusters.ray_power.reshape(-1) @ np.exp(2j * math.pi * phase)
     return acc / ensemble
@@ -467,7 +467,7 @@ def test_geometric_fcf_rows_match_direct_exponentials():
     df = np.arange(256) * 1e6
     seeds = [stats._ensemble_seed(model.gbsm.seed, e) for e in range(6)]
     clusters = _draw_clusters(model.gbsm, seeds, model.location)
-    tau = ray_delays(clusters, 0.0, (0.0,), np.zeros(3), np.zeros(3))[0][:, 0]
+    tau = ray_delays(clusters, 0.0, (0.0,), np.zeros(3), np.zeros(3))[:, 0]
     direct = np.exp(-2j * math.pi * np.outer(df, tau))
     terms = stats._geometric_terms(tau, 0.0, 1e6, 256)
     rows = np.concatenate([x.copy() for _, x in terms])
@@ -476,6 +476,20 @@ def test_geometric_fcf_rows_match_direct_exponentials():
     got = stats._dynamic_corr_grid(model, 0.0, 0.0, 0.0, df, (0.0, 0.0, 0.0),
                                    ensemble=len(seeds))
     assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_phasor_matches_exp_of_the_reduced_phase():
+    edges = np.array([0.5, 0.0, 1.0, 2.0, 3.0, 1.0 / 2048.0, 8000.0, 8000.5,
+                      1.0 - 2.0 ** -40, 2.0 ** 60, 1e306])
+    cycles = np.concatenate([np.linspace(-3.0, 3.0, 600_001), edges, -edges,
+                             np.random.default_rng(5).uniform(-8000.0, 8000.0, 100_000)])
+    reduced = cycles - np.rint(cycles)
+    z = stats._phasor(cycles)
+    assert np.max(np.abs(z - np.exp(2j * math.pi * reduced))) <= 2e-15
+    assert np.max(np.abs(np.abs(z) - 1.0)) <= 4e-16
+    # exact on the table's own points, and 1 wherever the phase is whole
+    quarter = stats._phasor(np.array([0.0, -0.0, 0.25, 0.5, -0.25, 7.0, 2.0 ** 60]))
+    assert quarter.tolist() == [1, 1, 1j, -1, -1j, 1, 1]
 
 
 # ---------------------------------------------------------------------------
