@@ -321,16 +321,21 @@ def _ray_vectors(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset):
     """
     dt = np.asarray(dt, dtype=float)
     q = dt.size
-    # a cluster's velocity broadcasts over its rays
-    moved = clusters._velocities * dt
     start = clusters._anchors + clusters._velocities * t
-    for end_moved, end_start, offset in zip(moved, start, (tx_offset, rx_offset)):
+    # a cluster's velocity broadcasts over its rays; when every dt is zero,
+    # adding v dt would change no coordinate but the sign of a zero, so the
+    # planes copy the anchors instead (count_nonzero is the cheaper test on
+    # a handful of numbers)
+    moved = clusters._velocities * dt if np.count_nonzero(dt) else None
+    for end, offset in enumerate((tx_offset, rx_offset)):
         offset = np.asarray(offset, dtype=float)
-        # subtracting a zero offset changes no length; count_nonzero is the
-        # cheaper test on a handful of numbers
+        # subtracting a zero offset changes no length
         shifts = offset.T.reshape(3, 1, -1) if np.count_nonzero(offset) else (None,) * 3
-        for v_dt, anchor, shift in zip(end_moved, end_start, shifts):
-            rel = np.add(v_dt, anchor).reshape(-1, q)
+        for i, shift in enumerate(shifts):
+            if moved is None:
+                rel = start[end, i].repeat(q, axis=-1).reshape(-1, q)
+            else:
+                rel = np.add(moved[end, i], start[end, i]).reshape(-1, q)
             if shift is not None:
                 rel -= shift
             yield rel

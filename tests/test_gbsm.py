@@ -240,6 +240,17 @@ def test_ray_delays_are_leg_lengths_of_ray_vectors(grid):
     assert delays.tobytes() == expected.tobytes()
 
 
+def test_zero_time_offsets_leave_the_delays_alone():
+    # an all-zero dt grid copies the anchors, a grid with a non-zero dt adds
+    # v dt to every column: the zero columns agree bit for bit
+    clusters = spawn_clusters(GbsmConfig(seed=7), LOC)
+    offset = np.array([0.1, -0.2, 0.05])
+    still = ray_delays(clusters, 0.3, np.zeros(3), offset, ORIGIN)
+    moving = ray_delays(clusters, 0.3, np.array([0.0, 0.0, 0.0, 1.0]), offset, ORIGIN)
+    assert still.tobytes() == moving[:, :3].tobytes()
+    assert not np.array_equal(moving[:, 3], moving[:, 0])
+
+
 def test_radial_recession_doppler():
     # both anchors recede along their own radial: delay rate is exactly 1/c
     cl = one_ray_cluster(aod=(0.0, 0.0), aoa=(0.0, 0.0),
