@@ -98,8 +98,10 @@ def _levels(text: str) -> list[float]:
     start, step, stop = (_finite(p) for p in parts)
     if step <= 0.0 or stop < start:
         raise argparse.ArgumentTypeError("need step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step
+    if steps == math.inf:
+        raise argparse.ArgumentTypeError(f"too many levels in {text!r}")
+    return [start + i * step for i in range(int(steps + 1e-9) + 1)]
 
 
 def _fmt(x: float) -> str:
@@ -463,6 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each type checks one option; the step count needs both
+    if "dt" in vars(args) and not math.isfinite(args.duration / args.dt):
+        parser.error("--duration / --dt must be a finite number of steps, "
+                     f"got {args.duration} / {args.dt}")
     try:
         return args.func(args)
     except BrokenPipeError:

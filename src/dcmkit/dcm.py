@@ -363,20 +363,6 @@ def _parse_mpc(line: str) -> tuple:
             float(f["xpr"]), _kind_order(f["kind"]))
 
 
-def _record_paths(rows: list, lines: list) -> PathSet:
-    """The paths of one record; a bad value fails at the line that holds it."""
-    try:
-        return PathSet(*zip(*rows))
-    except ValueError:
-        # the shortest prefix that fails ends at the first bad line
-        for n in range(1, len(rows) + 1):
-            try:
-                PathSet(*zip(*rows[:n]))
-            except ValueError as exc:
-                raise ValueError(f"line {lines[n - 1]}: {exc}") from None
-        raise
-
-
 def dumps_map(dcm: DcmMap) -> str:
     lines = [MAGIC, "[map]",
              "frequency=" + _fmt(dcm.frequency),
@@ -427,7 +413,10 @@ def loads_map(text: str) -> DcmMap:
     def finish():
         if section != "record":
             return
-        paths = _record_paths(mpcs, mpc_lines)
+        try:
+            paths = PathSet(*zip(*mpcs))
+        except ValueError as exc:  # the table names its earliest bad row
+            raise ValueError(f"line {mpc_lines[exc._row]}: {exc}") from None
         for need in _RECORD_KEYS:
             if need not in current:
                 raise ValueError(f"line {record_line}: record missing {need}=")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import struct
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
@@ -172,13 +172,12 @@ class ClusterSet:
     `virtual_delay` the delay of the unobserved bounce.  Per-ray arrays lead
     with (C, m): angle offsets (C, m, 2), phases (C, m, 4) and linear XPR.
     Rays split their cluster's power evenly.  Construction derives once what
-    every synthesis reads: the ray anchors at t = 0 (C, m, 3) in meters from
-    the link ends, `tx_anchor`/`rx_anchor`; anchors (2, 3, C, m, 1) and
-    velocities (2, 3, C, 1, 1) of both ends, component-major (`_anchors`,
-    `_velocities`); the power of every ray, `ray_power` (C, m);
-    and for the R = C m rays the virtual delays and sqrt(ray power),
-    (R, 1).  The ray gains between isotropic elements are derived on first
-    use.
+    every synthesis reads: the ray anchors at t = 0 in meters from the link
+    ends and the anchor velocities, component-major for both ends,
+    (2, 3, C, m, 1) and (2, 3, C, 1, 1) (`_anchors`, `_velocities`); the
+    power of every ray, `ray_power` (C, m); and for the R = C m rays the
+    virtual delays and sqrt(ray power), (R, 1).  The ray gains between
+    isotropic elements are derived on first use.
     """
 
     power: np.ndarray
@@ -193,8 +192,6 @@ class ClusterSet:
     aoa_offset: np.ndarray
     phases: np.ndarray
     xpr: np.ndarray
-    tx_anchor: np.ndarray = field(init=False, repr=False)
-    rx_anchor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.power.min(initial=0.0) < 0.0:
@@ -210,7 +207,6 @@ class ClusterSet:
             * unit_from_angles(el, angles[..., 1])
         ray_power = (self.power * (1.0 / m)).repeat(m).reshape(-1, m)
         for name, value in (
-                ("tx_anchor", anchors[0]), ("rx_anchor", anchors[1]),
                 ("_anchors", anchors.transpose(0, 3, 1, 2)[..., None]),
                 ("_velocities",
                  np.array([self.velocity_a.T, self.velocity_z.T])[..., None, None]),

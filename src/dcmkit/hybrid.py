@@ -27,8 +27,9 @@ from .gbsm import (AntennaArray, GbsmConfig, Taps, _pol_mix, dynamic_cir,
 from .raytrace import SPEED_OF_LIGHT, PathSet, unit_from_angles
 
 # elements of one (rays, samples) block of a narrowband series (1 MiB of
-# complex amplitudes, the fastest size from 2**13 to 2**20), and the cap on
-# one (3, rays, points) tile of the statistics kernel
+# complex amplitudes, the fastest size from 2**13 to 2**20); the statistics
+# kernel sizes its member blocks and tiles at a third of it, a factor tuned
+# by timing, not the shape of any array
 _SERIES_BLOCK = 1 << 16
 # the default array, shared so that its axis is computed once
 _ONE_ELEMENT = AntennaArray()

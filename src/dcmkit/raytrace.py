@@ -172,9 +172,10 @@ class PathSet:
     [-pi/2, pi/2], azimuth in [-pi, pi)) in radians, and `phases` (P, 4)
     the initial phases (vv, vh, hv, hh).  `facets` holds each path's
     reflecting facet indices when traced and is () when loaded from a map.
-    Construction checks every value and at most one line of sight.  Equal
-    tables hash equal.  Iteration and an integer index give `Mpc` rows, a
-    slice a PathSet.
+    Construction checks every value and at most one line of sight; an
+    error reports the earliest row at which the table stops being valid.
+    Equal tables hash equal.  Iteration and an integer index give `Mpc`
+    rows, a slice a PathSet.
     """
 
     delay: np.ndarray = ()
@@ -210,12 +211,20 @@ class PathSet:
                        ((-math.pi <= az) & (az < math.pi),
                         name + " azimuth out of [-pi, pi): {}", az)]
         checks.append((o >= 0, "order must be >= 0, got {}", o))
-        for ok, message, values in checks:
-            if not ok.all():
-                raise ValueError(message.format(values[np.argmin(ok)].tolist()))
-        n_los = np.count_nonzero(o == 0)
-        if n_los > 1:
-            raise ValueError(f"expected at most one line-of-sight path, got {n_los}")
+        los = o == 0
+        n_los = np.count_nonzero(los)
+        if n_los > 1:  # the table stops being valid at its second line of sight
+            checks.append((np.cumsum(los) < 2,
+                           f"expected at most one line-of-sight path, got {n_los}", o))
+        failed = [(np.argmin(ok), i) for i, (ok, _, _) in enumerate(checks)
+                  if not ok.all()]
+        if failed:
+            # the error names the earliest bad row, and carries it as `_row`
+            row, i = min(failed)
+            _, message, values = checks[i]
+            error = ValueError(message.format(values[row].tolist()))
+            error._row = int(row)
+            raise error
 
     @classmethod
     def of(cls, rows) -> "PathSet":

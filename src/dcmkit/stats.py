@@ -12,9 +12,9 @@ line-of-sight and static-reflection branches are evaluated in closed form
 (their only randomness, the frozen initial phases, drops diagonal terms);
 the dynamic branch is averaged over seeded cluster ensembles, drawn in
 member blocks and worked in tiles of at most `_SERIES_BLOCK` elements per
-array.  Ray delays are computed once per distinct offset column; a uniform
-frequency grid with no other offset takes one exponential per ray and a
-running product, and every other grid takes its unit phasors from a
+array.  A uniform frequency grid with no other offset takes one
+exponential per ray and a running product; every other grid takes the ray
+delays of each grid point's offsets and its unit phasors from a
 1024-entry table and a short series (`_phasor`), not from libm's complex
 exp.  Sums run in ray and then member order, so no result depends on the
 block or tile sizes.  With these
@@ -164,7 +164,6 @@ def _dynamic_corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc,
                                model.rx_array.axis * dr_r[:, None] + dloc])
     steps = np.diff(df)
     geometric = not columns.any() and bool(np.all(steps == steps[:1]))
-    columns, inverse = np.unique(columns, axis=0, return_inverse=True)
     rays = cfg.n_clusters * cfg.rays_per_cluster
     block = max(1, _SERIES_BLOCK // (3 * rays * (1 if geometric else len(df))))
     acc = np.zeros(len(df), dtype=complex)
@@ -176,7 +175,7 @@ def _dynamic_corr_grid(model: ChannelModel, dr_t, dr_r, dt, df, dloc,
         if geometric:
             terms = _geometric_terms(tau0, df[0], steps[0] if len(steps) else 0.0, len(df))
         else:
-            terms = _phase_terms(clusters, tau0, t, columns, inverse.ravel(),
+            terms = _phase_terms(clusters, tau0, t, columns,
                                  2.0 * fc - f_base - df, 2.0 * fc - f_base)
         sums = np.empty((len(df), len(seeds)), dtype=complex)
         for points, x in terms:  # (grid points, rays of every member)
@@ -199,19 +198,17 @@ def _geometric_terms(tau, df0: float, step: float, q: int):
         x *= ratio
 
 
-def _phase_terms(clusters, tau0, t: float, columns, inverse, gain, base: float):
+def _phase_terms(clusters, tau0, t: float, columns, gain, base: float):
     """Tiles of exp(2j pi (tau1 gain - tau0 base)), tau1 at each point's column.
 
-    The delays are computed once per distinct column of a tile, and the
+    The delays of a tile are computed straight from its columns, and the
     unit phasors by `_phasor`.
     """
     width = max(1, _SERIES_BLOCK // (3 * len(tau0)))
-    for lo in range(0, len(inverse), width):
+    for lo in range(0, len(columns), width):
         points = slice(lo, lo + width)
-        need, local = np.unique(inverse[points], return_inverse=True)
-        c = columns[need]
-        tau1 = ray_delays(clusters, t, c[:, 0], c[:, 1:4], c[:, 4:7]).T
-        phase = tau1[local]
+        c = columns[points]
+        phase = ray_delays(clusters, t, c[:, 0], c[:, 1:4], c[:, 4:7]).T
         phase *= gain[points, None]
         phase -= tau0 * base
         yield points, _phasor(phase)
@@ -444,8 +441,9 @@ def doppler_psd(model: ChannelModel, duration: float = 0.512, dt: float = 1e-3,
     4/(L dt) make a pure tone concentrate in one bin.  A receding cluster
     produces negative Doppler.
     """
-    if not duration > 0.0 or not dt > 0.0:
-        raise ValueError(f"duration and dt must be > 0, got {duration}, {dt}")
+    if not (duration > 0.0 and dt > 0.0 and duration / dt < math.inf):
+        raise ValueError("duration and dt must be > 0, with a finite number of "
+                         f"steps duration / dt, got {duration}, {dt}")
     lags_t = np.arange(max(2, int(round(duration / dt)))) * dt
     return doppler_psd_from_lags(
         stfcf(model, dt=lags_t, t=t, ensemble=ensemble), dt)

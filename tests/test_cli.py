@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, CSV shapes, determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -316,6 +317,8 @@ def test_levels_parser():
         _levels("5:-1:0")
     with pytest.raises(Exception):
         _levels("1:2")
+    with pytest.raises(argparse.ArgumentTypeError, match="too many levels"):
+        _levels("0:1e-310:1e10")
 
 
 def test_bench_metrics(workdir, capsys):
@@ -573,8 +576,15 @@ def test_readers_share_one_grammar(workdir, capsys, reader, defect, base, edit,
     (["stats", "angular-spread-cdf", "--at", "2,2,1.5", "--seed", "1",
       "--rx-elements", "0"],
      "argument --rx-elements: expected an integer >= 1, got '0'"),
+    (["simulate", "--at", "2,2,1.5", "--seed", "1", "--duration", "1e300",
+      "--dt", "1e-300"],
+     "--duration / --dt must be a finite number of steps, got 1e+300 / 1e-300"),
+    (["stats", "lcr", "--at", "2,2,1.5", "--seed", "1", "--duration", "1e300",
+      "--dt", "1e-300"],
+     "--duration / --dt must be a finite number of steps, got 1e+300 / 1e-300"),
 ], ids=["t", "at", "tolerance", "duration", "df-step", "fcf-df-count", "psd-df-count",
-        "n-lags", "angular-samples", "doppler-samples", "rx-elements"])
+        "n-lags", "angular-samples", "doppler-samples", "rx-elements",
+        "simulate-steps", "lcr-steps"])
 def test_bad_numeric_options_are_usage_errors(built_map, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--map", str(built_map)])

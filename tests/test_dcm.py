@@ -430,6 +430,12 @@ def test_loads_map_error_reporting():
     with pytest.raises(ValueError, match="^line 13: expected at most one "
                                          "line-of-sight path, got 2$"):
         loads_map(head + record + record.splitlines(keepends=True)[-1])
+    # the earliest bad line is named, though a check that runs first fails later
+    refl = record.splitlines(keepends=True)[-1].replace("kind=los", "kind=refl:1")
+    with pytest.raises(ValueError, match="^line 13: power must be finite and >= 0, "
+                                         "got -1.0$"):
+        loads_map(head + record + refl.replace("power=1.88e-09", "power=-1")
+                  + refl + refl.replace("delay=1e-07", "delay=-1"))
     # and a record that holds two cannot be built, so it cannot be saved
     los = loads_map(head + record).records[(1.0, 0.0, 0.0)].mpcs[0]
     with pytest.raises(ValueError, match="at most one line-of-sight path"):

@@ -105,6 +105,8 @@ def test_spawn_digest():
                 GbsmConfig(n_clusters=3, rays_per_cluster=2, seed=2**70 + 3)):
         clusters = spawn_clusters(cfg, LOC)
         chunks += [getattr(clusters, f.name).tobytes() for f in fields(ClusterSet)]
+        # the ray anchors of each end as (C, m, 3) rows
+        chunks += [end[..., 0].transpose(1, 2, 0).tobytes() for end in clusters._anchors]
     assert _sha(*chunks) == GOLDEN["spawn"]
 
 

@@ -352,7 +352,8 @@ def test_doppler_receding_rate_maps_to_negative_shift():
 
 def test_doppler_psd_rejects_nonpositive_steps():
     model = two_tap_model(k_s=2.0, k_d=8.0)
-    for kwargs in ({"dt": 0.0}, {"dt": -1e-3}, {"duration": 0.0}):
+    for kwargs in ({"dt": 0.0}, {"dt": -1e-3}, {"duration": 0.0},
+                   {"duration": 1e300, "dt": 1e-300}):
         with pytest.raises(ValueError, match="must be > 0"):
             doppler_psd(model, **kwargs)
     with pytest.raises(ValueError, match="dt must be > 0"):
