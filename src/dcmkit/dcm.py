@@ -32,7 +32,7 @@ import numpy as np
 
 from .gbsm import AntennaArray, GbsmConfig, config_field
 from .hybrid import _ONE_ELEMENT, ChannelModel, ChannelSnapshot, KFactors
-from .raytrace import PathSet, _kind_order, trace_static_mpcs
+from .raytrace import PathSet, _kind_order, _point, trace_static_mpcs
 from .scene import Scene, _fields, _floats
 
 MAGIC = "DCMv2"
@@ -250,10 +250,8 @@ def build_map(scene: Scene, tx, points, max_order: int = 2,
 
 def query(dcm: DcmMap, location, tolerance: float = 1e-6) -> DcmRecord:
     """Record at `location` (three finite numbers) or the nearest within `tolerance` m."""
-    loc = np.asarray(location, dtype=float)
-    key = tuple(loc.tolist()) if loc.shape == (3,) else ()
-    if not (key and all(map(math.isfinite, key))):
-        raise ValueError(f"location must be three finite numbers, got {location!r}")
+    loc = _point("location", location)
+    key = tuple(loc.tolist())
     rec = dcm.records.get(key)
     if rec is not None:
         return rec

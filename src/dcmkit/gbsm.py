@@ -49,10 +49,13 @@ class AntennaArray:
     pattern: object = isotropic_pattern
 
     def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
-        if self.spacing <= 0.0:
-            raise ValueError(f"spacing must be > 0, got {self.spacing}")
+        n = self.n_elements
+        if isinstance(n, bool) or not isinstance(n, _INTEGERS) or n < 1:
+            raise ValueError(f"n_elements must be an integer >= 1, got {n!r}")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be finite and > 0, got {self.spacing}")
+        if np.shape(self.orientation) != (2,) or not np.isfinite(self.orientation).all():
+            raise ValueError(f"orientation must be two finite angles, got {self.orientation}")
 
     @cached_property
     def axis(self) -> np.ndarray:
@@ -165,31 +168,29 @@ _FIELD_TYPES = typing.get_type_hints(GbsmConfig)
 class ClusterSet:
     """An ensemble of C moving twin-anchored clusters of m rays each.
 
-    Per-cluster arrays lead with C: `power` is each cluster's share of the
-    total dynamic power (shares sum to one), `d_t0`/`d_r0` are the anchor
-    distances, `aod`/`aoa` the anchor directions as (elevation, azimuth)
-    rows, `velocity_a`/`velocity_z` the anchor velocity vectors in m/s and
-    `virtual_delay` the delay of the unobserved bounce.  Per-ray arrays lead
-    with (C, m): angle offsets (C, m, 2), phases (C, m, 4) and linear XPR.
-    Rays split their cluster's power evenly.  Construction derives once what
-    every synthesis reads: the ray anchors at t = 0 in meters from the link
-    ends and the anchor velocities, component-major for both ends,
-    (2, 3, C, m, 1) and (2, 3, C, 1, 1) (`_anchors`, `_velocities`); the
-    power of every ray, `ray_power` (C, m); and for the R = C m rays the
-    virtual delays and sqrt(ray power), (R, 1).  The ray gains between
-    isotropic elements are derived on first use.
+    Per-cluster arrays lead with C and stack the two link ends, transmit
+    end first, as they are drawn: `power` is each cluster's share of the
+    total dynamic power (shares sum to one), `distance` (C, 2) the anchor
+    distances, `direction` (C, 2, 2) the anchor directions as (elevation,
+    azimuth) rows, `velocity` (C, 2, 3) the anchor velocity vectors in m/s
+    and `virtual_delay` the delay of the unobserved bounce.  Per-ray arrays
+    lead with (C, m): angle offsets `offset` (C, m, 2, 2) per end, phases
+    (C, m, 4) and linear XPR.  Rays split their cluster's power evenly.
+    Construction derives once what every synthesis reads: the ray anchors
+    at t = 0 in meters from the link ends and the anchor velocities,
+    end-major and component-major, (2, 3, C, m, 1) and (2, 3, C, 1, 1)
+    (`_anchors`, `_velocities`); the power of every ray, `ray_power`
+    (C, m); and for the R = C m rays the virtual delays and sqrt(ray
+    power), (R, 1).  The ray gains between isotropic elements are derived
+    on first use.
     """
 
     power: np.ndarray
-    d_t0: np.ndarray
-    aod: np.ndarray
-    d_r0: np.ndarray
-    aoa: np.ndarray
-    velocity_a: np.ndarray
-    velocity_z: np.ndarray
+    distance: np.ndarray
+    direction: np.ndarray
+    velocity: np.ndarray
     virtual_delay: np.ndarray
-    aod_offset: np.ndarray
-    aoa_offset: np.ndarray
+    offset: np.ndarray
     phases: np.ndarray
     xpr: np.ndarray
 
@@ -199,17 +200,17 @@ class ClusterSet:
         if self.virtual_delay.min(initial=0.0) < 0.0:
             raise ValueError("virtual delay must be >= 0")
         m = self.rays_per_cluster
-        # both ends in one pass: angles (2, C, m, 2) and anchors (2, C, m, 3)
-        angles = np.array([self.aod, self.aoa])[:, :, None] \
-            + np.array([self.aod_offset, self.aoa_offset])
+        # both ends in one pass, end-major as `_ray_vectors` reads them (a
+        # cluster-major layout slows it): angles (2, C, m, 2), anchors (2, C, m, 3)
+        angles = np.add(self.direction.transpose(1, 0, 2)[:, :, None],
+                        self.offset.transpose(2, 0, 1, 3), order="C")
         el = np.minimum(np.maximum(angles[..., 0], -math.pi / 2), math.pi / 2)
-        anchors = np.array([self.d_t0, self.d_r0])[:, :, None, None] \
-            * unit_from_angles(el, angles[..., 1])
+        anchors = self.distance.T[:, :, None, None] * unit_from_angles(el, angles[..., 1])
+        velocities = np.ascontiguousarray(self.velocity.transpose(1, 2, 0))
         ray_power = (self.power * (1.0 / m)).repeat(m).reshape(-1, m)
         for name, value in (
                 ("_anchors", anchors.transpose(0, 3, 1, 2)[..., None]),
-                ("_velocities",
-                 np.array([self.velocity_a.T, self.velocity_z.T])[..., None, None]),
+                ("_velocities", velocities[..., None, None]),
                 ("_virtual", np.repeat(self.virtual_delay, m)[:, None]),
                 ("ray_power", ray_power),
                 ("_amplitude", np.sqrt(ray_power).reshape(-1, 1))):
@@ -245,7 +246,7 @@ def spawn_clusters(config: GbsmConfig, location) -> ClusterSet:
     - 11..11+m radii and 12+m..12+2m angles of Box-Muller normals
       sqrt(-2 log1p(-u_r)) cos(2 pi u_theta): shadowing, then m ray XPRs.
     - 13+2m..12+6m minus 13+6m..12+10m, as -log1p(-u): Laplace angle
-      offsets (m, 4) as aod el, aod az, aoa el, aoa az.
+      offsets (m, 2, 2) as aod el, aod az, aoa el, aoa az.
     - 13+10m..12+14m: phases 2 pi u, (m, 4).
     """
     return _draw_clusters(config, (config.seed,), location)
@@ -275,20 +276,20 @@ def _draw_clusters(config: GbsmConfig, seeds, location) -> ClusterSet:
     normal = np.sqrt(-2.0 * logs[:, 1:2 + m]) \
         * np.cos(2.0 * math.pi * u[:, 12 + m:13 + 2 * m])
     offsets = (config.angle_spread_intra
-               * (logs[:, 3 + 6 * m:] - logs[:, 3 + 2 * m:3 + 6 * m])).reshape(-1, m, 4)
+               * (logs[:, 3 + 6 * m:] - logs[:, 3 + 2 * m:3 + 6 * m])).reshape(-1, m, 2, 2)
     velocity = config.cluster_speed * unit_from_angles(np.arcsin(uniform[:, 6::2]),
                                                        uniform[:, 7::2])
-    d_t, d_r = uniform[:, 0], uniform[:, 3]
-    delays = ((d_t + d_r) / SPEED_OF_LIGHT + virtual).reshape(members, n)
+    # (distance, elevation, azimuth) of each end's anchor, (C, 2, 3)
+    ends = uniform[:, :6].reshape(-1, 2, 3)
+    distance = ends[..., 0]
+    delays = ((distance[:, 0] + distance[:, 1]) / SPEED_OF_LIGHT + virtual).reshape(members, n)
     excess = delays - delays.min(axis=1, initial=math.inf, keepdims=True)
     weights = np.exp(-excess / config.delay_decay) \
         * 10.0 ** (config.shadow_std_db * normal[:, 0] / 10.0).reshape(members, n)
     weights /= weights.sum(axis=1, keepdims=True)
     return ClusterSet(
-        power=weights.reshape(-1), d_t0=d_t, aod=uniform[:, 1:3], d_r0=d_r,
-        aoa=uniform[:, 4:6], velocity_a=velocity[:, 0], velocity_z=velocity[:, 1],
-        virtual_delay=virtual, aod_offset=offsets[:, :, 0:2],
-        aoa_offset=offsets[:, :, 2:4],
+        power=weights.reshape(-1), distance=distance, direction=ends[..., 1:],
+        velocity=velocity, virtual_delay=virtual, offset=offsets,
         phases=(2.0 * math.pi * u[:, 13 + 10 * m:]).reshape(-1, m, 4),
         xpr=10.0 ** ((config.xpr_mean_db + config.xpr_std_db * normal[:, 1:]) / 10.0))
 

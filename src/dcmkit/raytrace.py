@@ -3,8 +3,9 @@
 Paths are found by mirroring the transmitter through ordered facet sequences
 and walking the chain back from the receiver.  A candidate sequence is kept
 when every reflection point lands inside its facet and no other facet blocks
-any leg of the path.  Facets are opaque specular reflectors; diffraction and
-transmission are out of scope.
+any leg of the path; one point-in-facet test, `_Geometry.inside`, serves
+both.  Facets are opaque specular reflectors; diffraction and transmission
+are out of scope.
 
 The candidates come from an image tree (Allen & Berkley, JASA 1979), built
 in each call from the geometry, tx and the maximum order; image positions
@@ -322,6 +323,9 @@ def _draw_phases_xpr(kind: str, facets: tuple[int, ...], delay: float):
 # packed scene geometry
 
 class _Geometry:
+    """Facets packed as padded arrays, edges and edge lengths as each `Facet`
+    derived them."""
+
     def __init__(self, facets: tuple[Facet, ...]):
         count = len(facets)
         vmax = max((len(f.vertices) for f in facets), default=3)
@@ -339,10 +343,8 @@ class _Geometry:
             self.offsets[i] = f.offset
             self.verts[i, :m] = f.vertices
             self.verts[i, m:] = f.vertices[-1]  # pad: repeated vertex, zero edge
-            nxt = np.roll(f.vertices, -1, axis=0)
-            self.edges[i, :m] = nxt - f.vertices
-            lengths = np.linalg.norm(self.edges[i, :m], axis=1)
-            self.edge_len[i, :m] = np.where(lengths > 0.0, lengths, 1.0)
+            self.edges[i, :m] = f.edges
+            self.edge_len[i, :m] = f.edge_len
             self.eps_r[i] = f.material.eps_r
             self.sigma[i] = f.material.sigma
         # for the image tree's products: each facet's plane (normal, -offset)
@@ -359,14 +361,15 @@ class _Geometry:
         dist = np.einsum("mk,mk->m", points, n) - d
         return points - 2.0 * dist[:, None] * n
 
-    def inside(self, points: np.ndarray, fi: np.ndarray) -> np.ndarray:
-        """points (M,3) against the facet selected per row by fi (M,)."""
-        verts = self.verts[fi]
-        edges = self.edges[fi]
-        rel = points[:, None, :] - verts
-        cr = np.cross(edges, rel)
-        s = np.einsum("mvk,mk->mv", cr, self.normals[fi]) / self.edge_len[fi]
-        return (s >= -INTERSECT_TOL).all(axis=1)
+    def inside(self, points: np.ndarray, fi) -> np.ndarray:
+        """Whether points (..., 3) lie at most INTERSECT_TOL m outside every
+        edge of facets fi, which index the facet axis: one index per point,
+        or a slice whose facets broadcast with the points' last axis but one.
+        """
+        rel = points[..., None, :] - self.verts[fi]
+        cr = np.cross(self.edges[fi], rel)
+        s = np.einsum("...vk,...k->...v", cr, self.normals[fi]) / self.edge_len[fi]
+        return (s >= -INTERSECT_TOL).all(axis=-1)
 
     def blocked(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """True per row when any facet interior cuts the open segment a->b.
@@ -390,11 +393,7 @@ class _Geometry:
         # non-candidate rows may hold t = +-inf or nan; zero them so the
         # product stays finite (those rows are masked out below anyway)
         hit = a[:, None, :] + np.where(cand, t, 0.0)[:, :, None] * d[:, None, :]
-        rel = hit[:, :, None, :] - self.verts[None, :, :, :]
-        cr = np.cross(self.edges[None, :, :, :], rel)
-        s = np.einsum("mfvk,fk->mfv", cr, self.normals) / self.edge_len[None, :, :]
-        inside = (s >= -INTERSECT_TOL).all(axis=2)
-        return (cand & inside).any(axis=1)
+        return (cand & self.inside(hit, slice(None))).any(axis=1)
 
 
 @lru_cache(maxsize=8)
@@ -499,7 +498,8 @@ def _walk(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, rx: np.ndarray):
 
 def _point(name: str, value) -> np.ndarray:
     point = np.asarray(value, dtype=float)
-    if point.shape != (3,) or not np.isfinite(point).all():
+    # math.isfinite over the three floats costs a fifth of np.isfinite's call
+    if point.shape != (3,) or not all(map(math.isfinite, point.tolist())):
         raise ValueError(f"{name} must be three finite numbers, got {value!r}")
     return point
 

@@ -55,10 +55,10 @@ class Material:
     def __post_init__(self):
         if not self.name:
             raise ValueError("material name must be non-empty")
-        if self.eps_r < 1.0:
-            raise ValueError(f"eps_r must be >= 1, got {self.eps_r}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 1.0 <= self.eps_r < math.inf:
+            raise ValueError(f"eps_r must be finite and >= 1, got {self.eps_r}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def default_material() -> Material:
@@ -68,18 +68,23 @@ def default_material() -> Material:
 class Facet:
     """Convex planar polygon with a material.
 
-    Derived plane data (unit normal, offset with n.x = d, area) is computed
-    at construction.  Vertices may wind either way; the normal follows the
-    winding (Newell's method).
+    Construction derives the plane data (unit normal, offset with n.x = d,
+    area) and the boundary edges: `edges[i]` runs from vertex i to vertex
+    i + 1, wrapping, and `edge_len` holds their lengths.  The tracer packs
+    those arrays as they are.  Vertices may wind either way; the normal
+    follows the winding (Newell's method).
     """
 
-    __slots__ = ("vertices", "material", "normal", "offset", "area", "centroid")
+    __slots__ = ("vertices", "material", "normal", "offset", "area", "centroid",
+                 "edges", "edge_len")
 
     def __init__(self, vertices, material: Material):
         verts = np.asarray(vertices, dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != 3 or verts.shape[0] < 3:
-            raise ValueError("facet needs at least 3 vertices of 3 coordinates")
-        n = _newell_normal(verts)
+        if verts.ndim != 2 or verts.shape[1] != 3 or verts.shape[0] < 3 \
+                or not np.isfinite(verts).all():
+            raise ValueError("facet needs at least 3 vertices of 3 finite coordinates")
+        nxt = np.roll(verts, -1, axis=0)
+        n = np.cross(verts, nxt).sum(axis=0)  # Newell's normal
         area = 0.5 * float(np.linalg.norm(n))
         if area <= 0.0:
             raise ValueError("degenerate facet: zero area")
@@ -90,35 +95,28 @@ class Facet:
             raise ValueError(
                 f"vertices deviate {np.max(np.abs(dist)):.3g} m from a common plane"
             )
-        _check_convex(verts, unit_n)
+        edges = nxt - verts
+        edge_len = np.linalg.norm(edges, axis=1)
+        if np.any(edge_len == 0.0):
+            raise ValueError("degenerate facet: repeated consecutive vertices")
+        # the turn at every corner; a (1, 3) @ (3, 1) product per corner is the
+        # dot product that `cross @ unit_n` takes for one corner, to the bit
+        cross = np.cross(edges, np.roll(edges, -1, axis=0))
+        turns = (cross[:, None] @ unit_n[:, None])[:, 0, 0]
+        # allow collinear runs, reject reflex corners
+        if np.any(turns < -1e-9 * edge_len * np.roll(edge_len, -1)):
+            raise ValueError("facet polygon is not convex")
         self.vertices = verts
         self.material = material
         self.normal = unit_n
         self.offset = float(unit_n @ centroid)
         self.area = area
         self.centroid = centroid
+        self.edges = edges
+        self.edge_len = edge_len
 
     def __repr__(self):
         return f"Facet({len(self.vertices)} vertices, material={self.material.name!r})"
-
-
-def _newell_normal(verts: np.ndarray) -> np.ndarray:
-    nxt = np.roll(verts, -1, axis=0)
-    return np.cross(verts, nxt).sum(axis=0)
-
-
-def _check_convex(verts: np.ndarray, unit_n: np.ndarray) -> None:
-    edges = np.roll(verts, -1, axis=0) - verts
-    scale = np.linalg.norm(edges, axis=1)
-    if np.any(scale == 0.0):
-        raise ValueError("degenerate facet: repeated consecutive vertices")
-    # the turn at every corner; a (1, 3) @ (3, 1) product per corner is the
-    # dot product that `cross @ unit_n` takes for one corner, to the bit
-    cross = np.cross(edges, np.roll(edges, -1, axis=0))
-    turns = (cross[:, None] @ unit_n[:, None])[:, 0, 0]
-    # allow collinear runs, reject reflex corners
-    if np.any(turns < -1e-9 * scale * np.roll(scale, -1)):
-        raise ValueError("facet polygon is not convex")
 
 
 @dataclass(frozen=True)

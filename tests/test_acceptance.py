@@ -412,18 +412,17 @@ def test_criterion_8_calibration():
         delays = ray_delays(cl, 0.0, (0.0,), np.zeros(3), np.zeros(3))
         for c in range(len(cl)):
             for r in range(m):
-                aod_off = cl.aod_offset[c, r]
-                aoa_off = cl.aoa_offset[c, r]
-                el = min(max(cl.aoa[c, 0] + aoa_off[0], -math.pi / 2),
+                (aod, aoa), (aod_off, aoa_off) = cl.direction[c], cl.offset[c, r]
+                el = min(max(aoa[0] + aoa_off[0], -math.pi / 2),
                          math.pi / 2)
-                el_d = min(max(cl.aod[c, 0] + aod_off[0], -math.pi / 2),
+                el_d = min(max(aod[0] + aod_off[0], -math.pi / 2),
                            math.pi / 2)
                 # a scattered ray enters the reference as a non-LoS path
                 reference.append(Mpc(
                     delay=float(delays[c * m + r, 0]),
                     power=c_d * float(cl.power[c]) * (1.0 / m),
-                    aod=(el_d, _wrap(cl.aod[c, 1] + aod_off[1])),
-                    aoa=(el, _wrap(cl.aoa[c, 1] + aoa_off[1])),
+                    aod=(el_d, _wrap(aod[1] + aod_off[1])),
+                    aoa=(el, _wrap(aoa[1] + aoa_off[1])),
                     phases=tuple(cl.phases[c, r].tolist()),
                     xpr=float(cl.xpr[c, r]), kind="refl:1"))
         reference = PathSet.of(reference)

@@ -21,13 +21,11 @@ ORIGIN = np.zeros(3)
 def one_ray_cluster(d_t=50.0, d_r=65.0, aod=(0.0, 0.0), aoa=(0.0, math.pi / 2),
                     vel_a=(0.0, 0.0, 0.0), vel_z=(0.0, 0.0, 0.0),
                     virtual=0.0, power=1.0):
-    return ClusterSet(power=np.array([power]), d_t0=np.array([d_t]),
-                      aod=np.array([aod]), d_r0=np.array([d_r]),
-                      aoa=np.array([aoa]), velocity_a=np.array([vel_a]),
-                      velocity_z=np.array([vel_z]),
+    return ClusterSet(power=np.array([power]), distance=np.array([[d_t, d_r]]),
+                      direction=np.array([[aod, aoa]]),
+                      velocity=np.array([[vel_a, vel_z]]),
                       virtual_delay=np.array([virtual]),
-                      aod_offset=np.zeros((1, 1, 2)),
-                      aoa_offset=np.zeros((1, 1, 2)),
+                      offset=np.zeros((1, 1, 2, 2)),
                       phases=np.zeros((1, 1, 4)), xpr=np.full((1, 1), math.inf))
 
 
@@ -65,7 +63,7 @@ def test_cluster_streams_follow_their_seed_sequence():
         block = rng.random((3, 13 + 14 * cfg.rays_per_cluster))
         clusters = spawn_clusters(cfg, loc)
         low, high = cfg.anchor_range
-        assert np.array_equal(clusters.d_t0, low + (high - low) * block[:, 0])
+        assert np.array_equal(clusters.distance[:, 0], low + (high - low) * block[:, 0])
         assert np.array_equal(clusters.virtual_delay,
                               -cfg.virtual_delay_mean * np.log1p(-block[:, 10]))
 
@@ -94,14 +92,14 @@ def drawn():
         return np.concatenate([getattr(s, name) for s in sets])
 
     return {
-        "anchor": pool("d_t0"),
+        "anchor": pool("distance")[:, 0],
         "virtual_delay": pool("virtual_delay"),
-        "offsets": np.concatenate([pool("aod_offset").ravel(),
-                                   pool("aoa_offset").ravel()]),
+        "offsets": np.concatenate([pool("offset")[:, :, 0].ravel(),
+                                   pool("offset")[:, :, 1].ravel()]),
         "phases": pool("phases").ravel(),
         "xpr_db": 10.0 * np.log10(pool("xpr").ravel()),
-        "velocity_sin_el": np.concatenate([pool("velocity_a")[:, 2],
-                                           pool("velocity_z")[:, 2]]) / DEFAULT.cluster_speed,
+        "velocity_sin_el": np.concatenate([pool("velocity")[:, 0, 2],
+                                           pool("velocity")[:, 1, 2]]) / DEFAULT.cluster_speed,
     }
 
 
@@ -117,7 +115,7 @@ def test_cluster_streams_are_order_independent():
     cfg15 = GbsmConfig(seed=9, n_clusters=15)
     a = spawn_clusters(cfg5, LOC)
     b = spawn_clusters(cfg15, LOC)
-    for name in ("aod", "d_t0", "aod_offset", "aoa_offset", "phases", "xpr"):
+    for name in ("direction", "distance", "offset", "phases", "xpr"):
         assert np.array_equal(getattr(a, name), getattr(b, name)[:5])
         # powers renormalize across the ensemble, so those differ
     assert abs(sum(a.power) - 1.0) < 1e-12
@@ -160,23 +158,22 @@ def test_draws_respect_configured_ranges():
                      elevation_range=(-0.1, 0.1),
                      azimuth_range=(0.5, 1.0))
     c = spawn_clusters(cfg, LOC)
-    assert np.all((30.0 <= c.d_t0) & (c.d_t0 <= 40.0))
-    assert np.all((30.0 <= c.d_r0) & (c.d_r0 <= 40.0))
-    assert np.all((-0.1 <= c.aod[:, 0]) & (c.aod[:, 0] <= 0.1))
-    assert np.all((0.5 <= c.aod[:, 1]) & (c.aod[:, 1] <= 1.0))
-    assert np.all((0.5 <= c.aoa[:, 1]) & (c.aoa[:, 1] <= 1.0))
+    assert np.all((30.0 <= c.distance[:, 0]) & (c.distance[:, 0] <= 40.0))
+    assert np.all((30.0 <= c.distance[:, 1]) & (c.distance[:, 1] <= 40.0))
+    assert np.all((-0.1 <= c.direction[:, 0, 0]) & (c.direction[:, 0, 0] <= 0.1))
+    assert np.all((0.5 <= c.direction[:, 0, 1]) & (c.direction[:, 0, 1] <= 1.0))
+    assert np.all((0.5 <= c.direction[:, 1, 1]) & (c.direction[:, 1, 1] <= 1.0))
     assert np.all(c.virtual_delay >= 0.0)
 
 
 def test_speed_scales_velocities_without_redrawing():
     slow = spawn_clusters(GbsmConfig(seed=5, cluster_speed=0.5), LOC)
     fast = spawn_clusters(GbsmConfig(seed=5, cluster_speed=1.0), LOC)
-    assert np.array_equal(slow.aod, fast.aod) and np.array_equal(slow.aoa, fast.aoa)
+    assert np.array_equal(slow.direction, fast.direction)
     assert np.array_equal(slow.power, fast.power)
     assert np.array_equal(slow.virtual_delay, fast.virtual_delay)
     # same direction draws, twice the speed
-    assert np.array_equal(fast.velocity_a, 2.0 * slow.velocity_a)
-    assert np.array_equal(fast.velocity_z, 2.0 * slow.velocity_z)
+    assert np.array_equal(fast.velocity, 2.0 * slow.velocity)
 
 
 def end_vectors(cl, t, dt):
@@ -322,6 +319,16 @@ def test_antenna_array_geometry():
         AntennaArray(n_elements=0)
     with pytest.raises(ValueError):
         AntennaArray(spacing=0.0)
+    # non-finite spacing or orientation would give NaN taps or a NaN axis,
+    # and a count that is not an integer, or an orientation that is not two
+    # angles, would fail later with a TypeError
+    for bad in ({"spacing": math.nan}, {"spacing": math.inf},
+                {"orientation": (math.nan, 0.0)}, {"orientation": (0.0, -math.inf)},
+                {"orientation": (0.0, 0.0, 1.0)},
+                {"n_elements": 2.5}, {"n_elements": True}, {"n_elements": "2"}):
+        with pytest.raises(ValueError):
+            AntennaArray(**bad)
+    assert AntennaArray(n_elements=np.int64(3)).n_elements == 3
 
 
 def test_config_validation():

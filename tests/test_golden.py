@@ -10,12 +10,11 @@ or numpy version.
 """
 
 import hashlib
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dcmkit import (AntennaArray, ChannelModel, ClusterSet, GbsmConfig, KFactors,
+from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors,
                     build_map, dumps_map, dynamic_cir, loads_scene,
                     spawn_clusters, trace_static_mpcs)
 from dcmkit.cli import main
@@ -103,10 +102,14 @@ def test_spawn_digest():
     chunks = []
     for cfg in (GbsmConfig(),
                 GbsmConfig(n_clusters=3, rays_per_cluster=2, seed=2**70 + 3)):
-        clusters = spawn_clusters(cfg, LOC)
-        chunks += [getattr(clusters, f.name).tobytes() for f in fields(ClusterSet)]
+        c = spawn_clusters(cfg, LOC)
+        # the fields with each end apart, transmit end first where they pair
+        chunks += [a.tobytes() for a in (
+            c.power, c.distance[:, 0], c.direction[:, 0], c.distance[:, 1],
+            c.direction[:, 1], c.velocity[:, 0], c.velocity[:, 1], c.virtual_delay,
+            c.offset[:, :, 0], c.offset[:, :, 1], c.phases, c.xpr)]
         # the ray anchors of each end as (C, m, 3) rows
-        chunks += [end[..., 0].transpose(1, 2, 0).tobytes() for end in clusters._anchors]
+        chunks += [end[..., 0].transpose(1, 2, 0).tobytes() for end in c._anchors]
     assert _sha(*chunks) == GOLDEN["spawn"]
 
 

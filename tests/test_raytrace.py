@@ -413,6 +413,19 @@ def test_los_blocked_by_wall():
     assert all(not m.is_los for m in mpcs)
 
 
+def test_edge_tolerance_is_shared_by_inside_and_blocked():
+    """A point up to INTERSECT_TOL past an edge counts as on the facet, for
+    the reflection-point test and the blocking test alike."""
+    square = Facet([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], default_material())
+    geom = raytrace._Geometry((square,))
+    for past, inside in ((0.5e-9, True), (2e-9, False)):
+        point = np.array([[1.0 + past, 0.5, 0.0]])
+        assert geom.inside(point, np.array([0])).tolist() == [inside]
+        # a vertical segment through the point crosses the plane there
+        a, b = point - [0.0, 0.0, 1.0], point + [0.0, 0.0, 1.0]
+        assert geom.blocked(a, b).tolist() == [inside]
+
+
 def test_passivity_and_order(room_scene):
     mpcs = trace_static_mpcs(room_scene, (1.0, 1.0, 1.0), (3.0, 4.0, 2.0),
                              max_order=2)

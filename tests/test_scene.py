@@ -70,6 +70,9 @@ def test_facet_rejects_degenerate_and_nonplanar():
     with pytest.raises(ValueError):
         # bowtie: non-convex vertex order
         Facet([(0, 0, 0), (1, 1, 0), (1, 0, 0), (0, 1, 0)], mat)
+    for bad in (math.nan, math.inf):  # would give a NaN normal and area
+        with pytest.raises(ValueError, match="finite"):
+            Facet([(0, 0, 0), (1, 0, 0), (bad, 1, 0)], mat)
 
 
 def test_facet_convexity_is_checked_at_every_corner():
@@ -89,6 +92,9 @@ def test_material_validation():
         Material("m", eps_r=0.5, sigma=0.0)
     with pytest.raises(ValueError):
         Material("m", eps_r=2.0, sigma=-0.1)
+    for eps_r, sigma in ((math.nan, 0.0), (math.inf, 0.0), (5.0, math.inf), (5.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Material("x", eps_r, sigma)
     Material("vacuum", eps_r=1.0, sigma=0.0)
 
 
