@@ -48,12 +48,17 @@ def _finite(text: str) -> float:
     return _numbers(text, 1)[0]
 
 
-def _count(text: str) -> int:
-    """An integer >= 1: a count of items to make or time."""
-    count = int(text) if text.strip().isdecimal() else 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _count(text: str, least: int = 1) -> int:
+    """An integer >= `least`: a count of items to make or time."""
+    count = int(text) if text.strip().isdecimal() else least - 1
+    if count < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
     return count
+
+
+def _order(text: str) -> int:
+    """A reflection order: an integer >= 0."""
+    return _count(text, 0)
 
 
 def _counts(text: str) -> tuple[int, ...]:
@@ -368,7 +373,7 @@ def _add_trace_args(p) -> None:
     p.add_argument("--origin", type=_triple, help="grid origin x,y,z")
     p.add_argument("--shape", type=_counts, help="grid point counts nx,ny,nz")
     p.add_argument("--spacing", type=_finite, help="grid spacing in meters")
-    p.add_argument("--max-order", type=int, default=2, help="reflection depth")
+    p.add_argument("--max-order", type=_order, default=2, help="reflection depth")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_args(p)
     p.add_argument("--df-step", type=_finite, default=1e6)
     p.add_argument("--df-count", type=_count, default=101)
-    p.add_argument("--ensemble", type=int, default=200)
+    p.add_argument("--ensemble", type=_count, default=200)
     p.set_defaults(func=_cmd_stats_fcf)
 
     p = stat.add_parser("delay-psd", help="delay power density")
     _add_map_args(p)
     p.add_argument("--df-step", type=_finite, default=1e6)
     p.add_argument("--df-count", type=_count, default=256)
-    p.add_argument("--ensemble", type=int, default=200)
+    p.add_argument("--ensemble", type=_count, default=200)
     p.set_defaults(func=_cmd_stats_delay_psd)
 
     p = stat.add_parser("angular-spread-cdf",
@@ -445,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="envelope levels relative to rms, dB; a,b,c or start:step:stop")
     p.add_argument("--duration", type=_finite, default=4.0)
     p.add_argument("--dt", type=_positive, default=1e-3)
-    p.add_argument("--ensemble", type=int, default=256)
+    p.add_argument("--ensemble", type=_count, default=256)
     p.set_defaults(func=_cmd_stats_lcr)
 
     p = sub.add_parser("bench",

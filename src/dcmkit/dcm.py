@@ -23,6 +23,7 @@ temporary file that is atomically renamed over the target.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -72,6 +73,16 @@ class DcmMap:
     gbsm: GbsmConfig
     records: dict[tuple[float, float, float], DcmRecord]
     _located: tuple = field(default=((), None), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the reader's header rules, so every map that can be saved also loads
+        if not 0.0 < self.frequency < math.inf:
+            raise ValueError(f"frequency must be finite and > 0, got {self.frequency}")
+        if isinstance(self.max_order, bool) or not isinstance(self.max_order, numbers.Integral) \
+                or self.max_order < 0:
+            raise ValueError(f"max_order must be an integer >= 0, got {self.max_order!r}")
+        if self.gbsm.carrier_frequency != self.frequency:
+            raise ValueError(_carrier_mismatch(self.gbsm.carrier_frequency, self.frequency))
 
     def locations(self) -> np.ndarray:
         """Record locations (N, 3), read-only, rebuilt when the record keys change."""
@@ -478,15 +489,15 @@ def loads_map(text: str) -> DcmMap:
     except ValueError as exc:
         raise ValueError(f"line {gbsm_line}: [gbsm] {exc}") from None
 
-    try:
-        dcm = DcmMap(frequency=header["frequency"], max_order=header["max_order"],
-                     scene_hash=header["scene"], gbsm=gbsm, records=records)
-    except KeyError as exc:
-        raise ValueError(f"map header missing {exc.args[0]}=") from None
-    if gbsm.carrier_frequency != dcm.frequency:
+    missing = [key for key in _MAP_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"map header missing {missing[0]}=")
+    # DcmMap checks these rules too; checked here they name their line
+    if gbsm.carrier_frequency != header["frequency"]:
         raise ValueError(f"line {carrier_line or frequency_line}: [gbsm] "
-                         f"{_carrier_mismatch(gbsm.carrier_frequency, dcm.frequency)}")
-    return dcm
+                         f"{_carrier_mismatch(gbsm.carrier_frequency, header['frequency'])}")
+    return DcmMap(frequency=header["frequency"], max_order=header["max_order"],
+                  scene_hash=header["scene"], gbsm=gbsm, records=records)
 
 
 def _carrier_mismatch(carrier: float, frequency: float) -> str:

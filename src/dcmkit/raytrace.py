@@ -34,16 +34,27 @@ therefore d (1 + (|v - I| + d) / h) at each vertex v of g; it is convex in
 v, so testing the vertices covers all of g.  When I lies on f's plane
 (h = 0) the margin is infinite and every child is kept.
 
-The tests run as products over the vertices of all facets at once, each
-vertex a homogeneous column (v, 1): the plane side of v is (n, -offset) .
-(v, 1), its height over a beam plane (w, -w . I) . (v, 1), and |v - I| the
-root of |v|^2 - 2 I . v + |I|^2.  A product of four terms rounds by a few
-ulps of |v| + |I|, about 1e-13 m at 100 m from the origin, far inside d.
-Only the expansion can lose more: as v nears I it cancels, and |v - I|
-then reads its rounding error, a few eps (|v|^2 + |I|^2).  So |v|^2 and
-|I|^2 enter multiplied by _ROUND_UP = 1 + 16 eps, which exceeds that error:
-the computed |v - I|, and with it the margin, never falls below the exact
-value, and the test still drops only what the walk would reject.
+Every facet test is a product of homogeneous rows and columns, a point p
+entering as the column (p, 1).  Each facet f has its plane P = (n,
+-offset), and each edge v -> v' its half-plane S = (w, -w . v), with w
+the unit in-plane normal of the edge pointing into f; p lies on f when
+S . (p, 1) >= -INTERSECT_TOL for every edge.  The tree's tests run over
+the vertices of all facets at once: the plane side of v is P . (v, 1), its
+height over a beam wall W . (v, 1), and |v - I| the root of |v|^2 -
+2 I . v + |I|^2.  The wall through I and edge k of f lies in the pencil of
+P and S_k: W = |P . I| S_k - sign(P . I) (S_k . I) P, with I read as
+(I, 1), divided by the length of its 3-vector, which is the distance of I
+from the edge's line.  A product of four terms rounds by a few ulps of
+|v| + |I|, about 1e-13 m at 100 m from the origin, far inside d.  The
+wall's two coefficients carry that error, so its height at v errs by
+about eps (|I| + |v|) |v - I| / dist(I, edge line).  Since dist >= h and
+eps (|I| + |v|) << d, the growth term d (|v - I| + d) / h of the margin
+covers it.  Only the expansion can lose more: as v nears I it cancels,
+and |v - I| then reads its rounding error, a few eps (|v|^2 + |I|^2).  So
+|v|^2 and |I|^2 enter multiplied by _ROUND_UP = 1 + 16 eps, which exceeds
+that error: the computed |v - I|, and with it the margin, never falls
+below the exact value, and the test still drops only what the walk would
+reject.
 
 Per-bounce loss uses the polarization-averaged squared reflection magnitude
 (|G_perp|^2 + |G_par|^2) / 2; the full 2x2 polarization behaviour of a path
@@ -323,42 +334,45 @@ def _draw_phases_xpr(kind: str, facets: tuple[int, ...], delay: float):
 # packed scene geometry
 
 class _Geometry:
-    """Facets packed as padded arrays, edges and edge lengths as each `Facet`
-    derived them."""
+    """Facets packed as homogeneous rows, vertices as homogeneous columns.
+
+    `planes` (n, 4) holds each facet's plane (normal, -offset), so that
+    planes[f] . (p, 1) is the height of p over facet f; `normals` is a view
+    of its first three columns.  `sides` (n, V, 4) holds each edge's
+    half-plane (w, -w . v) for the edge v -> v' of normal n and vector e,
+    with w = n x (e / |e|) the unit in-plane normal pointing into the facet,
+    so that sides[f, k] . (p, 1) is how far p lies inside edge k.  Facets
+    with fewer than V edges are padded with zero rows, which every point
+    satisfies.  `flat` holds every vertex as a column (x, y, z, 1) and
+    `flat_sq` its squared norm, rounded up (see the module docstring).
+    """
 
     def __init__(self, facets: tuple[Facet, ...]):
-        count = len(facets)
         vmax = max((len(f.vertices) for f in facets), default=3)
-        self.count = count
-        self.normals = np.zeros((count, 3))
-        self.offsets = np.zeros(count)
-        self.verts = np.zeros((count, vmax, 3))
-        self.edges = np.zeros((count, vmax, 3))
-        self.edge_len = np.ones((count, vmax))
-        self.eps_r = np.zeros(count)
-        self.sigma = np.zeros(count)
+        self.count = len(facets)
+        self.planes = np.array([(*f.normal, -f.offset) for f in facets]).reshape(-1, 4)
+        self.normals = self.planes[:, :3]
+        self.eps_r = np.array([f.material.eps_r for f in facets], dtype=float)
+        self.sigma = np.array([f.material.sigma for f in facets], dtype=float)
+        verts = np.zeros((self.count, vmax, 3))
+        units = np.zeros((self.count, vmax, 3))  # pad: zero edges
         for i, f in enumerate(facets):
             m = len(f.vertices)
-            self.normals[i] = f.normal
-            self.offsets[i] = f.offset
-            self.verts[i, :m] = f.vertices
-            self.verts[i, m:] = f.vertices[-1]  # pad: repeated vertex, zero edge
-            self.edges[i, :m] = f.edges
-            self.edge_len[i, :m] = f.edge_len
-            self.eps_r[i] = f.material.eps_r
-            self.sigma[i] = f.material.sigma
-        # for the image tree's products: each facet's plane (normal, -offset)
-        # and the vertices as homogeneous columns (x, y, z, 1), vertex-major,
-        # so column v n + g is vertex v of g and reductions over v are cheap
-        self.planes = np.concatenate([self.normals, -self.offsets[:, None]], axis=1)
-        xyz = self.verts.transpose(2, 1, 0).reshape(3, -1)
+            verts[i, :m] = f.vertices
+            verts[i, m:] = f.vertices[-1]  # pad: repeated vertex
+            units[i, :m] = f.edges / f.edge_len[:, None]
+        inward = np.cross(self.normals[:, None, :], units)
+        self.sides = np.concatenate(
+            [inward, -np.einsum("fvk,fvk->fv", inward, verts)[..., None]], axis=2)
+        # vertex-major columns, so column v n + g is vertex v of g and
+        # reductions over v are cheap
+        xyz = verts.transpose(2, 1, 0).reshape(3, -1)
         self.flat = np.concatenate([xyz, np.ones((1, xyz.shape[1]))])
         self.flat_sq = _ROUND_UP * np.einsum("kc,kc->c", xyz, xyz)
 
     def mirror(self, points: np.ndarray, fi: np.ndarray) -> np.ndarray:
         n = self.normals[fi]
-        d = self.offsets[fi]
-        dist = np.einsum("mk,mk->m", points, n) - d
+        dist = np.einsum("mk,mk->m", points, n) + self.planes[fi, 3]
         return points - 2.0 * dist[:, None] * n
 
     def inside(self, points: np.ndarray, fi) -> np.ndarray:
@@ -366,9 +380,8 @@ class _Geometry:
         edge of facets fi, which index the facet axis: one index per point,
         or a slice whose facets broadcast with the points' last axis but one.
         """
-        rel = points[..., None, :] - self.verts[fi]
-        cr = np.cross(self.edges[fi], rel)
-        s = np.einsum("...vk,...k->...v", cr, self.normals[fi]) / self.edge_len[fi]
+        sides = self.sides[fi]
+        s = np.einsum("...vk,...k->...v", sides[..., :3], points) + sides[..., 3]
         return (s >= -INTERSECT_TOL).all(axis=-1)
 
     def blocked(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -385,7 +398,7 @@ class _Geometry:
         na = a @ self.normals.T
         nd = d @ self.normals.T
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (self.offsets[None, :] - na) / nd
+            t = -(na + self.planes[:, 3]) / nd
         tol = INTERSECT_TOL / np.where(seg_len > 0.0, seg_len, 1.0)
         cand = np.isfinite(t) & (t > tol) & (t < 1.0 - tol)
         if not cand.any():
@@ -424,7 +437,7 @@ def _grow(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, max_order: int):
     yield seq, imgs
     if seq.shape[1] == max_order:
         return
-    nv = geom.verts.shape[1]
+    nv = geom.sides.shape[1]
     step = max(1, _BLOCK // (geom.count * nv * nv))
     for start in range(0, len(seq), step):
         pseq, pimgs = seq[start:start + step], imgs[start:start + step]
@@ -440,7 +453,7 @@ def _children(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray):
     """(parent row, child facet) pairs that pass the plane-side and beam tests."""
     f = seq[:, -1]
     img = imgs[:, -1]
-    p, (n, nv) = len(f), geom.verts.shape[:2]
+    p, (n, nv) = len(f), geom.sides.shape[:2]
     flat = geom.flat                                          # (4, V n)
     plane = geom.planes[f]                                    # (p, 4)
     side = np.einsum("pk,pk->p", img, plane[:, :3]) + plane[:, 3]
@@ -451,11 +464,7 @@ def _children(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray):
     level = np.einsum("pk,kc->pc", plane, flat)
     keep = (sign * level < _PRUNE_SLACK).reshape(p, nv, n).any(axis=1)
     # beam: the planes through the image and each edge of f, normals toward f
-    walls = np.cross(geom.verts[f] - img[:, None, :], geom.edges[f]) * -sign[:, :, None]
-    norm = np.linalg.norm(walls, axis=2, keepdims=True)
-    walls /= np.where(norm > 0.0, norm, 1.0)                  # (p, V, 3)
-    walls = np.concatenate([walls, -np.einsum("pwk,pk->pw", walls, img)[:, :, None]], axis=2)
-    height = np.einsum("pwk,kc->pwc", walls, flat)
+    height = np.einsum("pwk,kc->pwc", _walls(geom, f, img, side), flat)
     # |v - I| from |v|^2 - 2 I.v + |I|^2, one more (p, V n) product
     ray = np.concatenate(
         [-2.0 * img, _ROUND_UP * np.einsum("pk,pk->p", img, img)[:, None]], axis=1)
@@ -469,6 +478,24 @@ def _children(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray):
     return np.nonzero(keep)
 
 
+def _walls(geom: _Geometry, f: np.ndarray, img: np.ndarray, side: np.ndarray):
+    """(p, V, 4) planes through each image I and each edge of its facet f,
+    unit normals toward f, given the height side = P . (I, 1) of I over f's
+    plane P.
+
+    Each plane lies in the pencil of P and the edge's half-plane S, as
+    |P . (I, 1)| S - sign(P . (I, 1)) (S . (I, 1)) P.  A zero padding row of
+    `sides` gives a zero row, and so does an image on f's plane.
+    """
+    plane, sides = geom.planes[f], geom.sides[f]
+    across = np.einsum("pwk,pk->pw", sides[..., :3], img) + sides[..., 3]
+    walls = np.abs(side)[:, None, None] * sides \
+        - (np.sign(side)[:, None] * across)[:, :, None] * plane[:, None, :]
+    norm = np.linalg.norm(walls[..., :3], axis=2, keepdims=True)
+    walls /= np.where(norm > 0.0, norm, 1.0)
+    return walls
+
+
 def _walk(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, rx: np.ndarray):
     """Walk each sequence back from rx; (seq, qs, last_image) of the valid rows."""
     m, order = seq.shape
@@ -478,10 +505,9 @@ def _walk(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, rx: np.ndarray):
     for j in range(order - 1, -1, -1):
         image = imgs_a[:, j]
         n_j = geom.normals[seq_a[:, j]]
-        d_j = geom.offsets[seq_a[:, j]]
         denom = np.einsum("mk,mk->m", target_a - image, n_j)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (d_j - np.einsum("mk,mk->m", image, n_j)) / denom
+            t = -(np.einsum("mk,mk->m", image, n_j) + geom.planes[seq_a[:, j], 3]) / denom
         ok = np.isfinite(t) & (t > 1e-12) & (t < 1.0 - 1e-12)
         t = np.where(ok, t, 0.5)  # placeholder rows, masked out below
         q = image + t[:, None] * (target_a - image)

@@ -74,6 +74,8 @@ class Psd:
         density = np.asarray(self.density, dtype=float)
         if support.ndim != 1 or support.shape != density.shape or len(support) < 2:
             raise ValueError("support and density must be matching 1-D arrays")
+        if not (np.isfinite(support).all() and np.isfinite(density).all()):
+            raise ValueError("support and density must be finite")
         if np.any(np.diff(support) <= 0.0):
             raise ValueError("support must be strictly increasing")
         if np.any(density < 0.0):
@@ -102,12 +104,14 @@ class LcrInputs:
     b2: float
 
     def __post_init__(self):
-        if self.k < 0.0:
-            raise ValueError("k must be >= 0")
-        if not self.b0 > 0.0:
-            raise ValueError("b0 must be > 0")
-        if self.b2 < 0.0:
-            raise ValueError("b2 must be >= 0")
+        if not 0.0 <= self.k < math.inf:
+            raise ValueError(f"k must be finite and >= 0, got {self.k}")
+        if not 0.0 < self.b0 < math.inf:
+            raise ValueError(f"b0 must be finite and > 0, got {self.b0}")
+        if not math.isfinite(self.b1):
+            raise ValueError(f"b1 must be finite, got {self.b1}")
+        if not 0.0 <= self.b2 < math.inf:
+            raise ValueError(f"b2 must be finite and >= 0, got {self.b2}")
         scale = max(self.b0 * self.b2, self.b1 * self.b1, 1e-300)
         if self.b0 * self.b2 - self.b1 * self.b1 < -1e-9 * scale:
             raise ValueError("b0*b2 - b1^2 must be >= 0")
@@ -451,9 +455,11 @@ def doppler_psd(model: ChannelModel, duration: float = 0.512, dt: float = 1e-3,
 
 def doppler_psd_from_lags(lags, dt: float) -> Psd:
     """Doppler density from an explicit time-correlation lag sequence."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be > 0 and finite, got {dt}")
     lags = np.asarray(lags, dtype=complex)
+    if lags.ndim != 1 or len(lags) == 0:
+        raise ValueError("lags must be a non-empty 1-D sequence")
     step = 4.0 / (len(lags) * dt)
     half = max(1, int(math.floor((0.5 / dt) / step)))
     grid = np.arange(-half, half + 1) * step
@@ -478,8 +484,8 @@ def lcr_analytic(inputs: LcrInputs, levels, n_quad: int = 200) -> np.ndarray:
     form sqrt(2 pi) f R exp(-R^2) for isotropic moments.
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
-    if np.any(levels < 0.0):
-        raise ValueError("levels must be >= 0")
+    if not ((0.0 <= levels) & (levels < math.inf)).all():
+        raise ValueError("levels must be finite and >= 0")
     k = inputs.k
     b0, b1, b2 = inputs.b0, inputs.b1, inputs.b2
     det = b0 * b2 - b1 * b1
@@ -511,8 +517,10 @@ def lcr_analytic(inputs: LcrInputs, levels, n_quad: int = 200) -> np.ndarray:
 
 def lcr_empirical(envelope, level: float, duration: float) -> float:
     """Upward crossings of `level` per unit duration in a sampled envelope."""
-    if duration <= 0.0:
-        raise ValueError("duration must be > 0")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be > 0 and finite, got {duration}")
+    if math.isnan(level):
+        raise ValueError("level must not be NaN")
     env = np.asarray(envelope, dtype=float)
     if env.ndim != 1 or len(env) < 2:
         raise ValueError("envelope must be a 1-D series of >= 2 samples")

@@ -288,16 +288,6 @@ def test_stats_lcr_level_sweeps(built_map, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
-def test_stats_reject_empty_ensembles(built_map, capsys):
-    for argv in (["fcf", "--ensemble", "0"], ["fcf", "--ensemble", "-2"],
-                 ["lcr", "--ensemble", "0"]):
-        rc, out, err = run(capsys, ["stats", *argv, "--map", str(built_map),
-                                    "--at", "2,2,1.5", "--seed", "0"])
-        assert rc == 1 and out == "", argv
-        assert err.startswith("error:") and "ensemble must be >= 1" in err, argv
-        assert "Traceback" not in err
-
-
 def test_zero_time_step_is_refused(built_map, capsys):
     for argv in (["simulate"], ["stats", "lcr"], ["stats", "doppler-spread-cdf"]):
         with pytest.raises(SystemExit) as exc:
@@ -458,6 +448,8 @@ def test_stats_fcf_rejects_a_second_los_line(built_map, workdir, capsys):
     ("bench", "--rebuilds", "-1", "argument --rebuilds: expected an integer >= 1"),
     ("bench", "--updates", "0", "argument --updates: expected an integer >= 1"),
     ("bench", "--updates", "1.5", "argument --updates: expected an integer >= 1"),
+    ("build", "--max-order", "-1", "argument --max-order: expected an integer >= 0"),
+    ("bench", "--max-order", "-1", "argument --max-order: expected an integer >= 0"),
 ])
 def test_build_options_out_of_range_are_usage_errors(workdir, capsys, cmd, option,
                                                      value, message):
@@ -576,6 +568,14 @@ def test_readers_share_one_grammar(workdir, capsys, reader, defect, base, edit,
     (["stats", "angular-spread-cdf", "--at", "2,2,1.5", "--seed", "1",
       "--rx-elements", "0"],
      "argument --rx-elements: expected an integer >= 1, got '0'"),
+    (["stats", "fcf", "--at", "2,2,1.5", "--seed", "1", "--ensemble", "0"],
+     "argument --ensemble: expected an integer >= 1, got '0'"),
+    (["stats", "fcf", "--at", "2,2,1.5", "--seed", "1", "--ensemble", "-2"],
+     "argument --ensemble: expected an integer >= 1, got '-2'"),
+    (["stats", "delay-psd", "--at", "2,2,1.5", "--seed", "1", "--ensemble", "0"],
+     "argument --ensemble: expected an integer >= 1, got '0'"),
+    (["stats", "lcr", "--at", "2,2,1.5", "--seed", "1", "--ensemble", "0"],
+     "argument --ensemble: expected an integer >= 1, got '0'"),
     (["simulate", "--at", "2,2,1.5", "--seed", "1", "--duration", "1e300",
       "--dt", "1e-300"],
      "--duration / --dt must be a finite number of steps, got 1e+300 / 1e-300"),
@@ -584,6 +584,7 @@ def test_readers_share_one_grammar(workdir, capsys, reader, defect, base, edit,
      "--duration / --dt must be a finite number of steps, got 1e+300 / 1e-300"),
 ], ids=["t", "at", "tolerance", "duration", "df-step", "fcf-df-count", "psd-df-count",
         "n-lags", "angular-samples", "doppler-samples", "rx-elements",
+        "fcf-ensemble", "fcf-ensemble-negative", "psd-ensemble", "lcr-ensemble",
         "simulate-steps", "lcr-steps"])
 def test_bad_numeric_options_are_usage_errors(built_map, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Channel map building, matching, persistence, and online updates."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -200,6 +201,24 @@ def test_query_tolerance_and_misses(room_scene):
                    gbsm=GbsmConfig(), records={})
     with pytest.raises(DcmLookupError):
         query(empty, POINTS[0])
+
+
+def test_map_construction_applies_the_reader_rules():
+    """A map that cannot load is refused when it is made, not when it is read."""
+    ok = dict(frequency=5.5e9, max_order=1, scene_hash="0" * 16,
+              gbsm=GbsmConfig(carrier_frequency=5.5e9), records={})
+    loads_map(dumps_map(DcmMap(**ok)))
+    for change, message in (
+            ({"frequency": 28e9}, "carrier_frequency=5500000000.0 differs from the map "
+                                  "frequency=28000000000.0 its static paths were "
+                                  "traced at"),
+            ({"frequency": math.nan}, "frequency must be finite and > 0, got nan"),
+            ({"frequency": 0.0}, "frequency must be finite and > 0, got 0.0"),
+            ({"max_order": -1}, "max_order must be an integer >= 0, got -1"),
+            ({"max_order": 1.5}, "max_order must be an integer >= 0, got 1.5"),
+            ({"max_order": True}, "max_order must be an integer >= 0, got True")):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            DcmMap(**{**ok, **change})
 
 
 @pytest.mark.parametrize("location", [(2.5, 2.0), (2.5, 2.0, 1.5, 0.0),

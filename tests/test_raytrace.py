@@ -426,6 +426,97 @@ def test_edge_tolerance_is_shared_by_inside_and_blocked():
         assert geom.blocked(a, b).tolist() == [inside]
 
 
+def _edge_distances(points, facet):
+    """((e x (p - v)) . n) / |e| for points (P, 3) and each edge v -> v + e
+    of facet: the cross-product form of how far inside each edge p lies."""
+    rel = points[:, None, :] - facet.vertices
+    return np.cross(facet.edges, rel) @ facet.normal / facet.edge_len
+
+
+@st.composite
+def _facet_near_points(draw):
+    """A convex facet of 3-8 corners, centred up to 150 m from the origin,
+    and 40 points near its edges and corners, on and off its plane: inside
+    or outside by 1e-12..1e-3 m, or within 1e-15..1e-10 m of -TOL."""
+    center = np.array([draw(st.floats(-150.0, 150.0)) for _ in range(3)])
+    normal = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    normal = normal / np.linalg.norm(normal) if np.linalg.norm(normal) > 0.1 \
+        else np.array([0.0, 0.0, 1.0])
+    u = np.cross(normal, [1.0, 0.0, 0.0] if abs(normal[0]) < 0.9 else [0.0, 1.0, 0.0])
+    u /= np.linalg.norm(u)
+    v = np.cross(normal, u)
+    count = draw(st.integers(3, 8))
+    turns = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count,
+                                  unique=True)))
+    angles = 2.0 * math.pi * turns
+    radius = draw(st.floats(0.5, 20.0)) * np.array([1.0, draw(st.floats(0.3, 1.0))])
+    corners = center + radius[0] * np.cos(angles)[:, None] * u \
+        + radius[1] * np.sin(angles)[:, None] * v
+    try:
+        facet = Facet(corners, _MATS[0])
+    except ValueError:  # corners too close: a zero or reflex corner
+        facet = Facet(center + [u, v, -u - v], _MATS[0])
+    m = len(facet.vertices)
+    inward = np.cross(facet.normal, facet.edges) / facet.edge_len[:, None]
+    points = []
+    for _ in range(40):
+        k = draw(st.integers(0, m - 1))
+        depth = 10.0 ** draw(st.floats(-12.0, -3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        if draw(st.booleans()):
+            depth = -TOL + 10.0 ** draw(st.floats(-15.0, -10.0)) \
+                * draw(st.sampled_from([-1.0, 1.0]))
+        points.append(facet.vertices[k] + draw(st.floats(0.0, 1.0)) * facet.edges[k]
+                      + depth * inward[k] + draw(st.floats(-1.0, 1.0)) * facet.normal)
+    return facet, np.array(points)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_facet_near_points())
+def test_inside_agrees_with_the_cross_product_form(case):
+    """The half-plane rows give the cross-product edge distances, and so the
+    same verdict, wherever a distance is not within 1e-12 m of -TOL."""
+    facet, points = case
+    geom = raytrace._Geometry((facet,))
+    want = _edge_distances(points, facet)
+    m = len(facet.vertices)
+    got = points @ geom.sides[0, :m, :3].T + geom.sides[0, :m, 3]
+    assert np.abs(got - want).max() <= 1e-12
+    clear = (np.abs(want + TOL) > 1e-12).all(axis=1)
+    verdict = geom.inside(points, np.zeros(len(points), dtype=int))
+    assert verdict[clear].tolist() == (want >= -TOL).all(axis=1)[clear].tolist()
+
+
+def test_beam_walls_hold_the_image_and_the_edge():
+    """Each wall of the beam from image I through facet f contains I and both
+    ends of its edge, has a unit normal and puts f's centroid on its positive
+    side; a padding row and an image on f's plane give zero rows."""
+    mat = default_material()
+    facets = (Facet([(0, 0, 0), (2, 0, 0), (2, 1, 0), (1, 2, 0), (0, 1, 0)], mat),
+              Facet([(3, 0, 1), (3, 2, 1), (3, 0, 3)], mat),
+              _rect((90.0, -40.0, 20.0), (0.0, 3.0, 1.0), (2.0, 0.0, 0.5), mat))
+    geom = raytrace._Geometry(facets)
+    rng = np.random.default_rng(5)
+    for f, facet in enumerate(facets):
+        images = facet.centroid + 20.0 * rng.normal(size=(50, 3))
+        side = images @ facet.normal - facet.offset
+        walls = raytrace._walls(geom, np.full(len(images), f), images, side)
+        m = len(facet.vertices)
+        assert not walls[:, m:].any()
+        walls = walls[:, :m]
+        assert np.abs(np.linalg.norm(walls[..., :3], axis=2) - 1.0).max() < 1e-12
+
+        def height(points):  # of each wall over points (50 | 1, m | 1, 3)
+            return np.einsum("pwk,pwk->pw", walls[..., :3],
+                             np.broadcast_to(points, walls.shape[:2] + (3,))) + walls[..., 3]
+
+        ends = facet.vertices, np.roll(facet.vertices, -1, axis=0)
+        for points in (images[:, None, :], *ends):
+            assert np.abs(height(points)).max() < 1e-9
+        assert (height(facet.centroid) > 0.0).all()
+        on_plane = raytrace._walls(geom, np.array([f]), facet.centroid[None], np.zeros(1))
+        assert not on_plane.any()
+
+
 def test_passivity_and_order(room_scene):
     mpcs = trace_static_mpcs(room_scene, (1.0, 1.0, 1.0), (3.0, 4.0, 2.0),
                              max_order=2)

@@ -1,12 +1,13 @@
 """Scene document parsing and geometry validation."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from dcmkit import Facet, Material, SceneError, load_scene, loads_scene
-from dcmkit.scene import (DEFAULT_EPS_R, DEFAULT_MATERIAL_NAME, default_material,
+from dcmkit.scene import (DEFAULT_EPS_R, DEFAULT_MATERIAL_NAME, _cross, default_material,
                           scene_text_hash)
 
 from conftest import ROOM_SCENE
@@ -73,6 +74,34 @@ def test_facet_rejects_degenerate_and_nonplanar():
     for bad in (math.nan, math.inf):  # would give a NaN normal and area
         with pytest.raises(ValueError, match="finite"):
             Facet([(0, 0, 0), (1, 0, 0), (bad, 1, 0)], mat)
+
+
+def test_facet_arrays_are_read_only_copies():
+    """A facet's geometry cannot change under a tracer layout built from it."""
+    corners = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], dtype=float)
+    facet = Facet(corners, default_material())
+    assert corners.flags.writeable  # the caller's array is copied, not frozen
+    corners[0] = (5, 5, 5)
+    assert facet.vertices[0].tolist() == [0.0, 0.0, 0.0]
+    copy = pickle.loads(pickle.dumps(facet))  # as a worker process gets it
+    for name in ("vertices", "normal", "centroid", "edges", "edge_len"):
+        assert getattr(copy, name).tobytes() == getattr(facet, name).tobytes()
+        for frozen in (facet, copy):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(frozen, name)[...] += 1.0
+    assert (copy.offset, copy.area) == (facet.offset, facet.area)
+
+
+def test_facet_cross_product_is_numpys_to_the_bit():
+    """Facet's row-wise cross product and its row sums (Newell's normal)
+    equal np.cross's bit for bit."""
+    rng = np.random.default_rng(3)
+    for rows in range(3, 12):
+        a = rng.normal(size=(rows, 3)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+        b = np.roll(a, -1, axis=0)
+        want = np.cross(a, b)
+        assert _cross(a, b).tobytes() == want.tobytes()
+        assert _cross(a, b).sum(axis=0).tobytes() == want.sum(axis=0).tobytes()
 
 
 def test_facet_convexity_is_checked_at_every_corner():

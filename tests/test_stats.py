@@ -76,6 +76,11 @@ def test_psd_validation_and_mass():
         Psd(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         Psd(np.array([0.0]), np.array([1.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            Psd(np.array([0.0, 1.0, bad]), np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="must be finite"):
+            Psd(np.array([0.0, 1.0, 2.0]), np.array([1.0, bad, 1.0]))
 
 
 def test_lcr_inputs_validation():
@@ -89,6 +94,10 @@ def test_lcr_inputs_validation():
         LcrInputs(k=0.0, b0=1.0, b1=0.0, b2=-1.0)
     with pytest.raises(ValueError):
         LcrInputs(k=0.0, b0=1.0, b1=2.0, b2=1.0)
+    for bad in ({"k": math.nan}, {"k": math.inf}, {"b0": math.inf}, {"b0": math.nan},
+                {"b1": math.nan}, {"b2": math.inf}, {"b2": math.nan}):
+        with pytest.raises(ValueError, match="must be finite"):
+            LcrInputs(**{"k": 0.0, "b0": 1.0, "b1": 0.0, "b2": 1.0, **bad})
 
 
 def test_branch_power_coefficients_partition():
@@ -356,8 +365,12 @@ def test_doppler_psd_rejects_nonpositive_steps():
                    {"duration": 1e300, "dt": 1e-300}):
         with pytest.raises(ValueError, match="must be > 0"):
             doppler_psd(model, **kwargs)
-    with pytest.raises(ValueError, match="dt must be > 0"):
-        doppler_psd_from_lags(np.ones(4), 0.0)
+    for dt in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            doppler_psd_from_lags(np.ones(4), dt)
+    for lags in ([], np.ones((2, 4))):
+        with pytest.raises(ValueError, match="lags must be a non-empty 1-D sequence"):
+            doppler_psd_from_lags(lags, 1e-3)
 
 
 def test_doppler_psd_short_window_keeps_three_bins():
@@ -531,6 +544,9 @@ def test_lcr_analytic_rejects_bad_inputs():
     slightly_off = LcrInputs(k=0.0, b0=1.0, b1=1.0, b2=1.0 - 5e-10)
     with pytest.raises(ValueError):
         lcr_analytic(slightly_off, [1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="levels must be finite and >= 0"):
+            lcr_analytic(good, [1.0, bad])
 
 
 def test_lcr_empirical_counts_upward_crossings():
@@ -541,6 +557,11 @@ def test_lcr_empirical_counts_upward_crossings():
         lcr_empirical([1.0, 2.0], 1.5, 0.0)
     with pytest.raises(ValueError):
         lcr_empirical([1.0], 0.5, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration must be > 0 and finite"):
+            lcr_empirical([1.0, 2.0], 1.5, bad)
+    with pytest.raises(ValueError, match="level must not be NaN"):
+        lcr_empirical([1.0, 2.0], math.nan, 1.0)
 
 
 def test_lcr_time_inputs_use_realized_coherent_ratio():
