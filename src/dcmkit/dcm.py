@@ -23,7 +23,6 @@ temporary file that is atomically renamed over the target.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +33,7 @@ import numpy as np
 from .gbsm import AntennaArray, GbsmConfig, config_field
 from .hybrid import _ONE_ELEMENT, ChannelModel, ChannelSnapshot, KFactors
 from .raytrace import PathSet, _kind_order, _point, trace_static_mpcs
-from .scene import Scene, _fields, _floats
+from .scene import Scene, _fields, _floats, _integer, _number
 
 MAGIC = "DCMv2"
 DEFAULT_K_STATIC = 10.0 ** 0.3   # 3 dB
@@ -76,11 +75,10 @@ class DcmMap:
 
     def __post_init__(self):
         # the reader's header rules, so every map that can be saved also loads
-        if not 0.0 < self.frequency < math.inf:
-            raise ValueError(f"frequency must be finite and > 0, got {self.frequency}")
-        if isinstance(self.max_order, bool) or not isinstance(self.max_order, numbers.Integral) \
-                or self.max_order < 0:
-            raise ValueError(f"max_order must be an integer >= 0, got {self.max_order!r}")
+        self.frequency = _number("frequency", self.frequency, 0.0, strict=True)
+        self.max_order = _integer("max_order", self.max_order, 0)
+        if not (self.scene_hash.isascii() and self.scene_hash.isprintable()):
+            raise ValueError(f"scene_hash must be printable ASCII, got {self.scene_hash!r}")
         if self.gbsm.carrier_frequency != self.frequency:
             raise ValueError(_carrier_mismatch(self.gbsm.carrier_frequency, self.frequency))
 
@@ -167,14 +165,14 @@ def estimate_k_split(match: MatchResult, reference: PathSet) -> KFactors:
 
 def grid_points(origin, shape, spacing) -> list[tuple[float, float, float]]:
     """Rectangular lattice of locations, x-major then y then z."""
-    ox, oy, oz = (float(v) for v in origin)
+    ox, oy, oz = (_number("origin", v) for v in origin)
     if not all(v >= 1 and v % 1 == 0 for v in shape):
         raise ValueError(f"shape counts must be integers >= 1, got {tuple(shape)}")
     nx, ny, nz = (int(v) for v in shape)
     try:
-        sx, sy, sz = (float(v) for v in spacing)
+        sx, sy, sz = (_number("spacing", v) for v in spacing)
     except TypeError:
-        sx = sy = sz = float(spacing)
+        sx = sy = sz = _number("spacing", spacing)
     return [(ox + i * sx, oy + j * sy, oz + k * sz)
             for i in range(nx) for j in range(ny) for k in range(nz)]
 
@@ -294,7 +292,7 @@ def model_from_map(dcm: DcmMap, location, seed: int | None = None,
     cfg = dcm.gbsm
     patch = dict(overrides or {})
     if seed is not None:
-        patch["seed"] = int(seed)
+        patch["seed"] = seed
     if patch:
         cfg = cfg.with_overrides(**patch)
     if cfg.carrier_frequency != dcm.frequency:
@@ -456,16 +454,16 @@ def loads_map(text: str) -> DcmMap:
                 mpcs.append(_parse_mpc(line))
                 mpc_lines.append(no)
                 continue
-            # a section line is one key=value token
-            (key, val), = _fields([line], keys, current).items()
+            # a section line is one key=value token; a scene built in code
+            # has no hash, so its map writes an empty scene=
+            (key, val), = _fields([line], keys, current, blank=("scene",)).items()
             if section == "map":
-                header[key] = {"frequency": float, "max_order": int}.get(key, str)(val)
                 if key == "frequency":
                     frequency_line = no
-                    if not 0.0 < header[key] < math.inf:
-                        raise ValueError(f"frequency must be finite and > 0, got {val}")
-                if key == "max_order" and header[key] < 0:
-                    raise ValueError(f"max_order must be >= 0, got {val}")
+                    val = _number(key, float(val), 0.0, strict=True)
+                elif key == "max_order":
+                    val = _integer(key, int(val), 0)
+                header[key] = val
             elif section == "gbsm":
                 gbsm_kw[key] = config_field(key, _config_text(val))
                 if key == "carrier_frequency":

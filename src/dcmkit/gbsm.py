@@ -23,6 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from .raytrace import DEFAULT_FREQUENCY, SPEED_OF_LIGHT, unit_from_angles
+from .scene import _REALS, _integer, _number
 
 
 def isotropic_pattern(elevation, azimuth):
@@ -49,11 +50,8 @@ class AntennaArray:
     pattern: object = isotropic_pattern
 
     def __post_init__(self):
-        n = self.n_elements
-        if isinstance(n, bool) or not isinstance(n, _INTEGERS) or n < 1:
-            raise ValueError(f"n_elements must be an integer >= 1, got {n!r}")
-        if not 0.0 < self.spacing < math.inf:
-            raise ValueError(f"spacing must be finite and > 0, got {self.spacing}")
+        object.__setattr__(self, "n_elements", _integer("n_elements", self.n_elements, 1))
+        object.__setattr__(self, "spacing", _number("spacing", self.spacing, 0.0, strict=True))
         if np.shape(self.orientation) != (2,) or not np.isfinite(self.orientation).all():
             raise ValueError(f"orientation must be two finite angles, got {self.orientation}")
 
@@ -115,15 +113,11 @@ class GbsmConfig:
     def _set(self, values: dict) -> None:
         for name, value in list(values.items()):
             object.__setattr__(self, name, config_field(name, value))
-        if self.n_clusters < 0:
-            raise ValueError(f"n_clusters must be >= 0, got {self.n_clusters}")
-        if self.rays_per_cluster < 1:
-            raise ValueError(f"rays_per_cluster must be >= 1, got {self.rays_per_cluster}")
+        _integer("n_clusters", self.n_clusters, 0)
+        _integer("rays_per_cluster", self.rays_per_cluster, 1)
         for name in ("carrier_frequency", "delay_decay", "virtual_delay_mean"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if self.cluster_speed < 0.0:
-            raise ValueError("cluster_speed must be >= 0")
+            _number(name, getattr(self, name), 0.0, strict=True)
+        _number("cluster_speed", self.cluster_speed, 0.0)
         if self.anchor_range[0] <= 0.0:
             raise ValueError(f"bad anchor_range {self.anchor_range}")
         for name in ("anchor_range", "elevation_range", "azimuth_range"):
@@ -132,33 +126,25 @@ class GbsmConfig:
                 raise ValueError(f"bad {name} {(low, high)}")
 
 
-_INTEGERS = (int, np.integer)
-_REALS = (int, float, np.integer, np.floating)
-
-
 def config_field(name: str, value):
     """`value` as the type of GbsmConfig field `name`.
 
     Raises ValueError for an unknown field and for a value of the wrong
     type: bools, strings, non-integers for int fields, NaN and infinities
-    for float fields, anything but two numbers for pair fields.
+    for float fields (the rules of `_integer` and `_number`), anything but
+    two numbers for pair fields.
     """
     kind = _FIELD_TYPES.get(name)
     if kind is None:
         raise ValueError(f"unknown config fields: {name}")
-    if not isinstance(value, bool):
-        if kind is int and isinstance(value, _INTEGERS):
-            return int(value)
-        if kind is float and isinstance(value, _REALS):
-            if not math.isfinite(value):
-                raise ValueError(f"config field {name} must be finite, got {value!r}")
-            return float(value)
-        if (kind not in (int, float) and isinstance(value, (list, tuple))
-                and len(value) == 2
-                and all(isinstance(v, _REALS) and not isinstance(v, bool) for v in value)):
-            return float(value[0]), float(value[1])
-    what = {int: "an integer", float: "a number"}.get(kind, "a pair of numbers")
-    raise ValueError(f"config field {name} must be {what}, got {value!r}")
+    if kind is int:
+        return _integer(name, value)
+    if kind is float:
+        return _number(name, value)
+    if (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(v, _REALS) and not isinstance(v, bool) for v in value)):
+        return float(value[0]), float(value[1])
+    raise ValueError(f"{name} must be a pair of numbers, got {value!r}")
 
 
 _FIELD_TYPES = typing.get_type_hints(GbsmConfig)
@@ -460,8 +446,7 @@ def dynamic_cir(clusters: ClusterSet, tx_array: AntennaArray,
     of `ray_taps`; a custom pattern takes the general path, with the same
     bits when it returns (1, 0).
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    t = _number("t", t, 0.0)
     kinds = _ray_kinds(len(clusters), clusters.rays_per_cluster)
     out = {}
     for v in range(tx_array.n_elements):

@@ -202,7 +202,7 @@ class ChannelModel:
 
     def reseeded(self, seed: int) -> "ChannelModel":
         """Copy of this model whose stochastic part uses another seed."""
-        return replace(self, gbsm=self.gbsm.with_overrides(seed=int(seed)))
+        return replace(self, gbsm=self.gbsm.with_overrides(seed=seed))
 
     def snapshot(self, t: float) -> ChannelSnapshot:
         clusters = self.spawn()

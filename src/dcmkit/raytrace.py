@@ -67,14 +67,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import numbers
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .scene import INTERSECT_TOL, Facet, Material, Scene
+from .scene import INTERSECT_TOL, Facet, Material, Scene, _integer, _number
 
 # CODATA 2022: speed of light in vacuum (m/s), vacuum permittivity (F/m)
 SPEED_OF_LIGHT = 299792458.0
@@ -100,10 +99,8 @@ _ROUND_UP = 1.0 + 16.0 * np.finfo(float).eps
 
 def friis_path_gain(distance: float, frequency: float) -> float:
     """Free-space power gain in dB: -20 log10(4 pi d f / c)."""
-    if not 0.0 < distance < math.inf:
-        raise ValueError(f"distance must be finite and > 0, got {distance}")
-    if not 0.0 < frequency < math.inf:
-        raise ValueError(f"frequency must be finite and > 0, got {frequency}")
+    distance = _number("distance", distance, 0.0, strict=True)
+    frequency = _number("frequency", frequency, 0.0, strict=True)
     return -20.0 * math.log10(4.0 * math.pi * distance * frequency / SPEED_OF_LIGHT)
 
 
@@ -116,8 +113,7 @@ def fresnel_coefficients(material: Material, incidence: float, frequency: float)
     """
     if not 0.0 <= incidence <= math.pi / 2:
         raise ValueError(f"incidence must be in [0, pi/2], got {incidence}")
-    if not 0.0 < frequency < math.inf:
-        raise ValueError(f"frequency must be finite and > 0, got {frequency}")
+    frequency = _number("frequency", frequency, 0.0, strict=True)
     g_perp, g_par = _fresnel_arrays(
         np.asarray(material.eps_r), np.asarray(material.sigma),
         np.asarray(math.cos(incidence)), frequency,
@@ -542,11 +538,8 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
     tx, rx = _point("tx", tx), _point("rx", rx)
     if np.array_equal(tx, rx):
         raise ValueError("tx and rx coincide")
-    if isinstance(max_order, bool) or not isinstance(max_order, numbers.Integral) \
-            or max_order < 0:
-        raise ValueError(f"max_order must be an integer >= 0, got {max_order!r}")
-    if not 0.0 < frequency < math.inf:
-        raise ValueError(f"frequency must be finite and > 0, got {frequency}")
+    max_order = _integer("max_order", max_order, 0)
+    frequency = _number("frequency", frequency, 0.0, strict=True)
 
     geom = _geometry(scene.facets)
     rows = []  # PathSet columns of each path

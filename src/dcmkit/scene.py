@@ -14,7 +14,8 @@ coplanar within COPLANAR_TOL.  A line takes only the keys shown, each at
 most once, and every number must be finite; a malformed line raises
 SceneError naming its 1-based number.  Map files and CLI points files read
 their `key=value` tokens and comma-separated numbers with the same two
-helpers, `_fields` and `_floats`.
+helpers, `_fields` and `_floats`; `_number` and `_integer` state the same
+rule for numbers passed in from Python, in every module.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ class Material:
     def __post_init__(self):
         if not self.name:
             raise ValueError("material name must be non-empty")
-        if not 1.0 <= self.eps_r < math.inf:
-            raise ValueError(f"eps_r must be finite and >= 1, got {self.eps_r}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        object.__setattr__(self, "eps_r", _number("eps_r", self.eps_r, 1.0))
+        object.__setattr__(self, "sigma", _number("sigma", self.sigma, 0.0))
 
 
 def default_material() -> Material:
@@ -156,16 +155,17 @@ def scene_text_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _fields(tokens, keys, seen=()) -> dict[str, str]:
+def _fields(tokens, keys, seen=(), blank=()) -> dict[str, str]:
     """`key=value` tokens as a dict of strings.
 
-    A token with an empty key or value, a key not in `keys` and a key given
-    twice, or already in `seen`, raise ValueError.
+    A token with an empty key, an empty value for a key not in `blank`, a
+    key not in `keys` and a key given twice, or already in `seen`, raise
+    ValueError.
     """
     out = {}
     for token in tokens:
         key, _, value = token.partition("=")
-        if not key or not value:
+        if not key or not (value or key in blank):
             raise ValueError(f"expected key=value, got {token!r}")
         if key not in keys:
             raise ValueError(f"unknown field {key!r}")
@@ -185,6 +185,31 @@ def _floats(text: str, n: int, finite: bool = True) -> tuple[float, ...]:
         what = "a finite number" if n == 1 else f"{n} finite comma-separated numbers"
         raise ValueError(f"expected {what}, got {text!r}")
     return values
+
+
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _number(name: str, value, low: float = -math.inf, strict: bool = False) -> float:
+    """`value` as a float: a real number, not a bool, finite and >= `low`
+    (> `low` when `strict`).  Anything else raises ValueError naming `name`."""
+    if isinstance(value, _REALS) and not isinstance(value, bool):
+        x = float(value)
+        if math.isfinite(x) and (x > low if strict else x >= low):
+            return x
+    bound = f" and {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+    raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+
+
+def _integer(name: str, value, least: int | None = None) -> int:
+    """`value` as an int: an integer, not a bool, and >= `least` when given.
+    Anything else raises ValueError naming `name`."""
+    if isinstance(value, _INTEGERS) and not isinstance(value, bool) \
+            and (least is None or value >= least):
+        return int(value)
+    bound = "" if least is None else f" >= {least}"
+    raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def loads_scene(text: str) -> Scene:

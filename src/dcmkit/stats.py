@@ -39,6 +39,7 @@ import numpy as np
 from .gbsm import _draw_clusters, ray_delays
 from .hybrid import _SERIES_BLOCK, ChannelModel, KFactors, rician_params
 from .raytrace import SPEED_OF_LIGHT, _point, unit_from_angles
+from .scene import _integer, _number
 
 DEFAULT_ENSEMBLE = 200
 
@@ -48,10 +49,7 @@ DEFAULT_ENSEMBLE = 200
 
 def _check_evaluation(ensemble: int, t: float, dt=0.0) -> None:
     """Reject a bad ensemble count and times t, t + dt that are not finite and >= 0."""
-    if isinstance(ensemble, bool) or not isinstance(ensemble, (int, np.integer)):
-        raise ValueError(f"ensemble must be an integer, got {ensemble!r}")
-    if ensemble < 1:
-        raise ValueError(f"ensemble must be >= 1, got {ensemble}")
+    _integer("ensemble", ensemble, 1)
     times = np.append(t, t + np.asarray(dt, dtype=float))
     if not ((0.0 <= times) & (times < math.inf)).all():
         raise ValueError("evaluation times must be >= 0 and finite")
@@ -104,14 +102,9 @@ class LcrInputs:
     b2: float
 
     def __post_init__(self):
-        if not 0.0 <= self.k < math.inf:
-            raise ValueError(f"k must be finite and >= 0, got {self.k}")
-        if not 0.0 < self.b0 < math.inf:
-            raise ValueError(f"b0 must be finite and > 0, got {self.b0}")
-        if not math.isfinite(self.b1):
-            raise ValueError(f"b1 must be finite, got {self.b1}")
-        if not 0.0 <= self.b2 < math.inf:
-            raise ValueError(f"b2 must be finite and >= 0, got {self.b2}")
+        for name, low, strict in (("k", 0.0, False), ("b0", 0.0, True),
+                                  ("b1", -math.inf, False), ("b2", 0.0, False)):
+            object.__setattr__(self, name, _number(name, getattr(self, name), low, strict))
         scale = max(self.b0 * self.b2, self.b1 * self.b1, 1e-300)
         if self.b0 * self.b2 - self.b1 * self.b1 < -1e-9 * scale:
             raise ValueError("b0*b2 - b1^2 must be >= 0")
@@ -288,10 +281,8 @@ def stfcf(model: ChannelModel, dr_t=0.0, dr_r=0.0, dt=0.0, df=0.0,
         if len(bad):
             raise ValueError(f"{name} must be finite, got {bad[0]}")
     dloc = _point("dloc", dloc)
-    if f is not None and not 0.0 < f < math.inf:
-        raise ValueError(f"f must be finite and > 0, got {f!r}")
     fc = model.gbsm.carrier_frequency
-    f_base = fc if f is None else f
+    f_base = fc if f is None else _number("f", f, 0.0, strict=True)
     n_los, paths, share = model.static_mpcs.branches()
     c_l, c_s, c_d = branch_power_coefficients(model.k, n_los > 0, len(paths) > n_los)
     s_t = unit_from_angles(*paths.aod.T)
@@ -421,6 +412,7 @@ def angular_psd(model: ChannelModel, n_lags: int = 64, ensemble: int = 64,
     aperture only resolves the cone angle theta in [0, pi]; the support is
     that angle in radians, in 1-degree bins.
     """
+    n_lags = _integer("n_lags", n_lags, 2)
     if model.rx_array.n_elements < 2:
         raise ValueError("angular statistics need a receive array of >= 2 elements")
     grid = np.linspace(0.0, math.pi, 181)
@@ -445,18 +437,17 @@ def doppler_psd(model: ChannelModel, duration: float = 0.512, dt: float = 1e-3,
     4/(L dt) make a pure tone concentrate in one bin.  A receding cluster
     produces negative Doppler.
     """
-    if not (duration > 0.0 and dt > 0.0 and duration / dt < math.inf):
-        raise ValueError("duration and dt must be > 0, with a finite number of "
-                         f"steps duration / dt, got {duration}, {dt}")
-    lags_t = np.arange(max(2, int(round(duration / dt)))) * dt
+    duration = _number("duration", duration, 0.0, strict=True)
+    dt = _number("dt", dt, 0.0, strict=True)
+    steps = _number("duration / dt", duration / dt, 0.0, strict=True)
+    lags_t = np.arange(max(2, int(round(steps)))) * dt
     return doppler_psd_from_lags(
         stfcf(model, dt=lags_t, t=t, ensemble=ensemble), dt)
 
 
 def doppler_psd_from_lags(lags, dt: float) -> Psd:
     """Doppler density from an explicit time-correlation lag sequence."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be > 0 and finite, got {dt}")
+    dt = _number("dt", dt, 0.0, strict=True)
     lags = np.asarray(lags, dtype=complex)
     if lags.ndim != 1 or len(lags) == 0:
         raise ValueError("lags must be a non-empty 1-D sequence")
@@ -483,6 +474,7 @@ def lcr_analytic(inputs: LcrInputs, levels, n_quad: int = 200) -> np.ndarray:
     second for time lags).  The K = 0 limit reduces to the Rayleigh closed
     form sqrt(2 pi) f R exp(-R^2) for isotropic moments.
     """
+    n_quad = _integer("n_quad", n_quad, 1)
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     if not ((0.0 <= levels) & (levels < math.inf)).all():
         raise ValueError("levels must be finite and >= 0")
@@ -517,8 +509,7 @@ def lcr_analytic(inputs: LcrInputs, levels, n_quad: int = 200) -> np.ndarray:
 
 def lcr_empirical(envelope, level: float, duration: float) -> float:
     """Upward crossings of `level` per unit duration in a sampled envelope."""
-    if not 0.0 < duration < math.inf:
-        raise ValueError(f"duration must be > 0 and finite, got {duration}")
+    duration = _number("duration", duration, 0.0, strict=True)
     if math.isnan(level):
         raise ValueError("level must not be NaN")
     env = np.asarray(envelope, dtype=float)

@@ -1,11 +1,25 @@
-"""The README's Python API section lists exactly the public names, and its
-Python quick start runs as written."""
+"""The README's Python API section lists exactly the public names, its
+Python quick start runs as written, every module states the argument rule
+the same way, and no module imports a name it does not use."""
 
+import ast
 import dataclasses
+import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
 
 import dcmkit
+from dcmkit import (AntennaArray, DcmMap, GbsmConfig, LcrInputs, Material, Scene,
+                    angular_psd, build_map, doppler_psd, doppler_psd_from_lags,
+                    dynamic_cir, fresnel_coefficients, friis_path_gain, grid_points,
+                    lcr_analytic, lcr_empirical, model_from_map, stfcf,
+                    trace_static_mpcs)
+
+from conftest import make_model
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,3 +65,96 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the quick start writes site.dcm
     exec(compile(code, str(README), "exec"), {})
     assert (tmp_path / "site.dcm").is_file()
+
+
+def test_modules_use_every_import():
+    """A name imported by a dcmkit module is read in it, or listed in its
+    `__all__`; a stale import is an error, as a linter would report it."""
+    for path in sorted(Path(dcmkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name).split(".")[0]: node.lineno
+                                 for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused = [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                  if name not in used]
+        assert not unused, unused
+
+
+GOOD_LCR = dict(k=0.0, b0=1.0, b1=0.0, b2=1.0)
+EMPTY = Scene(())
+
+# (argument, values out of its range, a call that passes `v` as the argument);
+# `c` holds a model with a two-element receive array, its clusters and a
+# one-record map.  Every row also gets True, "1" and NaN.
+RULE = [
+    ("eps_r", (0.5,), lambda v, c: Material("m", v, 0.0)),
+    ("sigma", (-1.0,), lambda v, c: Material("m", 1.0, v)),
+    ("distance", (0.0,), lambda v, c: friis_path_gain(v, 5.5e9)),
+    ("frequency", (0.0,), lambda v, c: friis_path_gain(1.0, v)),
+    ("frequency", (-1.0,), lambda v, c: fresnel_coefficients(Material("m", 2.0, 0.0), 0.0, v)),
+    ("max_order", (-1, 1.5),
+     lambda v, c: trace_static_mpcs(EMPTY, (0, 0, 0), (1, 0, 0), max_order=v)),
+    ("frequency", (0.0,), lambda v, c: trace_static_mpcs(EMPTY, (0, 0, 0), (1, 0, 0),
+                                                          frequency=v)),
+    ("n_elements", (0, 2.5), lambda v, c: AntennaArray(n_elements=v)),
+    ("spacing", (0.0,), lambda v, c: AntennaArray(spacing=v)),
+    *[(name, bad, lambda v, c, name=name: GbsmConfig(**{name: v}))
+      for name, bad in (("n_clusters", (-1, 1.5)), ("rays_per_cluster", (0,)),
+                        ("seed", (1.5,)), ("carrier_frequency", (0.0,)),
+                        ("delay_decay", (0.0,)), ("virtual_delay_mean", (-1.0,)),
+                        ("cluster_speed", (-1.0,)), ("xpr_mean_db", (math.inf,)))],
+    ("t", (-1.0,), lambda v, c: dynamic_cir(c.clusters, c.model.tx_array,
+                                            c.model.rx_array, v, c.model.gbsm)),
+    ("frequency", (0.0,), lambda v, c: DcmMap(v, 1, "", GbsmConfig(), {})),
+    ("max_order", (-1, 1.5), lambda v, c: DcmMap(5.5e9, v, "", GbsmConfig(), {})),
+    ("origin", (math.inf,), lambda v, c: grid_points((v, 0, 0), (1, 1, 1), 1.0)),
+    ("spacing", (math.inf,), lambda v, c: grid_points((0, 0, 0), (2, 1, 1), v)),
+    ("spacing", (-math.inf,), lambda v, c: grid_points((0, 0, 0), (2, 1, 1), (1, v, 1))),
+    ("seed", (1.5,), lambda v, c: model_from_map(c.map, c.point, seed=v)),
+    ("seed", (1.5,), lambda v, c: c.model.reseeded(v)),
+    ("ensemble", (0, 2.5), lambda v, c: stfcf(c.model, ensemble=v)),
+    *[(name, bad, lambda v, c, name=name: LcrInputs(**{**GOOD_LCR, name: v}))
+      for name, bad in (("k", (-1.0,)), ("b0", (0.0,)), ("b1", (math.inf,)),
+                        ("b2", (-1.0,)))],
+    ("f", (0.0,), lambda v, c: stfcf(c.model, f=v, ensemble=2)),
+    ("n_lags", (0, 1, 2.5), lambda v, c: angular_psd(c.model, n_lags=v, ensemble=2)),
+    ("duration", (0.0,), lambda v, c: doppler_psd(c.model, duration=v, ensemble=2)),
+    ("dt", (-1e-3,), lambda v, c: doppler_psd(c.model, dt=v, ensemble=2)),
+    ("dt", (0.0,), lambda v, c: doppler_psd_from_lags(np.ones(4), v)),
+    ("n_quad", (0, 2.5), lambda v, c: lcr_analytic(LcrInputs(**GOOD_LCR), [1.0], n_quad=v)),
+    ("duration", (0.0,), lambda v, c: lcr_empirical([1.0, 2.0], 1.5, v)),
+]
+
+
+@pytest.fixture(scope="module")
+def rule_context(room_scene):
+    model = make_model(rx_elements=2)
+    point = (2.5, 2.0, 1.5)
+    return SimpleNamespace(model=model, clusters=model.spawn(), point=point,
+                           map=build_map(room_scene, (1.0, 1.0, 2.0), [point], max_order=1))
+
+
+@pytest.mark.parametrize("name, bad, call", RULE,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(RULE)])
+def test_argument_rule(rule_context, name, bad, call):
+    """A bool, a string, NaN or a value out of range raises ValueError whose
+    message starts with the argument's name."""
+    for value in (True, "1", math.nan, *bad):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(value, rule_context)
+
+
+def test_seed_is_an_integer(rule_context):
+    c = rule_context
+    assert c.model.reseeded(np.int64(3)) == c.model.reseeded(3)
+    assert c.model.reseeded(np.int64(3)).gbsm.seed == 3
+    assert model_from_map(c.map, c.point, seed=np.int64(3)).gbsm.seed == 3

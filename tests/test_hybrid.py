@@ -231,9 +231,9 @@ def test_narrowband_series_rejects_bad_arguments():
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1e-3])
 def test_snapshot_times_must_be_finite(t):
     model = make_model([los_mpc()], seed=1)
-    with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
         model.snapshot(t)
-    with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
         dynamic_cir(model.spawn(), model.tx_array, model.rx_array, t, model.gbsm)
 
 

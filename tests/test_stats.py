@@ -363,10 +363,10 @@ def test_doppler_psd_rejects_nonpositive_steps():
     model = two_tap_model(k_s=2.0, k_d=8.0)
     for kwargs in ({"dt": 0.0}, {"dt": -1e-3}, {"duration": 0.0},
                    {"duration": 1e300, "dt": 1e-300}):
-        with pytest.raises(ValueError, match="must be > 0"):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
             doppler_psd(model, **kwargs)
     for dt in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="dt must be > 0"):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
             doppler_psd_from_lags(np.ones(4), dt)
     for lags in ([], np.ones((2, 4))):
         with pytest.raises(ValueError, match="lags must be a non-empty 1-D sequence"):
@@ -390,7 +390,7 @@ def test_correlation_entries_check_ensemble_and_time():
                lambda **kw: lcr_time_inputs(model, **kw)]
     for entry in entries:
         for ensemble in (0, -2):
-            with pytest.raises(ValueError, match="ensemble must be >= 1"):
+            with pytest.raises(ValueError, match="ensemble must be an integer >= 1"):
                 entry(ensemble=ensemble)
         # a float used to fail inside range() and a bool ran one member
         for ensemble in (2.5, True, np.float64(3.0), "3"):
@@ -421,7 +421,7 @@ def test_correlation_entries_check_ensemble_and_time():
             stfcf(model, f=f, ensemble=2)
     # the inputs are checked before a model without diffuse power is seen
     frozen = two_tap_model(k_s=2.0, k_d=math.inf)
-    with pytest.raises(ValueError, match="ensemble must be >= 1"):
+    with pytest.raises(ValueError, match="ensemble must be an integer >= 1"):
         lcr_time_inputs(frozen, ensemble=0)
     with pytest.raises(ValueError, match="evaluation times must be >= 0"):
         lcr_time_inputs(frozen, t=math.nan)
@@ -558,7 +558,7 @@ def test_lcr_empirical_counts_upward_crossings():
     with pytest.raises(ValueError):
         lcr_empirical([1.0], 0.5, 1.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="duration must be > 0 and finite"):
+        with pytest.raises(ValueError, match="duration must be finite and > 0"):
             lcr_empirical([1.0, 2.0], 1.5, bad)
     with pytest.raises(ValueError, match="level must not be NaN"):
         lcr_empirical([1.0, 2.0], math.nan, 1.0)
