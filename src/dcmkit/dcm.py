@@ -56,8 +56,9 @@ class DcmRecord:
     mpcs: PathSet
 
     def __post_init__(self):
-        # the model's rules, so every record that can be saved also loads
-        KFactors(self.k_s, self.k_d)
+        # the model's rules, so every record that can be saved also loads;
+        # kept for the models made from this record
+        object.__setattr__(self, "_k", KFactors(self.k_s, self.k_d))
         if not isinstance(self.mpcs, PathSet):
             raise TypeError("mpcs must be a PathSet; convert rows with PathSet.of")
 
@@ -299,7 +300,7 @@ def model_from_map(dcm: DcmMap, location, seed: int | None = None,
         raise ValueError(_carrier_mismatch(cfg.carrier_frequency, dcm.frequency))
     return ChannelModel(
         static_mpcs=rec.mpcs,
-        k=KFactors(rec.k_s, rec.k_d),
+        k=rec._k,
         gbsm=cfg,
         tx_array=tx_array if tx_array is not None else _ONE_ELEMENT,
         rx_array=rx_array if rx_array is not None else _ONE_ELEMENT,
@@ -315,10 +316,14 @@ def update_snapshot(dcm: DcmMap, location, t: float, seed: int | None = None,
     """Fast online snapshot: stored static paths plus fresh dynamic clusters.
 
     The static side is reused exactly as stored: updates at one record share
-    one memo entry of static taps.  An update costs a lookup (a near miss
-    scans the map's kept location array), one cluster spawn, whose
-    `ClusterSet` holds the per-ray layouts every synthesis reads, the
-    dynamic taps of each antenna pair and one mixing pass.
+    one memo entry of static taps, and the first update at a record
+    synthesizes them once (for isotropic arrays without any pattern or
+    polarization mix).  An update costs a lookup (a near miss scans the
+    map's kept location array), one cluster spawn, whose `ClusterSet`
+    derives only the ray anchors, the dynamic taps of each antenna pair
+    (for one pair, every ray's delay from one stacked array of both ends'
+    vectors) and one mixing pass.  The spawn is about half of it, and its
+    seeded generator alone about a tenth; see README, "Update cost".
     """
     model = model_from_map(dcm, location, seed=seed, overrides=overrides,
                            tx_array=tx_array, rx_array=rx_array,

@@ -101,7 +101,7 @@ class GbsmConfig:
         self._set(vars(self))
 
     def with_overrides(self, **kwargs) -> "GbsmConfig":
-        """A copy that converts only the fields given, then checks all rules."""
+        """A copy that converts and checks only the fields given."""
         unknown = sorted(kwargs.keys() - _FIELD_TYPES.keys())
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
@@ -111,19 +111,27 @@ class GbsmConfig:
         return new
 
     def _set(self, values: dict) -> None:
+        """Convert each of `values` to its field's type, then check its rule."""
         for name, value in list(values.items()):
-            object.__setattr__(self, name, config_field(name, value))
-        _integer("n_clusters", self.n_clusters, 0)
-        _integer("rays_per_cluster", self.rays_per_cluster, 1)
-        for name in ("carrier_frequency", "delay_decay", "virtual_delay_mean"):
-            _number(name, getattr(self, name), 0.0, strict=True)
-        _number("cluster_speed", self.cluster_speed, 0.0)
-        if self.anchor_range[0] <= 0.0:
-            raise ValueError(f"bad anchor_range {self.anchor_range}")
-        for name in ("anchor_range", "elevation_range", "azimuth_range"):
-            low, high = getattr(self, name)
-            if not (math.isfinite(low) and math.isfinite(high) and low <= high):
-                raise ValueError(f"bad {name} {(low, high)}")
+            value = config_field(name, value)
+            object.__setattr__(self, name, value)
+            if name in _LOWER_BOUNDS:
+                low, strict = _LOWER_BOUNDS[name]
+                if isinstance(low, int):
+                    _integer(name, value, low)
+                else:
+                    _number(name, value, low, strict=strict)
+            elif name.endswith("_range"):
+                low, high = value
+                if not (math.isfinite(low) and math.isfinite(high) and low <= high) \
+                        or name == "anchor_range" and low <= 0.0:
+                    raise ValueError(f"bad {name} {value}")
+
+
+# the lower bound of each bounded number field, and whether it is strict
+_LOWER_BOUNDS = {"n_clusters": (0, False), "rays_per_cluster": (1, False),
+                 "carrier_frequency": (0.0, True), "delay_decay": (0.0, True),
+                 "virtual_delay_mean": (0.0, True), "cluster_speed": (0.0, False)}
 
 
 def config_field(name: str, value):
@@ -163,12 +171,10 @@ class ClusterSet:
     lead with (C, m): angle offsets `offset` (C, m, 2, 2) per end, phases
     (C, m, 4) and linear XPR.  Rays split their cluster's power evenly.
     Construction derives once what every synthesis reads: the ray anchors
-    at t = 0 in meters from the link ends and the anchor velocities,
-    end-major and component-major, (2, 3, C, m, 1) and (2, 3, C, 1, 1)
-    (`_anchors`, `_velocities`); the power of every ray, `ray_power`
-    (C, m); and for the R = C m rays the virtual delays and sqrt(ray
-    power), (R, 1).  The ray gains between isotropic elements are derived
-    on first use.
+    at t = 0 in meters from the link ends, `_anchors` (2, 3, C, m, 1) by
+    end and component, a view of an array laid out (component, cluster,
+    ray, end).  The power of every ray, `ray_power` (C, m), its square root
+    and the ray gains between isotropic elements are derived on first use.
     """
 
     power: np.ndarray
@@ -185,22 +191,23 @@ class ClusterSet:
             raise ValueError("cluster power must be >= 0")
         if self.virtual_delay.min(initial=0.0) < 0.0:
             raise ValueError("virtual delay must be >= 0")
-        m = self.rays_per_cluster
-        # both ends in one pass, end-major as `_ray_vectors` reads them (a
-        # cluster-major layout slows it): angles (2, C, m, 2), anchors (2, C, m, 3)
-        angles = np.add(self.direction.transpose(1, 0, 2)[:, :, None],
-                        self.offset.transpose(2, 0, 1, 3), order="C")
-        el = np.minimum(np.maximum(angles[..., 0], -math.pi / 2), math.pi / 2)
-        anchors = self.distance.T[:, :, None, None] * unit_from_angles(el, angles[..., 1])
-        velocities = np.ascontiguousarray(self.velocity.transpose(1, 2, 0))
-        ray_power = (self.power * (1.0 / m)).repeat(m).reshape(-1, m)
-        for name, value in (
-                ("_anchors", anchors.transpose(0, 3, 1, 2)[..., None]),
-                ("_velocities", velocities[..., None, None]),
-                ("_virtual", np.repeat(self.virtual_delay, m)[:, None]),
-                ("ray_power", ray_power),
-                ("_amplitude", np.sqrt(ray_power).reshape(-1, 1))):
-            object.__setattr__(self, name, value)
+        # (elevation, azimuth) of every ray at both ends, (C, m, 2, 2), with
+        # the elevations clipped to [-pi/2, pi/2]; cosines and sines at once
+        angles = self.offset + self.direction.repeat(self.rays_per_cluster, axis=0
+                                                     ).reshape(self.offset.shape)
+        el = angles[..., 0]
+        np.minimum(np.maximum(el, -math.pi / 2, out=el), math.pi / 2, out=el)
+        trig = np.empty((2,) + angles.shape)
+        np.cos(angles, out=trig[0])
+        np.sin(angles, out=trig[1])
+        # unit vectors (cos az cos el, sin az cos el, sin el), laid out
+        # (component, cluster, ray, end) as they come, then scaled to the
+        # anchor distances
+        anchors = np.empty((3,) + angles.shape[:3])
+        np.multiply(trig[:, ..., 1], trig[0, ..., 0], out=anchors[:2])
+        anchors[2] = trig[1, ..., 0]
+        anchors *= self.distance.repeat(self.rays_per_cluster, axis=0).reshape(angles.shape[:3])
+        object.__setattr__(self, "_anchors", anchors.transpose(3, 0, 1, 2)[..., None])
 
     def __len__(self) -> int:
         return len(self.power)
@@ -210,10 +217,22 @@ class ClusterSet:
         return self.xpr.shape[1]
 
     @cached_property
+    def ray_power(self) -> np.ndarray:
+        m = self.rays_per_cluster
+        return (self.power * (1.0 / m)).repeat(m).reshape(-1, m)
+
+    @property
+    def _amplitude(self) -> np.ndarray:
+        """sqrt(ray power), (C, 1): one value for the rays of a cluster."""
+        return np.sqrt(self.power * (1.0 / self.rays_per_cluster))[:, None]
+
+    @cached_property
     def _isotropic_gain(self) -> np.ndarray:
         """sqrt(ray power) exp(j phase_vv), (R, 1): each ray's gain when both
         ends have unit vertical and no horizontal response."""
-        return self._amplitude * np.exp(1j * self.phases[..., 0].reshape(-1, 1))
+        gain = np.exp(1j * self.phases[..., 0])
+        gain *= self._amplitude
+        return gain.reshape(-1, 1)
 
 
 def spawn_clusters(config: GbsmConfig, location) -> ClusterSet:
@@ -246,11 +265,11 @@ def _draw_clusters(config: GbsmConfig, seeds, location) -> ClusterSet:
     minimum and power sum once per member, so each member's powers sum to one.
     """
     tx, rx = location  # entropy: the float64 bits of the pair
-    loc = _entropy_words(struct.unpack("<6Q", struct.pack("<6d", *tx, *rx)))
+    loc = _location_words(struct.pack("<6d", *tx, *rx))
     members, n, m = len(seeds), config.n_clusters, config.rays_per_cluster
     u = np.empty((members * n, 13 + 14 * m))
     for e, seed in enumerate(seeds):
-        words = np.array(_entropy_words([seed & 0xFFFFFFFFFFFFFFFF]) + loc, np.uint32)
+        words = np.array((*_entropy_words([seed & 0xFFFFFFFFFFFFFFFF]), *loc), np.uint32)
         np.random.Generator(np.random.PCG64(np.random.SeedSequence(words))).random(
             out=u[e * n:(e + 1) * n])
     lows, spans = _uniform_scales(config.anchor_range, config.elevation_range,
@@ -288,66 +307,111 @@ def _uniform_scales(*ranges) -> tuple[np.ndarray, np.ndarray]:
     return lows, highs - lows
 
 
+@lru_cache(maxsize=64)
+def _location_words(bits: bytes) -> tuple[int, ...]:
+    """SeedSequence's words of a location's six float64 bit patterns."""
+    return tuple(_entropy_words(struct.unpack("<6Q", bits)))
+
+
 def _entropy_words(values) -> list[int]:
     """SeedSequence's words of ints < 2**64: the low 32 bits, then any non-zero rest."""
     return [w for v in values for w in ((v & 0xFFFFFFFF, v >> 32) if v >> 32 else (v,))]
 
 
-def _ray_vectors(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset):
+def _ray_vectors(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset) -> np.ndarray:
     """Element-to-anchor vectors of every ray once its anchors have moved on to t + dt.
 
     `dt` is a grid of Q time offsets; `tx_offset`/`rx_offset` are antenna
     element positions relative to the link ends, one (3,) vector or one per
-    grid point (Q, 3).  Yields six planes (R, Q) of the R = C m rays in
-    cluster-major order, one at a time: x, y and z of (anchor + v t) + v dt
-    - offset at the transmit end, then at the receive end.
+    grid point (Q, 3), or None for an element at its link end.  Returns six
+    planes (6, R, Q) of the R = C m rays in cluster-major order: x, y and z
+    of (anchor + v t) + v dt - offset at the transmit end, then at the
+    receive end.
     """
+    vectors = _moved_anchors(clusters, t, dt, tx_offset, rx_offset)
+    return vectors.transpose(3, 0, 1, 2, 4).reshape(6, -1, vectors.shape[-1])
+
+
+def _moved_anchors(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset,
+                   plane: int | None = None) -> np.ndarray:
+    """The vectors of `_ray_vectors`, laid out (component, cluster, ray, end,
+    time) as one (3, C, m, 2, Q) array, or only plane `plane` = 3 end +
+    component, (C, m, Q)."""
     dt = np.asarray(dt, dtype=float)
     q = dt.size
-    start = clusters._anchors + clusters._velocities * t
+    if plane is None:
+        anchors = clusters._anchors[..., 0].transpose(1, 2, 3, 0)[..., None]
+        velocities = clusters.velocity.transpose(2, 0, 1)[:, :, None, :, None]
+    else:
+        end, axis = divmod(plane, 3)
+        anchors = clusters._anchors[end, axis]
+        velocities = clusters.velocity[:, end, axis, None, None]
+    rel = anchors + velocities * t
     # a cluster's velocity broadcasts over its rays; when every dt is zero,
     # adding v dt would change no coordinate but the sign of a zero, so the
-    # planes copy the anchors instead (count_nonzero is the cheaper test on
+    # vectors copy the anchors instead (count_nonzero is the cheaper test on
     # a handful of numbers)
-    moved = clusters._velocities * dt if np.count_nonzero(dt) else None
+    if np.count_nonzero(dt):
+        rel = np.add(velocities * dt, rel)
+    elif q > 1:
+        rel = rel.repeat(q, axis=-1)
     for end, offset in enumerate((tx_offset, rx_offset)):
-        offset = np.asarray(offset, dtype=float)
         # subtracting a zero offset changes no length
-        shifts = offset.T.reshape(3, 1, -1) if np.count_nonzero(offset) else (None,) * 3
-        for i, shift in enumerate(shifts):
-            if moved is None:
-                rel = start[end, i].repeat(q, axis=-1).reshape(-1, q)
-            else:
-                rel = np.add(moved[end, i], start[end, i]).reshape(-1, q)
-            if shift is not None:
-                rel -= shift
-            yield rel
+        if offset is None or plane is not None and plane // 3 != end \
+                or not np.count_nonzero(offset):
+            continue
+        shift = np.asarray(offset, dtype=float).T.reshape(3, 1, 1, -1)
+        if plane is None:
+            rel[:, :, :, end] -= shift
+        else:
+            rel -= shift[plane % 3]
+    return rel
 
 
-def _leg_length(planes) -> np.ndarray:
-    """sqrt((x x + y y) + z z) of the next three planes; squares them in place."""
-    norm = next(planes)
-    norm *= norm
-    for _ in range(2):
-        plane = next(planes)
-        norm += np.multiply(plane, plane, out=plane)
-        del plane  # free before the next plane is formed
-    return np.sqrt(norm, out=norm)
+# the most vectors (6 R Q numbers) that `ray_delays` forms as one stacked
+# array: one product over both ends and all components makes the fewest
+# calls, planes formed one at a time move the least memory.  Timed against
+# each other, the stacked array took 0.4 of the time of the planes at 900
+# numbers (a one-pair update), 0.84 at 14,400, 1.2 times as long at 57,600
+# and 1.4 times at 392,400 (a chunk of the narrowband series).
+_STACKED_VECTORS = 1 << 15
 
 
 def ray_delays(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset) -> np.ndarray:
     """Delays (R, Q) of every ray once its anchors have moved on to t + dt.
 
     Arguments as in `_ray_vectors`.  A delay is the two element-to-anchor
-    legs over c plus the virtual delay.  The legs are taken one end and one
-    component at a time, so no (3, R, Q) array is formed.
+    legs, each sqrt((x x + y y) + z z), over c plus the virtual delay.  Up
+    to `_STACKED_VECTORS` numbers, the vectors of both ends are formed as
+    one stacked array; beyond it, one plane at a time, so no (3, R, Q)
+    array is held.  Both give the same bits.
     """
-    planes = _ray_vectors(clusters, t, dt, tx_offset, rx_offset)
-    delays = _leg_length(planes)
-    delays += _leg_length(planes)
+    n, m = len(clusters), clusters.rays_per_cluster
+    dt = np.asarray(dt, dtype=float)
+    if 6 * n * m * dt.size <= _STACKED_VECTORS:
+        squares = _moved_anchors(clusters, t, dt, tx_offset, rx_offset)
+        squares *= squares
+        legs = squares[0] + squares[1]
+        legs += squares[2]
+        np.sqrt(legs, out=legs)
+        delays = legs[:, :, 0] + legs[:, :, 1]
+    else:
+        for end in range(2):
+            leg = _moved_anchors(clusters, t, dt, tx_offset, rx_offset, 3 * end)
+            leg *= leg
+            for axis in (1, 2):
+                plane = _moved_anchors(clusters, t, dt, tx_offset, rx_offset, 3 * end + axis)
+                leg += np.multiply(plane, plane, out=plane)
+                del plane  # free before the next plane is formed
+            np.sqrt(leg, out=leg)
+            if end:
+                delays += leg
+            else:
+                delays = leg
+            del leg
     delays /= SPEED_OF_LIGHT
-    delays += clusters._virtual
-    return delays
+    delays += clusters.virtual_delay[:, None, None]
+    return delays.reshape(n * m, delays.shape[-1])
 
 
 def ray_taps(clusters: ClusterSet, t: float, dt, tx_array: AntennaArray,
@@ -364,17 +428,20 @@ def ray_taps(clusters: ClusterSet, t: float, dt, tx_array: AntennaArray,
     too, takes the general path, which gives those same bits: every term it
     adds is a signed zero.
     """
-    offsets = tx_array.element_offset(pair[0]), rx_array.element_offset(pair[1])
+    # element 0 sits at its array's origin, the link end
+    offsets = [array.element_offset(v) if v else None
+               for array, v in zip((tx_array, rx_array), pair)]
     delays = ray_delays(clusters, t, dt, *offsets)
     if tx_array.pattern is rx_array.pattern is isotropic_pattern:
         gains = clusters._isotropic_gain
     else:
-        vectors = list(_ray_vectors(clusters, t, dt, *offsets))
+        vectors = _ray_vectors(clusters, t, dt, *offsets)
         f_tx = tx_array.pattern(*_angles_of(*vectors[:3]))
         f_rx = rx_array.pattern(*_angles_of(*vectors[3:]))
-        gains = clusters._amplitude * _pol_mix(
-            f_rx, f_tx, clusters.phases.reshape(-1, 1, 4),
-            clusters.xpr.reshape(-1, 1), config.copolar_imbalance)
+        mix = _pol_mix(f_rx, f_tx, clusters.phases.reshape(-1, 1, 4),
+                       clusters.xpr.reshape(-1, 1), config.copolar_imbalance)
+        gains = (clusters._amplitude[..., None] * mix.reshape(clusters.xpr.shape + mix.shape[1:])
+                 ).reshape(mix.shape)
     # gains first, into the carrier's buffer: numpy's fused complex product
     # rounds a b unlike b a, and `gains * np.exp(...)` may run as the large
     # temporary times gains, in place

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gbsm import (AntennaArray, GbsmConfig, Taps, _pol_mix, dynamic_cir,
-                   ray_taps, spawn_clusters)
+                   isotropic_pattern, ray_taps, spawn_clusters)
 from .raytrace import SPEED_OF_LIGHT, PathSet, unit_from_angles
 
 # elements of one (rays, samples) block of a narrowband series (1 MiB of
@@ -96,35 +96,52 @@ def static_cir(paths: PathSet, tx_array: AntennaArray, rx_array: AntennaArray,
     `k.static_split` says; reflected-path powers renormalize to their
     share (`PathSet.branches`).  Per-element delays shift by the plane-wave
     projection of the element offsets on the departure/arrival directions.
+    Arrays that both use `isotropic_pattern` take the shortcut of
+    `ray_taps`: every path's gain is exp(j phase_vv), the LoS path's too,
+    and no pattern or polarization mix is evaluated.  Any other pattern
+    takes the general path, with the same bits when it returns (1, 0).
     """
     n_los, paths, share = paths.branches()
     w_los, w_refl = k.static_split(n_los > 0, len(paths) > n_los)
     weights = np.repeat([w_los, w_refl], [n_los, len(paths) - n_los]) * np.sqrt(share)
 
     kinds = paths.kinds
-    # contiguous (elevation, azimuth) rows: strided ones may take other SIMD loops
-    aod, aoa = paths.aod.T.copy(), paths.aoa.T.copy()
-    s_tx, s_rx = unit_from_angles(*aod), unit_from_angles(*aoa)
-    # patterns and polarization depend on the path only, not on the pair
-    f_tx, f_rx = tx_array.pattern(*aod), rx_array.pattern(*aoa)
-    gains = _pol_mix(f_rx, f_tx, paths.phases, paths.xpr, mu)
-    if n_los:  # the LoS path keeps its co-polar terms only
-        (tv, th), (rv, rh) = ([f[0] for f in fs] for fs in (f_tx, f_rx))
-        ph = paths.phases[0].tolist()
-        gains[0] = complex(rv * tv * np.exp(1j * ph[0]) + rh * th * np.exp(1j * ph[3]))
+    if tx_array.pattern is rx_array.pattern is isotropic_pattern:
+        gains = np.exp(1j * paths.phases[:, 0])
+    else:
+        # patterns and polarization depend on the path only, not on the pair
+        f_tx, f_rx = tx_array.pattern(*_rows(paths.aod)), rx_array.pattern(*_rows(paths.aoa))
+        gains = _pol_mix(f_rx, f_tx, paths.phases, paths.xpr, mu)
+        if n_los:  # the LoS path keeps its co-polar terms only
+            (tv, th), (rv, rh) = ([f[0] for f in fs] for fs in (f_tx, f_rx))
+            ph = paths.phases[0].tolist()
+            gains[0] = complex(rv * tv * np.exp(1j * ph[0]) + rh * th * np.exp(1j * ph[3]))
     weighted = weights * gains
 
     pairs = {}
-    for v in range(tx_array.n_elements):
-        proj_tx = s_tx @ tx_array.element_offset(v)
-        for u in range(rx_array.n_elements):
-            tau = paths.delay - (proj_tx + s_rx @ rx_array.element_offset(u)) \
-                / SPEED_OF_LIGHT
+    for v, proj_tx in enumerate(_projections(tx_array, paths.aod)):
+        for u, proj_rx in enumerate(_projections(rx_array, paths.aoa)):
+            tau = paths.delay - (proj_tx + proj_rx) / SPEED_OF_LIGHT
             amps = weighted * np.exp(2j * math.pi * frequency * tau)
             order = np.argsort(tau, kind="stable")
             pairs[(v, u)] = Taps(tau[order], amps[order],
                                  tuple(kinds[i] for i in order))
     return pairs
+
+
+def _rows(angles: np.ndarray) -> np.ndarray:
+    """(elevation, azimuth) rows (2, P) of angles (P, 2), contiguous: strided
+    ones may take other SIMD loops."""
+    return angles.T.copy()
+
+
+def _projections(array: AntennaArray, angles: np.ndarray) -> list:
+    """Each element's offset projected on the unit vectors of `angles`
+    (P, 2).  A one-element array sits at its origin: 0.0, no projection."""
+    if array.n_elements == 1:
+        return [0.0]
+    directions = unit_from_angles(*_rows(angles))
+    return [directions @ array.element_offset(v) for v in range(array.n_elements)]
 
 
 def combine_cir(h_static: dict, h_dynamic: dict, k: KFactors,
@@ -136,11 +153,10 @@ def combine_cir(h_static: dict, h_dynamic: dict, k: KFactors,
     k_d is infinite, and then the dynamic branch contributes no taps.
     """
     w_s, w_d = k.branch_weights
-    keys = set(h_static) | set(h_dynamic)
-    if h_static and h_dynamic and set(h_static) != set(h_dynamic):
+    if h_static and h_dynamic and h_static.keys() != h_dynamic.keys():
         raise ValueError("static and dynamic parts cover different antenna pairs")
     taps = {}
-    for key in sorted(keys):
+    for key in sorted(h_static.keys() | h_dynamic.keys()):
         dyn = h_dynamic.get(key, _NO_TAPS) if w_d != 0.0 else _NO_TAPS
         taps[key] = h_static.get(key, _NO_TAPS).scaled(w_s).merged(dyn.scaled(w_d))
     return ChannelSnapshot(t=t, location=location, taps=taps)

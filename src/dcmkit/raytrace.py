@@ -111,8 +111,7 @@ def fresnel_coefficients(material: Material, incidence: float, frequency: float)
     material enters through its complex relative permittivity
     eps_r - j sigma / (2 pi f eps0); loss carries a negative imaginary part.
     """
-    if not 0.0 <= incidence <= math.pi / 2:
-        raise ValueError(f"incidence must be in [0, pi/2], got {incidence}")
+    incidence = _number("incidence", incidence, 0.0, high=math.pi / 2)
     frequency = _number("frequency", frequency, 0.0, strict=True)
     g_perp, g_par = _fresnel_arrays(
         np.asarray(material.eps_r), np.asarray(material.sigma),

@@ -191,14 +191,20 @@ _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 
 
-def _number(name: str, value, low: float = -math.inf, strict: bool = False) -> float:
-    """`value` as a float: a real number, not a bool, finite and >= `low`
-    (> `low` when `strict`).  Anything else raises ValueError naming `name`."""
+def _number(name: str, value, low: float = -math.inf, strict: bool = False,
+            high: float = math.inf) -> float:
+    """`value` as a float: a real number, not a bool, finite, >= `low` (>
+    `low` when `strict`) and <= `high`.  Anything else, an int beyond the
+    float range too, raises ValueError naming `name`."""
     if isinstance(value, _REALS) and not isinstance(value, bool):
-        x = float(value)
-        if math.isfinite(x) and (x > low if strict else x >= low):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and (x > low if strict else x >= low) and x <= high:
             return x
     bound = f" and {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+    bound += f" and <= {high:g}" if high < math.inf else ""
     raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 

@@ -48,9 +48,10 @@ DEFAULT_ENSEMBLE = 200
 # containers
 
 def _check_evaluation(ensemble: int, t: float, dt=0.0) -> None:
-    """Reject a bad ensemble count and times t, t + dt that are not finite and >= 0."""
+    """Reject a bad ensemble count, a time t that is not a finite number >= 0
+    and times t + dt that are not finite and >= 0."""
     _integer("ensemble", ensemble, 1)
-    times = np.append(t, t + np.asarray(dt, dtype=float))
+    times = _number("t", t, 0.0) + np.asarray(dt, dtype=float)
     if not ((0.0 <= times) & (times < math.inf)).all():
         raise ValueError("evaluation times must be >= 0 and finite")
 
@@ -510,8 +511,7 @@ def lcr_analytic(inputs: LcrInputs, levels, n_quad: int = 200) -> np.ndarray:
 def lcr_empirical(envelope, level: float, duration: float) -> float:
     """Upward crossings of `level` per unit duration in a sampled envelope."""
     duration = _number("duration", duration, 0.0, strict=True)
-    if math.isnan(level):
-        raise ValueError("level must not be NaN")
+    level = _number("level", level)
     env = np.asarray(envelope, dtype=float)
     if env.ndim != 1 or len(env) < 2:
         raise ValueError("envelope must be a 1-D series of >= 2 samples")

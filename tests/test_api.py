@@ -98,7 +98,7 @@ EMPTY = Scene(())
 RULE = [
     ("eps_r", (0.5,), lambda v, c: Material("m", v, 0.0)),
     ("sigma", (-1.0,), lambda v, c: Material("m", 1.0, v)),
-    ("distance", (0.0,), lambda v, c: friis_path_gain(v, 5.5e9)),
+    ("distance", (0.0, 10**400), lambda v, c: friis_path_gain(v, 5.5e9)),
     ("frequency", (0.0,), lambda v, c: friis_path_gain(1.0, v)),
     ("frequency", (-1.0,), lambda v, c: fresnel_coefficients(Material("m", 2.0, 0.0), 0.0, v)),
     ("max_order", (-1, 1.5),
@@ -132,6 +132,10 @@ RULE = [
     ("dt", (0.0,), lambda v, c: doppler_psd_from_lags(np.ones(4), v)),
     ("n_quad", (0, 2.5), lambda v, c: lcr_analytic(LcrInputs(**GOOD_LCR), [1.0], n_quad=v)),
     ("duration", (0.0,), lambda v, c: lcr_empirical([1.0, 2.0], 1.5, v)),
+    ("incidence", (-0.1, 1.6), lambda v, c: fresnel_coefficients(Material("m", 2.0, 0.0), v,
+                                                                  5.5e9)),
+    ("t", (-1.0,), lambda v, c: stfcf(c.model, t=v, ensemble=2)),
+    ("level", (math.inf,), lambda v, c: lcr_empirical([1.0, 2.0], v, 1.0)),
 ]
 
 

@@ -307,7 +307,8 @@ def test_update_snapshot_static_map_ignores_time(room_scene):
 def test_update_snapshot_synthesizes_static_taps_once_per_record(room_scene,
                                                                  monkeypatch):
     """Updates at one record share one static synthesis, whatever their seed
-    and time, and each snapshot owns its arrays."""
+    and time, each update spawns, synthesizes its dynamic taps and mixes
+    once, and each snapshot owns its arrays."""
     synthesized = []
     static_cir = hybrid.static_cir
 
@@ -316,20 +317,37 @@ def test_update_snapshot_synthesizes_static_taps_once_per_record(room_scene,
         return static_cir(*args, **kwargs)
 
     monkeypatch.setattr(hybrid, "static_cir", counted)
+    calls = dict.fromkeys(("spawn_clusters", "dynamic_cir", "combine_cir"), 0)
+
+    def counter(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(hybrid, name, counter(name, getattr(hybrid, name)))
+    updates = []
+
+    def update(*args, **kwargs):
+        updates.append(update_snapshot(*args, **kwargs))
+        assert calls == dict.fromkeys(calls, len(updates))
+        return updates[-1]
+
     hybrid._static_taps.cache_clear()
     dmap = build_map(room_scene, TX, POINTS, max_order=1)
     for seed, t in ((1, 0.0), (2, 0.5), (3, 1.25)):
-        update_snapshot(dmap, POINTS[0], t, seed=seed)
+        update(dmap, POINTS[0], t, seed=seed)
     assert len(synthesized) == 1
-    update_snapshot(dmap, POINTS[1], 0.0, seed=1)
+    update(dmap, POINTS[1], 0.0, seed=1)
     assert len(synthesized) == 2
-    update_snapshot(dmap, POINTS[1], 0.0, seed=1, rx_array=AntennaArray(n_elements=2))
+    update(dmap, POINTS[1], 0.0, seed=1, rx_array=AntennaArray(n_elements=2))
     assert len(synthesized) == 3
 
-    first = update_snapshot(dmap, POINTS[0], 0.5, seed=2).pair()
+    first = update(dmap, POINTS[0], 0.5, seed=2).pair()
     expected = first.amps.tobytes()
     first.amps[:] = 0.0
-    again = update_snapshot(dmap, POINTS[0], 0.5, seed=2).pair()
+    again = update(dmap, POINTS[0], 0.5, seed=2).pair()
     assert again.amps.tobytes() == expected
     assert len(synthesized) == 3
 
@@ -579,15 +597,31 @@ def room_grid_map(room_scene):
                                          k_s=4.0, k_d=8.0)))
 
 
+def dipole(elevation, azimuth):
+    """An element response that reads both angles and feeds both polarizations."""
+    return np.cos(elevation) * np.cos(azimuth), 0.5 * np.sin(azimuth)
+
+
+# isotropic single elements take the synthesis shortcuts, patterned
+# multi-element arrays the general paths
+ARRAY_PAIRS = [(AntennaArray(), AntennaArray()),
+               (AntennaArray(n_elements=2, orientation=(0.2, 1.0), pattern=dipole),
+                AntennaArray(n_elements=3, pattern=dipole))]
+
+
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(rx=st.sampled_from(ROOM_GRID), t=st.floats(0.0, 10.0),
-       seed=st.integers(-2 ** 70, 2 ** 70))
-def test_map_update_equals_direct_model(room_scene, room_grid_map, rx, t, seed):
-    """One (seed, tx, rx, t) gives one snapshot through a map or a direct model."""
-    via_map = update_snapshot(room_grid_map, rx, t, seed=seed)
+       seed=st.integers(-2 ** 70, 2 ** 70), arrays=st.sampled_from(ARRAY_PAIRS))
+def test_map_update_equals_direct_model(room_scene, room_grid_map, rx, t, seed, arrays):
+    """One (seed, tx, rx, t) gives one snapshot through a map or a direct
+    model, with either pair of arrays."""
+    tx_array, rx_array = arrays
+    via_map = update_snapshot(room_grid_map, rx, t, seed=seed,
+                              tx_array=tx_array, rx_array=rx_array)
     mpcs = trace_static_mpcs(room_scene, TX, rx, max_order=2)
-    direct = ChannelModel(mpcs, KFactors(4.0, 8.0),
-                          GbsmConfig(seed=seed), location=(TX, rx)).snapshot(t)
+    direct = ChannelModel(mpcs, KFactors(4.0, 8.0), GbsmConfig(seed=seed),
+                          tx_array=tx_array, rx_array=rx_array,
+                          location=(TX, rx)).snapshot(t)
     assert via_map.location == direct.location
     assert via_map.taps.keys() == direct.taps.keys()
     for key, taps in direct.taps.items():

@@ -12,7 +12,7 @@ from scipy.constants import c as C0
 
 from dcmkit import (AntennaArray, ClusterSet, GbsmConfig, Taps, dynamic_cir,
                     spawn_clusters)
-from dcmkit.gbsm import _draw_clusters, _ray_vectors, ray_delays
+from dcmkit.gbsm import _draw_clusters, _ray_vectors, ray_delays, ray_taps
 
 LOC = ((0.0, 0.0, 0.0), (50.0, 0.0, 0.0))
 ORIGIN = np.zeros(3)
@@ -246,6 +246,31 @@ def test_zero_time_offsets_leave_the_delays_alone():
     moving = ray_delays(clusters, 0.3, np.array([0.0, 0.0, 0.0, 1.0]), offset, ORIGIN)
     assert still.tobytes() == moving[:, :3].tobytes()
     assert not np.array_equal(moving[:, 3], moving[:, 0])
+
+
+def dipole(elevation, azimuth):
+    """An element response that reads both angles and feeds both polarizations."""
+    return np.cos(elevation) * np.cos(azimuth), 0.5 * np.sin(azimuth)
+
+
+@pytest.mark.parametrize("steps", [3, 12])
+@pytest.mark.parametrize("array, pair", [
+    (AntennaArray(), (0, 0)),
+    (AntennaArray(n_elements=2, orientation=(0.3, -1.1), pattern=dipole), (1, 1))])
+def test_single_time_taps_are_their_grid_column(array, pair, steps):
+    """The taps at t_k are column k of the taps over a time grid from 0, bit
+    for bit, t = 0 included.  The 150 rays take one stacked vector array
+    over 3 steps and one plane at a time over 12, and the single times the
+    stacked one."""
+    config = GbsmConfig(seed=11)
+    clusters = spawn_clusters(config, LOC)
+    t_grid = np.linspace(0.0, 2.5, steps)
+    grid = ray_taps(clusters, 0.0, t_grid, array, array, pair, config)
+    for k, t in enumerate(t_grid.tolist()):
+        single = ray_taps(clusters, t, (0.0,), array, array, pair, config)
+        for one, many in zip(single, grid):
+            assert one.shape == (150, 1)
+            assert one[:, 0].tobytes() == many[:, k].tobytes()
 
 
 def test_radial_recession_doppler():

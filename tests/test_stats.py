@@ -397,7 +397,7 @@ def test_correlation_entries_check_ensemble_and_time():
             with pytest.raises(ValueError, match="ensemble must be an integer"):
                 entry(ensemble=ensemble)
         for t in (-1e-3, math.nan, math.inf):
-            with pytest.raises(ValueError, match="evaluation times must be >= 0"):
+            with pytest.raises(ValueError, match="^t must be finite and >= 0, got "):
                 entry(t=t)
     for dt in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="evaluation times must be >= 0 and finite"):
@@ -423,7 +423,7 @@ def test_correlation_entries_check_ensemble_and_time():
     frozen = two_tap_model(k_s=2.0, k_d=math.inf)
     with pytest.raises(ValueError, match="ensemble must be an integer >= 1"):
         lcr_time_inputs(frozen, ensemble=0)
-    with pytest.raises(ValueError, match="evaluation times must be >= 0"):
+    with pytest.raises(ValueError, match="^t must be finite and >= 0, got nan"):
         lcr_time_inputs(frozen, t=math.nan)
 
 
@@ -560,7 +560,7 @@ def test_lcr_empirical_counts_upward_crossings():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="duration must be finite and > 0"):
             lcr_empirical([1.0, 2.0], 1.5, bad)
-    with pytest.raises(ValueError, match="level must not be NaN"):
+    with pytest.raises(ValueError, match="^level must be finite, got nan"):
         lcr_empirical([1.0, 2.0], math.nan, 1.0)
 
 
