@@ -111,44 +111,44 @@ class GbsmConfig:
         return new
 
     def _set(self, values: dict) -> None:
-        """Convert each of `values` to its field's type, then check its rule."""
+        """Convert and check each of `values` with `config_field`, bounds
+        included, and check the order of each range given."""
         for name, value in list(values.items()):
-            value = config_field(name, value)
+            value = config_field(name, value, bounded=True)
             object.__setattr__(self, name, value)
-            if name in _LOWER_BOUNDS:
-                low, strict = _LOWER_BOUNDS[name]
-                if isinstance(low, int):
-                    _integer(name, value, low)
-                else:
-                    _number(name, value, low, strict=strict)
-            elif name.endswith("_range"):
+            if name.endswith("_range"):
                 low, high = value
                 if not (math.isfinite(low) and math.isfinite(high) and low <= high) \
                         or name == "anchor_range" and low <= 0.0:
                     raise ValueError(f"bad {name} {value}")
 
 
-# the lower bound of each bounded number field, and whether it is strict
-_LOWER_BOUNDS = {"n_clusters": (0, False), "rays_per_cluster": (1, False),
+# the lower bounds of the bounded number fields, as `_integer` and
+# `_number` take them: (least,) or (low, strict)
+_LOWER_BOUNDS = {"n_clusters": (0,), "rays_per_cluster": (1,),
                  "carrier_frequency": (0.0, True), "delay_decay": (0.0, True),
-                 "virtual_delay_mean": (0.0, True), "cluster_speed": (0.0, False)}
+                 "virtual_delay_mean": (0.0, True), "cluster_speed": (0.0,)}
 
 
-def config_field(name: str, value):
+def config_field(name: str, value, bounded: bool = False):
     """`value` as the type of GbsmConfig field `name`.
 
     Raises ValueError for an unknown field and for a value of the wrong
     type: bools, strings, non-integers for int fields, NaN and infinities
     for float fields (the rules of `_integer` and `_number`), anything but
-    two numbers for pair fields.
+    two numbers for pair fields.  When `bounded`, a number below its
+    field's `_LOWER_BOUNDS` entry is rejected in the same call; the map
+    reader leaves bounds to `GbsmConfig`, whose errors name the [gbsm]
+    header rather than the value's line.
     """
+    bounds = _LOWER_BOUNDS.get(name, ()) if bounded else ()
     kind = _FIELD_TYPES.get(name)
     if kind is None:
         raise ValueError(f"unknown config fields: {name}")
     if kind is int:
-        return _integer(name, value)
+        return _integer(name, value, *bounds)
     if kind is float:
-        return _number(name, value)
+        return _number(name, value, *bounds)
     if (isinstance(value, (list, tuple)) and len(value) == 2
             and all(isinstance(v, _REALS) and not isinstance(v, bool) for v in value)):
         return float(value[0]), float(value[1])
@@ -323,49 +323,42 @@ def _ray_vectors(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset) -> np
 
     `dt` is a grid of Q time offsets; `tx_offset`/`rx_offset` are antenna
     element positions relative to the link ends, one (3,) vector or one per
-    grid point (Q, 3), or None for an element at its link end.  Returns six
-    planes (6, R, Q) of the R = C m rays in cluster-major order: x, y and z
-    of (anchor + v t) + v dt - offset at the transmit end, then at the
-    receive end.
+    grid point (Q, 3), or None for an element at its link end.  Returns
+    (anchor + v t) + v dt - offset as (2, 3, C, m, Q): by end (transmit,
+    receive), component (x, y, z), cluster, ray and time.
     """
-    vectors = _moved_anchors(clusters, t, dt, tx_offset, rx_offset)
-    return vectors.transpose(3, 0, 1, 2, 4).reshape(6, -1, vectors.shape[-1])
+    vectors = _moved(clusters._anchors, _velocities(clusters), t, np.asarray(dt, dtype=float))
+    for end, offset in enumerate((tx_offset, rx_offset)):
+        shift = _shift(offset)
+        if shift is not None:
+            vectors[end] -= shift
+    return vectors
 
 
-def _moved_anchors(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset,
-                   plane: int | None = None) -> np.ndarray:
-    """The vectors of `_ray_vectors`, laid out (component, cluster, ray, end,
-    time) as one (3, C, m, 2, Q) array, or only plane `plane` = 3 end +
-    component, (C, m, Q)."""
-    dt = np.asarray(dt, dtype=float)
-    q = dt.size
-    if plane is None:
-        anchors = clusters._anchors[..., 0].transpose(1, 2, 3, 0)[..., None]
-        velocities = clusters.velocity.transpose(2, 0, 1)[:, :, None, :, None]
-    else:
-        end, axis = divmod(plane, 3)
-        anchors = clusters._anchors[end, axis]
-        velocities = clusters.velocity[:, end, axis, None, None]
+def _velocities(clusters: ClusterSet) -> np.ndarray:
+    """The anchor velocities as (2, 3, C, 1, 1), broadcasting like `_anchors`."""
+    return clusters.velocity.transpose(1, 2, 0)[..., None, None]
+
+
+def _moved(anchors: np.ndarray, velocities: np.ndarray, t: float, dt: np.ndarray) -> np.ndarray:
+    """(anchors + velocities t) + velocities dt as a new array, the Q points
+    of `dt` on its last axis, where `anchors` and `velocities` have one."""
     rel = anchors + velocities * t
     # a cluster's velocity broadcasts over its rays; when every dt is zero,
     # adding v dt would change no coordinate but the sign of a zero, so the
     # vectors copy the anchors instead (count_nonzero is the cheaper test on
     # a handful of numbers)
     if np.count_nonzero(dt):
-        rel = np.add(velocities * dt, rel)
-    elif q > 1:
-        rel = rel.repeat(q, axis=-1)
-    for end, offset in enumerate((tx_offset, rx_offset)):
-        # subtracting a zero offset changes no length
-        if offset is None or plane is not None and plane // 3 != end \
-                or not np.count_nonzero(offset):
-            continue
-        shift = np.asarray(offset, dtype=float).T.reshape(3, 1, 1, -1)
-        if plane is None:
-            rel[:, :, :, end] -= shift
-        else:
-            rel -= shift[plane % 3]
-    return rel
+        return np.add(velocities * dt, rel)
+    return rel if dt.size == 1 else rel.repeat(dt.size, axis=-1)
+
+
+def _shift(offset) -> np.ndarray | None:
+    """An element offset as components (3, 1, 1, Q or 1), or None when it
+    is None or zero: subtracting a zero offset changes no length."""
+    if offset is None or not np.count_nonzero(offset):
+        return None
+    return np.asarray(offset, dtype=float).T.reshape(3, 1, 1, -1)
 
 
 # the most vectors (6 R Q numbers) that `ray_delays` forms as one stacked
@@ -383,31 +376,31 @@ def ray_delays(clusters: ClusterSet, t: float, dt, tx_offset, rx_offset) -> np.n
     Arguments as in `_ray_vectors`.  A delay is the two element-to-anchor
     legs, each sqrt((x x + y y) + z z), over c plus the virtual delay.  Up
     to `_STACKED_VECTORS` numbers, the vectors of both ends are formed as
-    one stacked array; beyond it, one plane at a time, so no (3, R, Q)
-    array is held.  Both give the same bits.
+    one stacked array; beyond it, one (C, m, Q) plane at a time, so no
+    (3, R, Q) array is held.  Both give the same bits.
     """
     n, m = len(clusters), clusters.rays_per_cluster
     dt = np.asarray(dt, dtype=float)
     if 6 * n * m * dt.size <= _STACKED_VECTORS:
-        squares = _moved_anchors(clusters, t, dt, tx_offset, rx_offset)
+        squares = _ray_vectors(clusters, t, dt, tx_offset, rx_offset)
         squares *= squares
-        legs = squares[0] + squares[1]
-        legs += squares[2]
+        legs = squares[:, 0] + squares[:, 1]
+        legs += squares[:, 2]
         np.sqrt(legs, out=legs)
-        delays = legs[:, :, 0] + legs[:, :, 1]
+        delays = legs[0] + legs[1]
     else:
-        for end in range(2):
-            leg = _moved_anchors(clusters, t, dt, tx_offset, rx_offset, 3 * end)
-            leg *= leg
-            for axis in (1, 2):
-                plane = _moved_anchors(clusters, t, dt, tx_offset, rx_offset, 3 * end + axis)
-                leg += np.multiply(plane, plane, out=plane)
+        anchors, velocities, delays = clusters._anchors, _velocities(clusters), None
+        for end, offset in enumerate((tx_offset, rx_offset)):
+            shift, leg = _shift(offset), None
+            for axis in range(3):
+                plane = _moved(anchors[end, axis], velocities[end, axis], t, dt)
+                if shift is not None:
+                    plane -= shift[axis]
+                plane *= plane
+                leg = plane if leg is None else np.add(leg, plane, out=leg)
                 del plane  # free before the next plane is formed
             np.sqrt(leg, out=leg)
-            if end:
-                delays += leg
-            else:
-                delays = leg
+            delays = leg if delays is None else np.add(delays, leg, out=delays)
             del leg
     delays /= SPEED_OF_LIGHT
     delays += clusters.virtual_delay[:, None, None]
@@ -435,9 +428,10 @@ def ray_taps(clusters: ClusterSet, t: float, dt, tx_array: AntennaArray,
     if tx_array.pattern is rx_array.pattern is isotropic_pattern:
         gains = clusters._isotropic_gain
     else:
-        vectors = _ray_vectors(clusters, t, dt, *offsets)
-        f_tx = tx_array.pattern(*_angles_of(*vectors[:3]))
-        f_rx = rx_array.pattern(*_angles_of(*vectors[3:]))
+        # each end's x, y and z planes (R, Q), views of the stacked vectors
+        tx, rx = _ray_vectors(clusters, t, dt, *offsets).reshape((2, 3) + delays.shape)
+        f_tx = tx_array.pattern(*_angles_of(*tx))
+        f_rx = rx_array.pattern(*_angles_of(*rx))
         mix = _pol_mix(f_rx, f_tx, clusters.phases.reshape(-1, 1, 4),
                        clusters.xpr.reshape(-1, 1), config.copolar_imbalance)
         gains = (clusters._amplitude[..., None] * mix.reshape(clusters.xpr.shape + mix.shape[1:])

@@ -106,11 +106,17 @@ def static_cir(paths: PathSet, tx_array: AntennaArray, rx_array: AntennaArray,
     weights = np.repeat([w_los, w_refl], [n_los, len(paths) - n_los]) * np.sqrt(share)
 
     kinds = paths.kinds
-    if tx_array.pattern is rx_array.pattern is isotropic_pattern:
+    isotropic = tx_array.pattern is rx_array.pattern is isotropic_pattern
+    # contiguous (elevation, azimuth) rows (2, P), strided ones may take
+    # other SIMD loops: read by the patterns and by the element offsets of
+    # an array of more than one element
+    aod, aoa = (angles.T.copy() if array.n_elements > 1 or not isotropic else None
+                for array, angles in ((tx_array, paths.aod), (rx_array, paths.aoa)))
+    if isotropic:
         gains = np.exp(1j * paths.phases[:, 0])
     else:
         # patterns and polarization depend on the path only, not on the pair
-        f_tx, f_rx = tx_array.pattern(*_rows(paths.aod)), rx_array.pattern(*_rows(paths.aoa))
+        f_tx, f_rx = tx_array.pattern(*aod), rx_array.pattern(*aoa)
         gains = _pol_mix(f_rx, f_tx, paths.phases, paths.xpr, mu)
         if n_los:  # the LoS path keeps its co-polar terms only
             (tv, th), (rv, rh) = ([f[0] for f in fs] for fs in (f_tx, f_rx))
@@ -119,9 +125,10 @@ def static_cir(paths: PathSet, tx_array: AntennaArray, rx_array: AntennaArray,
     weighted = weights * gains
 
     pairs = {}
-    for v, proj_tx in enumerate(_projections(tx_array, paths.aod)):
-        for u, proj_rx in enumerate(_projections(rx_array, paths.aoa)):
-            tau = paths.delay - (proj_tx + proj_rx) / SPEED_OF_LIGHT
+    proj_tx, proj_rx = _projections(tx_array, aod), _projections(rx_array, aoa)
+    for v, p_tx in enumerate(proj_tx):
+        for u, p_rx in enumerate(proj_rx):
+            tau = paths.delay - (p_tx + p_rx) / SPEED_OF_LIGHT
             amps = weighted * np.exp(2j * math.pi * frequency * tau)
             order = np.argsort(tau, kind="stable")
             pairs[(v, u)] = Taps(tau[order], amps[order],
@@ -129,18 +136,13 @@ def static_cir(paths: PathSet, tx_array: AntennaArray, rx_array: AntennaArray,
     return pairs
 
 
-def _rows(angles: np.ndarray) -> np.ndarray:
-    """(elevation, azimuth) rows (2, P) of angles (P, 2), contiguous: strided
-    ones may take other SIMD loops."""
-    return angles.T.copy()
-
-
-def _projections(array: AntennaArray, angles: np.ndarray) -> list:
-    """Each element's offset projected on the unit vectors of `angles`
-    (P, 2).  A one-element array sits at its origin: 0.0, no projection."""
+def _projections(array: AntennaArray, rows: np.ndarray | None) -> list:
+    """Each element's offset projected on the unit vectors of the
+    (elevation, azimuth) rows (2, P).  A one-element array sits at its
+    origin: 0.0, no projection and no rows needed."""
     if array.n_elements == 1:
         return [0.0]
-    directions = unit_from_angles(*_rows(angles))
+    directions = unit_from_angles(*rows)
     return [directions @ array.element_offset(v) for v in range(array.n_elements)]
 
 

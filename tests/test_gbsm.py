@@ -178,8 +178,8 @@ def test_speed_scales_velocities_without_redrawing():
 
 def end_vectors(cl, t, dt):
     """Element-to-anchor vectors (3, R, Q) at the transmit and receive ends."""
-    planes = np.array(list(_ray_vectors(cl, t, dt, ORIGIN, ORIGIN)))
-    return planes[:3], planes[3:]
+    tx, rx = _ray_vectors(cl, t, dt, ORIGIN, ORIGIN).reshape(2, 3, -1, len(dt))
+    return tx, rx
 
 
 def test_anchor_displacement_is_speed_times_time():
@@ -228,7 +228,8 @@ def test_ray_delays_are_leg_lengths_of_ray_vectors(grid):
     # component by component, the same bits as the lengths of the vectors
     t, dt, tx_offset, rx_offset = grid
     clusters = spawn_clusters(GbsmConfig(seed=7, n_clusters=3, rays_per_cluster=4), LOC)
-    x_t, y_t, z_t, x_r, y_r, z_r = _ray_vectors(clusters, t, dt, tx_offset, rx_offset)
+    vectors = _ray_vectors(clusters, t, dt, tx_offset, rx_offset)
+    (x_t, y_t, z_t), (x_r, y_r, z_r) = vectors.reshape(2, 3, 12, len(dt))
     d_t = np.sqrt(x_t * x_t + y_t * y_t + z_t * z_t)
     d_r = np.sqrt(x_r * x_r + y_r * y_r + z_r * z_r)
     expected = (d_t + d_r) / C0 + clusters.virtual_delay.repeat(4)[:, None]
