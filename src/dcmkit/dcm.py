@@ -26,7 +26,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -196,16 +196,24 @@ def worker_count() -> int:
     return n or os.cpu_count() or 1
 
 
-def _trace_record(build, point):
+def _trace_records(build, points) -> list[DcmRecord]:
+    """The records of a block of receiver locations, traced in one call."""
     scene, tx, max_order, frequency, k_s, k_d = build
-    mpcs = trace_static_mpcs(scene, np.asarray(tx), np.asarray(point),
-                             max_order=max_order, frequency=frequency)
-    return DcmRecord(tx=tuple(tx), rx=tuple(point), k_s=k_s, k_d=k_d,
-                     mpcs=replace(mpcs, facets=()))
+    tables = trace_static_mpcs(scene, np.asarray(tx), np.asarray(points),
+                               max_order=max_order, frequency=frequency)
+    return [DcmRecord(tx=tx, rx=point, k_s=k_s, k_d=k_d, mpcs=_without_facets(mpcs))
+            for point, mpcs in zip(points, tables)]
+
+
+def _without_facets(paths: PathSet) -> PathSet:
+    # the traced table with its checked columns shared: a map stores no facets
+    bare = object.__new__(PathSet)
+    bare.__dict__.update(vars(paths), facets=())
+    return bare
 
 
 # what a build_map pool worker traces against, sent once per worker: a
-# scene sent with every point would also be packed again for every point
+# scene sent with every block would also be packed again for every block
 _worker_build = ()
 
 
@@ -214,8 +222,8 @@ def _start_worker(build):
     _worker_build = build
 
 
-def _worker_trace(point):
-    return _trace_record(_worker_build, point)
+def _worker_trace(points):
+    return _trace_records(_worker_build, points)
 
 
 def build_map(scene: Scene, tx, points, max_order: int = 2,
@@ -239,13 +247,16 @@ def build_map(scene: Scene, tx, points, max_order: int = 2,
         raise ValueError(f"receiver location {_fmt_vec(twice)} is given twice")
     KFactors(k_s, k_d)  # validate early
     build = (scene, tx, max_order, gbsm.carrier_frequency, k_s, k_d)
-    workers = worker_count()
-    if workers > 1 and len(pts) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+    workers = min(worker_count(), len(pts))
+    if workers > 1:
+        # one contiguous block of locations per worker
+        size = -(-len(pts) // workers)
+        blocks = [pts[i:i + size] for i in range(0, len(pts), size)]
+        with ProcessPoolExecutor(max_workers=len(blocks), initializer=_start_worker,
                                  initargs=(build,)) as pool:
-            records = list(pool.map(_worker_trace, pts, chunksize=1))
+            records = [r for block in pool.map(_worker_trace, blocks) for r in block]
     else:
-        records = [_trace_record(build, p) for p in pts]
+        records = _trace_records(build, pts)
     return DcmMap(
         frequency=gbsm.carrier_frequency,
         max_order=max_order,

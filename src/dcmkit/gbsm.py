@@ -127,7 +127,8 @@ class GbsmConfig:
 # `_number` take them: (least,) or (low, strict)
 _LOWER_BOUNDS = {"n_clusters": (0,), "rays_per_cluster": (1,),
                  "carrier_frequency": (0.0, True), "delay_decay": (0.0, True),
-                 "virtual_delay_mean": (0.0, True), "cluster_speed": (0.0,)}
+                 "virtual_delay_mean": (0.0, True), "cluster_speed": (0.0,),
+                 "copolar_imbalance": (0.0,)}
 
 
 def config_field(name: str, value, bounded: bool = False):

@@ -68,6 +68,7 @@ import hashlib
 import itertools
 import math
 import re
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -287,11 +288,12 @@ class PathSet:
 def direction_angles(vec) -> tuple[float, float]:
     """(elevation, azimuth) of a direction vector, azimuth wrapped to [-pi, pi)."""
     v = np.asarray(vec, dtype=float)
-    r = float(np.linalg.norm(v))
+    r = math.sqrt(v.dot(v))  # the dot that np.linalg.norm takes of a vector
     if r == 0.0:
         raise ValueError("zero direction vector")
-    el = math.asin(max(-1.0, min(1.0, v[2] / r)))
-    az = math.atan2(v[1], v[0])
+    x, y, z = v.tolist()
+    el = math.asin(max(-1.0, min(1.0, z / r)))
+    az = math.atan2(y, x)
     if az >= math.pi:
         az -= 2.0 * math.pi
     return el, az
@@ -308,17 +310,18 @@ def unit_from_angles(elevation, azimuth) -> np.ndarray:
 
 
 def _path_rng(kind: str, facets: tuple[int, ...], delay: float) -> np.random.Generator:
-    # geometry-keyed stream: the tracer stays a pure function of its inputs
-    h = hashlib.blake2b(digest_size=8)
-    h.update(kind.encode())
-    h.update(np.asarray(facets, dtype=np.int64).tobytes())
-    h.update(np.float64(delay).tobytes())
-    return np.random.Generator(np.random.PCG64(int.from_bytes(h.digest(), "little")))
+    # geometry-keyed stream: the tracer stays a pure function of its inputs;
+    # the key is the kind, the facets as native int64 and the delay as a
+    # native float64
+    key = b"".join((kind.encode(), struct.pack(f"={len(facets)}q", *facets),
+                    struct.pack("=d", delay)))
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
 
 
 def _draw_phases_xpr(kind: str, facets: tuple[int, ...], delay: float):
     rng = _path_rng(kind, facets, delay)
-    phases = tuple(float(p) for p in rng.uniform(0.0, 2.0 * math.pi, 4))
+    phases = tuple(rng.uniform(0.0, 2.0 * math.pi, 4).tolist())
     if kind == "los":
         return phases, math.inf
     xpr = float(10.0 ** (rng.normal(XPR_MEAN_DB, XPR_STD_DB) / 10.0))
@@ -491,30 +494,54 @@ def _walls(geom: _Geometry, f: np.ndarray, img: np.ndarray, side: np.ndarray):
     return walls
 
 
-def _walk(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, rx: np.ndarray):
-    """Walk each sequence back from rx; (seq, qs, last_image) of the valid rows."""
+def _walk(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, rxs: np.ndarray):
+    """Walk each sequence back from each receiver of rxs (R, 3).
+
+    Returns (row, owner, qs) of the valid (receiver, sequence) pairs: row
+    indexes seq, owner indexes rxs and qs (m, order, 3) holds the
+    reflection points; None when no pair is valid.  The last reflection
+    is found over the (R, m) grid, each facet row taken once per sequence;
+    the rest over the pairs that are still valid.
+    """
     m, order = seq.shape
-    qs = np.empty((m, order, 3))
-    seq_a, imgs_a, qs_a = seq, imgs, qs
-    target_a = np.broadcast_to(rx, (m, 3))
-    for j in range(order - 1, -1, -1):
-        image = imgs_a[:, j]
-        n_j = geom.normals[seq_a[:, j]]
-        denom = np.einsum("mk,mk->m", target_a - image, n_j)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -(np.einsum("mk,mk->m", image, n_j) + geom.planes[seq_a[:, j], 3]) / denom
-        ok = np.isfinite(t) & (t > 1e-12) & (t < 1.0 - 1e-12)
-        t = np.where(ok, t, 0.5)  # placeholder rows, masked out below
-        q = image + t[:, None] * (target_a - image)
-        ok &= geom.inside(q, seq_a[:, j])
-        if not ok.any():
+    j = order - 1
+    image, fj = imgs[:, j], seq[:, j]
+    n_j = geom.normals[fj]
+    toward = rxs[:, None, :] - image                          # (R, m, 3)
+    denom = np.einsum("rmk,mk->rm", toward, n_j)
+    height = np.einsum("mk,mk->m", image, n_j) + geom.planes[fj, 3]
+    pair, q = _reflect(geom, image, toward, height, denom, fj)
+    if pair is None:
+        return None
+    owner, row = np.divmod(pair, m)
+    qs = np.empty((len(pair), order, 3))
+    qs[:, j] = q.reshape(-1, 3)[pair]
+    for j in range(order - 2, -1, -1):
+        image, fj = imgs[row, j], seq[row, j]
+        n_j = geom.normals[fj]
+        toward = qs[:, j + 1] - image
+        denom = np.einsum("mk,mk->m", toward, n_j)
+        height = np.einsum("mk,mk->m", image, n_j) + geom.planes[fj, 3]
+        ok, q = _reflect(geom, image, toward, height, denom, fj)
+        if ok is None:
             return None
-        seq_a = seq_a[ok]
-        imgs_a = imgs_a[ok]
-        qs_a = qs_a[ok]
-        qs_a[:, j] = q[ok]
-        target_a = qs_a[:, j]
-    return seq_a, qs_a, imgs_a[:, order - 1]
+        row, owner, qs = row[ok], owner[ok], qs[ok]
+        qs[:, j] = q[ok]
+    return row, owner, qs
+
+
+def _reflect(geom: _Geometry, image, toward, height, denom, fi):
+    """(flat indices of the valid rows or None, points q) of the crossings
+    q = image + t toward of the planes of facets fi, at t = -height / denom;
+    a row is valid when q lies strictly between its ends and on its facet."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -height / denom
+    ok = np.isfinite(t) & (t > 1e-12) & (t < 1.0 - 1e-12)
+    t = np.where(ok, t, 0.5)  # placeholder rows, masked out below
+    q = image + t[..., None] * toward
+    ok &= geom.inside(q, fi)
+    valid = np.flatnonzero(ok)
+    return (valid if len(valid) else None), q
 
 
 def _point(name: str, value) -> np.ndarray:
@@ -525,63 +552,97 @@ def _point(name: str, value) -> np.ndarray:
     return point
 
 
+def _receivers(rx) -> tuple[np.ndarray, bool]:
+    """rx as an (N, 3) block, and whether it was one point, a block of one."""
+    block = np.asarray(rx, dtype=float)
+    if block.ndim != 2:
+        return _point("rx", rx)[None], True
+    if block.shape[1] != 3 or not np.isfinite(block).all():
+        raise ValueError("rx must be three finite numbers or an (N, 3) block of "
+                         f"finite numbers, got an array of shape {block.shape}")
+    return block, False
+
+
 def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
-                      frequency: float = DEFAULT_FREQUENCY) -> PathSet:
+                      frequency: float = DEFAULT_FREQUENCY):
     """All specular paths from tx to rx up to max_order reflections.
 
     Returns a PathSet sorted by (delay, kind, facets).  Power is the
     free-space gain over the unfolded path length times the
     polarization-averaged reflection loss of each bounce.  Deterministic:
     equal inputs give equal outputs, including the per-path phases.
+
+    rx may also be an (N, 3) block of receivers; the result is then a tuple
+    of N PathSets in block order, each equal to the trace of its receiver
+    alone.  The image tree is built once per call, and the line-of-sight
+    test, the walk, the blocking tests and the Fresnel gains run over
+    (receiver, sequence) rows, with receivers chunked so that no array of
+    the walk exceeds _BLOCK elements.  One point is a block of one.
     """
-    tx, rx = _point("tx", tx), _point("rx", rx)
-    if np.array_equal(tx, rx):
+    tx, (rxs, single) = _point("tx", tx), _receivers(rx)
+    if (rxs == tx).all(axis=1).any():
         raise ValueError("tx and rx coincide")
     max_order = _integer("max_order", max_order, 0)
     frequency = _number("frequency", frequency, 0.0, strict=True)
 
     geom = _geometry(scene.facets)
-    rows = []  # PathSet columns of each path
+    found = [[] for _ in range(len(rxs))]  # PathSet columns of each receiver's paths
 
-    if not geom.blocked(tx[None, :], rx[None, :])[0]:
-        dist = float(np.linalg.norm(rx - tx))
+    clear = ~geom.blocked(np.repeat(tx[None, :], len(rxs), axis=0), rxs)
+    for r in np.flatnonzero(clear).tolist():
+        dist = float(np.linalg.norm(rxs[r] - tx))
         delay = dist / SPEED_OF_LIGHT
-        rows.append((delay, 10.0 ** (friis_path_gain(dist, frequency) / 10.0),
-                     direction_angles(rx - tx), direction_angles(tx - rx),
-                     *_draw_phases_xpr("los", (), delay), 0, ()))
+        found[r].append((delay, 10.0 ** (friis_path_gain(dist, frequency) / 10.0),
+                         direction_angles(rxs[r] - tx), direction_angles(tx - rxs[r]),
+                         *_draw_phases_xpr("los", (), delay), 0, ()))
 
-    for block in _image_tree(geom, tx, max_order):
-        walked = _walk(geom, *block, rx)
-        if walked is None:
-            continue
-        seq, qs, last_img = walked
-        order = seq.shape[1]
-        points = np.concatenate(
-            [np.broadcast_to(tx, (len(seq), 1, 3)), qs,
-             np.broadcast_to(rx, (len(seq), 1, 3))], axis=1)
-        ok = np.ones(len(seq), dtype=bool)
-        for leg in range(order + 1):
-            ok &= ~geom.blocked(points[:, leg], points[:, leg + 1])
-        if not ok.any():
-            continue
-        seq, qs, last_img, points = seq[ok], qs[ok], last_img[ok], points[ok]
-        length = np.linalg.norm(last_img - rx, axis=1)
-        gain = (SPEED_OF_LIGHT / (4.0 * np.pi * length * frequency)) ** 2
-        for j in range(order):
-            inc = points[:, j + 1] - points[:, j]
-            inc /= np.linalg.norm(inc, axis=1, keepdims=True)
-            cos_i = np.abs(np.einsum("mk,mk->m", inc, geom.normals[seq[:, j]]))
-            g_perp, g_par = _fresnel_arrays(
-                geom.eps_r[seq[:, j]], geom.sigma[seq[:, j]],
-                np.clip(cos_i, 0.0, 1.0), frequency)
-            gain *= 0.5 * (np.abs(g_perp) ** 2 + np.abs(g_par) ** 2)
-        for i in range(len(seq)):
-            fseq = tuple(int(f) for f in seq[i])
-            delay = float(length[i]) / SPEED_OF_LIGHT
-            rows.append((delay, float(gain[i]),
-                         direction_angles(qs[i, 0] - tx),
-                         direction_angles(qs[i, order - 1] - rx),
-                         *_draw_phases_xpr(_kind(order), fseq, delay), order, fseq))
+    for seq, imgs in _image_tree(geom, tx, max_order):
+        width = len(seq) * max(geom.sides[0].size, 3 * seq.shape[1])
+        step = max(1, _BLOCK // width)
+        for start in range(0, len(rxs), step):
+            _reflections(geom, seq, imgs, tx, rxs[start:start + step], frequency,
+                         found[start:start + step])
 
-    rows.sort(key=lambda r: (r[0], _kind(r[6]), r[7]))
-    return PathSet(*zip(*rows))
+    tables = []
+    for rows in found:
+        rows.sort(key=lambda r: (r[0], _kind(r[6]), r[7]))
+        tables.append(PathSet(*zip(*rows)))
+    return tables[0] if single else tuple(tables)
+
+
+def _reflections(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, tx: np.ndarray,
+                 rxs: np.ndarray, frequency: float, found: list) -> None:
+    """Append to found[r] the PathSet columns of every path of the sequences
+    seq (m, order) from tx to receiver rxs[r]."""
+    walked = _walk(geom, seq, imgs, rxs)
+    if walked is None:
+        return
+    row, owner, qs = walked
+    order = seq.shape[1]
+    rx = rxs[owner]
+    points = np.concatenate([np.broadcast_to(tx, (len(row), 1, 3)), qs, rx[:, None]],
+                            axis=1)
+    ok = np.ones(len(row), dtype=bool)
+    for leg in range(order + 1):
+        ok &= ~geom.blocked(points[:, leg], points[:, leg + 1])
+    if not ok.any():
+        return
+    row, owner, qs, rx, points = row[ok], owner[ok], qs[ok], rx[ok], points[ok]
+    fseq = seq[row]
+    length = np.linalg.norm(imgs[row, order - 1] - rx, axis=1)
+    gain = (SPEED_OF_LIGHT / (4.0 * np.pi * length * frequency)) ** 2
+    for j in range(order):
+        inc = points[:, j + 1] - points[:, j]
+        inc /= np.linalg.norm(inc, axis=1, keepdims=True)
+        cos_i = np.abs(np.einsum("mk,mk->m", inc, geom.normals[fseq[:, j]]))
+        g_perp, g_par = _fresnel_arrays(
+            geom.eps_r[fseq[:, j]], geom.sigma[fseq[:, j]],
+            np.clip(cos_i, 0.0, 1.0), frequency)
+        gain *= 0.5 * (np.abs(g_perp) ** 2 + np.abs(g_par) ** 2)
+    kind = _kind(order)
+    aod, aoa = qs[:, 0] - tx, qs[:, order - 1] - rx
+    for i, (r, facets, dist, g) in enumerate(zip(owner.tolist(), map(tuple, fseq.tolist()),
+                                                 length.tolist(), gain.tolist())):
+        delay = dist / SPEED_OF_LIGHT
+        found[r].append((delay, g, direction_angles(aod[i]), direction_angles(aoa[i]),
+                         *_draw_phases_xpr(kind, facets, delay), order, facets))

@@ -92,50 +92,64 @@ def test_modules_use_every_import():
 GOOD_LCR = dict(k=0.0, b0=1.0, b1=0.0, b2=1.0)
 EMPTY = Scene(())
 
-# (argument, values out of its range, a call that passes `v` as the argument);
-# `c` holds a model with a two-element receive array, its clusters and a
-# one-record map.  Every row also gets True, "1" and NaN.
+# (id, argument, values out of its range, a call that passes `v` as the
+# argument); `c` holds a model with a two-element receive array, its
+# clusters and a one-record map.  Every row also gets True, "1" and NaN.
+# An id is a fixed label, so a row added anywhere renames no other case:
+# the rows from before the labels were fixed keep their "<argument>-<n>"
+# ids, n their position then, and a new row is "<argument>-<callee>".
 RULE = [
-    ("eps_r", (0.5,), lambda v, c: Material("m", v, 0.0)),
-    ("sigma", (-1.0,), lambda v, c: Material("m", 1.0, v)),
-    ("distance", (0.0, 10**400), lambda v, c: friis_path_gain(v, 5.5e9)),
-    ("frequency", (0.0,), lambda v, c: friis_path_gain(1.0, v)),
-    ("frequency", (-1.0,), lambda v, c: fresnel_coefficients(Material("m", 2.0, 0.0), 0.0, v)),
-    ("max_order", (-1, 1.5),
+    ("eps_r-0", "eps_r", (0.5,), lambda v, c: Material("m", v, 0.0)),
+    ("sigma-1", "sigma", (-1.0,), lambda v, c: Material("m", 1.0, v)),
+    ("distance-2", "distance", (0.0, 10**400), lambda v, c: friis_path_gain(v, 5.5e9)),
+    ("frequency-3", "frequency", (0.0,), lambda v, c: friis_path_gain(1.0, v)),
+    ("frequency-4", "frequency", (-1.0,),
+     lambda v, c: fresnel_coefficients(Material("m", 2.0, 0.0), 0.0, v)),
+    ("max_order-5", "max_order", (-1, 1.5),
      lambda v, c: trace_static_mpcs(EMPTY, (0, 0, 0), (1, 0, 0), max_order=v)),
-    ("frequency", (0.0,), lambda v, c: trace_static_mpcs(EMPTY, (0, 0, 0), (1, 0, 0),
-                                                          frequency=v)),
-    ("n_elements", (0, 2.5), lambda v, c: AntennaArray(n_elements=v)),
-    ("spacing", (0.0,), lambda v, c: AntennaArray(spacing=v)),
-    *[(name, bad, lambda v, c, name=name: GbsmConfig(**{name: v}))
-      for name, bad in (("n_clusters", (-1, 1.5)), ("rays_per_cluster", (0,)),
-                        ("seed", (1.5,)), ("carrier_frequency", (0.0,)),
-                        ("delay_decay", (0.0,)), ("virtual_delay_mean", (-1.0,)),
-                        ("cluster_speed", (-1.0,)), ("xpr_mean_db", (math.inf,)))],
-    ("t", (-1.0,), lambda v, c: dynamic_cir(c.clusters, c.model.tx_array,
-                                            c.model.rx_array, v, c.model.gbsm)),
-    ("frequency", (0.0,), lambda v, c: DcmMap(v, 1, "", GbsmConfig(), {})),
-    ("max_order", (-1, 1.5), lambda v, c: DcmMap(5.5e9, v, "", GbsmConfig(), {})),
-    ("origin", (math.inf,), lambda v, c: grid_points((v, 0, 0), (1, 1, 1), 1.0)),
-    ("spacing", (math.inf,), lambda v, c: grid_points((0, 0, 0), (2, 1, 1), v)),
-    ("spacing", (-math.inf,), lambda v, c: grid_points((0, 0, 0), (2, 1, 1), (1, v, 1))),
-    ("seed", (1.5,), lambda v, c: model_from_map(c.map, c.point, seed=v)),
-    ("seed", (1.5,), lambda v, c: c.model.reseeded(v)),
-    ("ensemble", (0, 2.5), lambda v, c: stfcf(c.model, ensemble=v)),
-    *[(name, bad, lambda v, c, name=name: LcrInputs(**{**GOOD_LCR, name: v}))
-      for name, bad in (("k", (-1.0,)), ("b0", (0.0,)), ("b1", (math.inf,)),
-                        ("b2", (-1.0,)))],
-    ("f", (0.0,), lambda v, c: stfcf(c.model, f=v, ensemble=2)),
-    ("n_lags", (0, 1, 2.5), lambda v, c: angular_psd(c.model, n_lags=v, ensemble=2)),
-    ("duration", (0.0,), lambda v, c: doppler_psd(c.model, duration=v, ensemble=2)),
-    ("dt", (-1e-3,), lambda v, c: doppler_psd(c.model, dt=v, ensemble=2)),
-    ("dt", (0.0,), lambda v, c: doppler_psd_from_lags(np.ones(4), v)),
-    ("n_quad", (0, 2.5), lambda v, c: lcr_analytic(LcrInputs(**GOOD_LCR), [1.0], n_quad=v)),
-    ("duration", (0.0,), lambda v, c: lcr_empirical([1.0, 2.0], 1.5, v)),
-    ("incidence", (-0.1, 1.6), lambda v, c: fresnel_coefficients(Material("m", 2.0, 0.0), v,
-                                                                  5.5e9)),
-    ("t", (-1.0,), lambda v, c: stfcf(c.model, t=v, ensemble=2)),
-    ("level", (math.inf,), lambda v, c: lcr_empirical([1.0, 2.0], v, 1.0)),
+    ("frequency-6", "frequency", (0.0,),
+     lambda v, c: trace_static_mpcs(EMPTY, (0, 0, 0), (1, 0, 0), frequency=v)),
+    ("n_elements-7", "n_elements", (0, 2.5), lambda v, c: AntennaArray(n_elements=v)),
+    ("spacing-8", "spacing", (0.0,), lambda v, c: AntennaArray(spacing=v)),
+    *[(f"{name}-{label}", name, bad, lambda v, c, name=name: GbsmConfig(**{name: v}))
+      for label, name, bad in ((9, "n_clusters", (-1, 1.5)), (10, "rays_per_cluster", (0,)),
+                               (11, "seed", (1.5,)), (12, "carrier_frequency", (0.0,)),
+                               (13, "delay_decay", (0.0,)),
+                               (14, "virtual_delay_mean", (-1.0,)),
+                               (15, "cluster_speed", (-1.0,)),
+                               (16, "xpr_mean_db", (math.inf,)),
+                               ("GbsmConfig", "copolar_imbalance", (-1.0,)))],
+    ("t-17", "t", (-1.0,), lambda v, c: dynamic_cir(c.clusters, c.model.tx_array,
+                                                    c.model.rx_array, v, c.model.gbsm)),
+    ("frequency-18", "frequency", (0.0,), lambda v, c: DcmMap(v, 1, "", GbsmConfig(), {})),
+    ("max_order-19", "max_order", (-1, 1.5),
+     lambda v, c: DcmMap(5.5e9, v, "", GbsmConfig(), {})),
+    ("origin-20", "origin", (math.inf,),
+     lambda v, c: grid_points((v, 0, 0), (1, 1, 1), 1.0)),
+    ("spacing-21", "spacing", (math.inf,),
+     lambda v, c: grid_points((0, 0, 0), (2, 1, 1), v)),
+    ("spacing-22", "spacing", (-math.inf,),
+     lambda v, c: grid_points((0, 0, 0), (2, 1, 1), (1, v, 1))),
+    ("seed-23", "seed", (1.5,), lambda v, c: model_from_map(c.map, c.point, seed=v)),
+    ("seed-24", "seed", (1.5,), lambda v, c: c.model.reseeded(v)),
+    ("ensemble-25", "ensemble", (0, 2.5), lambda v, c: stfcf(c.model, ensemble=v)),
+    *[(f"{name}-{label}", name, bad, lambda v, c, name=name: LcrInputs(**{**GOOD_LCR, name: v}))
+      for label, name, bad in ((26, "k", (-1.0,)), (27, "b0", (0.0,)), (28, "b1", (math.inf,)),
+                               (29, "b2", (-1.0,)))],
+    ("f-30", "f", (0.0,), lambda v, c: stfcf(c.model, f=v, ensemble=2)),
+    ("n_lags-31", "n_lags", (0, 1, 2.5),
+     lambda v, c: angular_psd(c.model, n_lags=v, ensemble=2)),
+    ("duration-32", "duration", (0.0,),
+     lambda v, c: doppler_psd(c.model, duration=v, ensemble=2)),
+    ("dt-33", "dt", (-1e-3,), lambda v, c: doppler_psd(c.model, dt=v, ensemble=2)),
+    ("dt-34", "dt", (0.0,), lambda v, c: doppler_psd_from_lags(np.ones(4), v)),
+    ("n_quad-35", "n_quad", (0, 2.5),
+     lambda v, c: lcr_analytic(LcrInputs(**GOOD_LCR), [1.0], n_quad=v)),
+    ("duration-36", "duration", (0.0,), lambda v, c: lcr_empirical([1.0, 2.0], 1.5, v)),
+    ("incidence-37", "incidence", (-0.1, 1.6),
+     lambda v, c: fresnel_coefficients(Material("m", 2.0, 0.0), v, 5.5e9)),
+    ("t-38", "t", (-1.0,), lambda v, c: stfcf(c.model, t=v, ensemble=2)),
+    ("level-39", "level", (math.inf,), lambda v, c: lcr_empirical([1.0, 2.0], v, 1.0)),
 ]
 
 
@@ -147,8 +161,8 @@ def rule_context(room_scene):
                            map=build_map(room_scene, (1.0, 1.0, 2.0), [point], max_order=1))
 
 
-@pytest.mark.parametrize("name, bad, call", RULE,
-                         ids=[f"{row[0]}-{i}" for i, row in enumerate(RULE)])
+@pytest.mark.parametrize("name, bad, call", [row[1:] for row in RULE],
+                         ids=[row[0] for row in RULE])
 def test_argument_rule(rule_context, name, bad, call):
     """A bool, a string, NaN or a value out of range raises ValueError whose
     message starts with the argument's name."""

@@ -702,8 +702,11 @@ def test_worker_count_parsing(monkeypatch):
 
 
 def test_parallel_build_matches_serial(room_scene, monkeypatch):
+    """Two workers, each tracing one block of the points, give the map of
+    one process byte for byte."""
+    assert len(POINTS) > 2
     monkeypatch.delenv("DCM_THREADS", raising=False)
-    serial = dumps_map(build_map(room_scene, TX, POINTS, max_order=1))
+    serial = dumps_map(build_map(room_scene, TX, POINTS, max_order=2))
     monkeypatch.setenv("DCM_THREADS", "2")
-    parallel = dumps_map(build_map(room_scene, TX, POINTS, max_order=1))
+    parallel = dumps_map(build_map(room_scene, TX, POINTS, max_order=2))
     assert parallel == serial

@@ -345,6 +345,42 @@ def test_image_tree_survivors_on_the_panel_field():
     assert counts == {1: 101, 2: 337, 3: 10556}
 
 
+def _scene_box(name):
+    """A scene and the box of its facet vertices, the ground of the panel
+    field left out."""
+    scene = loads_scene(ROOM_SCENE) if name == "room" else panel_field_scene(3, 3)
+    verts = np.concatenate([f.vertices for f in scene.facets[name != "room":]])
+    return scene, verts.min(axis=0), verts.max(axis=0)
+
+
+def _table_bytes(paths):
+    return [getattr(paths, name).tobytes() for name in raytrace._PATH_COLUMNS] + [paths.facets]
+
+
+@pytest.mark.parametrize("name", ["room", "panel"])
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_block_trace_equals_the_trace_of_each_receiver(name, data):
+    """A block of receivers traced in one call gives, column for column and
+    facets included, the tables of its receivers traced one at a time,
+    however the block is split into calls and the calls into chunks."""
+    scene, low, high = _scene_box(name)
+    unit = st.tuples(*[st.floats(0.05, 0.95)] * 3).map(
+        lambda f: low + np.array(f) * (high - low))
+    tx = data.draw(unit)
+    receivers = data.draw(st.lists(unit.filter(lambda p: not np.array_equal(p, tx)),
+                                   min_size=1, max_size=6))
+    inner = range(1, len(receivers))
+    cuts = sorted(data.draw(st.sets(st.sampled_from(inner), max_size=3))) if inner else []
+    block = data.draw(st.sampled_from([raytrace._BLOCK, 1]))
+    alone = [trace_static_mpcs(scene, tx, rx, max_order=3) for rx in receivers]
+    with mock.patch.object(raytrace, "_BLOCK", block):
+        together = [paths for start, stop in zip([0, *cuts], [*cuts, len(receivers)])
+                    for paths in trace_static_mpcs(scene, tx, np.array(receivers[start:stop]),
+                                                   max_order=3)]
+    assert [_table_bytes(p) for p in together] == [_table_bytes(p) for p in alone]
+
+
 # ---------------------------------------------------------------------------
 # hand-checked ground bounce
 
@@ -743,6 +779,20 @@ def test_trace_argument_validation(room_scene):
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="^frequency must be finite and > 0, got "):
             trace_static_mpcs(room_scene, (1, 1, 1), (2, 2, 2), frequency=bad)
+
+
+def test_trace_takes_a_block_of_receivers(room_scene):
+    """One point gives a PathSet; an (N, 3) block a tuple of N, in order."""
+    tx, points = (1, 1, 1), [(2, 2, 2), (3, 4, 2), (2, 2, 2)]
+    block = trace_static_mpcs(room_scene, tx, points)
+    assert isinstance(block, tuple)
+    assert block == tuple(trace_static_mpcs(room_scene, tx, p) for p in points)
+    assert trace_static_mpcs(room_scene, tx, np.empty((0, 3))) == ()
+    with pytest.raises(ValueError, match="^tx and rx coincide"):
+        trace_static_mpcs(room_scene, tx, [(2, 2, 2), tx])
+    for bad in ([(2, 2, math.nan)], [(2, 2)], [(2, 2, 2, 2)]):
+        with pytest.raises(ValueError, match=r"^rx must be .* an \(N, 3\) block"):
+            trace_static_mpcs(room_scene, tx, bad)
 
 
 def test_empty_scene_has_only_los():
