@@ -232,9 +232,10 @@ def build_map(scene: Scene, tx, points, max_order: int = 2,
     """Trace static paths for every receiver location and assemble a map.
 
     Tracing runs at the carrier frequency of the dynamic-scatter
-    configuration so both halves of the model agree.  With DCM_THREADS set,
-    locations are traced by a process pool; results are assembled in
-    location order either way, so the output is identical.
+    configuration so both halves of the model agree.  The locations are
+    traced as one block, in one `trace_static_mpcs` call; with DCM_THREADS
+    set, a process pool traces one contiguous block per worker.  Results
+    are assembled in location order either way, so the output is identical.
     """
     if gbsm is None:
         gbsm = GbsmConfig()

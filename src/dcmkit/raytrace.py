@@ -9,15 +9,18 @@ are out of scope.
 
 The candidates come from an image tree (Allen & Berkley, JASA 1979), built
 in each call from the geometry, tx and the maximum order; image positions
-do not depend on the receiver.  The children of a node (..., f) with image
-I are the facets g != f that pass two receiver-independent tests:
+do not depend on the receiver, so a call given a block of receivers builds
+the tree once and walks it from all of them together, as beam tracing
+builds one beam tree per source and looks each receiver up in it
+(Funkhouser et al., SIGGRAPH 1998).  The children of a node (..., f) with
+image I are the facets g != f that pass two receiver-independent tests:
 
 - plane side: some vertex of g lies on the real side of f's plane, the side
   opposite I;
-- beam (after Funkhouser et al., SIGGRAPH 1998): g is not wholly outside
-  any of the planes through I and an edge of f, each oriented toward f.
+- beam (after Funkhouser et al.): g is not wholly outside any of the
+  planes through I and an edge of f, each oriented toward f.
 
-Only the surviving sequences are walked back from the receiver.  On the
+Only the surviving sequences are walked back from each receiver.  On the
 101-facet acceptance-7 panel field that is 101 / 337 / 10,556 sequences at
 orders 1 / 2 / 3, of 101 / 10,100 / 1,010,000.
 
@@ -375,8 +378,8 @@ class _Geometry:
 
     def inside(self, points: np.ndarray, fi) -> np.ndarray:
         """Whether points (..., 3) lie at most INTERSECT_TOL m outside every
-        edge of facets fi, which index the facet axis: one index per point,
-        or a slice whose facets broadcast with the points' last axis but one.
+        edge of facets fi, which index the facet axis: an index array, or a
+        slice, whose facets broadcast with the points' leading axes.
         """
         sides = self.sides[fi]
         s = np.einsum("...vk,...k->...v", sides[..., :3], points) + sides[..., 3]
@@ -498,50 +501,37 @@ def _walk(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, rxs: np.ndarray):
     """Walk each sequence back from each receiver of rxs (R, 3).
 
     Returns (row, owner, qs) of the valid (receiver, sequence) pairs: row
-    indexes seq, owner indexes rxs and qs (m, order, 3) holds the
+    indexes seq, owner indexes rxs and qs (pairs, order, 3) holds the
     reflection points; None when no pair is valid.  The last reflection
-    is found over the (R, m) grid, each facet row taken once per sequence;
-    the rest over the pairs that are still valid.
+    is found over the (R, m) grid of pairs, each facet row taken once per
+    sequence; the earlier ones over the pairs still valid.
     """
     m, order = seq.shape
-    j = order - 1
-    image, fj = imgs[:, j], seq[:, j]
-    n_j = geom.normals[fj]
-    toward = rxs[:, None, :] - image                          # (R, m, 3)
-    denom = np.einsum("rmk,mk->rm", toward, n_j)
-    height = np.einsum("mk,mk->m", image, n_j) + geom.planes[fj, 3]
-    pair, q = _reflect(geom, image, toward, height, denom, fj)
-    if pair is None:
-        return None
-    owner, row = np.divmod(pair, m)
-    qs = np.empty((len(pair), order, 3))
-    qs[:, j] = q.reshape(-1, 3)[pair]
-    for j in range(order - 2, -1, -1):
-        image, fj = imgs[row, j], seq[row, j]
+    row = owner = qs = None
+    target = rxs[:, None, :]
+    for j in range(order - 1, -1, -1):
+        image, fj = (imgs[:, j], seq[:, j]) if row is None else (imgs[row, j], seq[row, j])
         n_j = geom.normals[fj]
-        toward = qs[:, j + 1] - image
-        denom = np.einsum("mk,mk->m", toward, n_j)
-        height = np.einsum("mk,mk->m", image, n_j) + geom.planes[fj, 3]
-        ok, q = _reflect(geom, image, toward, height, denom, fj)
-        if ok is None:
+        toward = target - image
+        denom = np.einsum("...k,...k->...", toward, n_j)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -(np.einsum("mk,mk->m", image, n_j) + geom.planes[fj, 3]) / denom
+        ok = np.isfinite(t) & (t > 1e-12) & (t < 1.0 - 1e-12)
+        t = np.where(ok, t, 0.5)  # placeholder rows, masked out below
+        q = image + t[..., None] * toward
+        ok &= geom.inside(q, fj)
+        valid = np.flatnonzero(ok)
+        if not len(valid):
             return None
-        row, owner, qs = row[ok], owner[ok], qs[ok]
-        qs[:, j] = q[ok]
+        if row is None:
+            owner, row = np.divmod(valid, m)
+            qs = np.empty((len(valid), order, 3))
+            q = q.reshape(-1, 3)
+        else:
+            row, owner, qs = row[valid], owner[valid], qs[valid]
+        qs[:, j] = q[valid]
+        target = qs[:, j]
     return row, owner, qs
-
-
-def _reflect(geom: _Geometry, image, toward, height, denom, fi):
-    """(flat indices of the valid rows or None, points q) of the crossings
-    q = image + t toward of the planes of facets fi, at t = -height / denom;
-    a row is valid when q lies strictly between its ends and on its facet."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -height / denom
-    ok = np.isfinite(t) & (t > 1e-12) & (t < 1.0 - 1e-12)
-    t = np.where(ok, t, 0.5)  # placeholder rows, masked out below
-    q = image + t[..., None] * toward
-    ok &= geom.inside(q, fi)
-    valid = np.flatnonzero(ok)
-    return (valid if len(valid) else None), q
 
 
 def _point(name: str, value) -> np.ndarray:
@@ -564,7 +554,7 @@ def _receivers(rx) -> tuple[np.ndarray, bool]:
 
 
 def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
-                      frequency: float = DEFAULT_FREQUENCY):
+                      frequency: float = DEFAULT_FREQUENCY) -> PathSet | tuple[PathSet, ...]:
     """All specular paths from tx to rx up to max_order reflections.
 
     Returns a PathSet sorted by (delay, kind, facets).  Power is the
@@ -597,6 +587,8 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
                          *_draw_phases_xpr("los", (), delay), 0, ()))
 
     for seq, imgs in _image_tree(geom, tx, max_order):
+        # receivers per chunk: a walk array holds up to the V edge rows
+        # (4 V) or the reflection points (3 order) of each pair
         width = len(seq) * max(geom.sides[0].size, 3 * seq.shape[1])
         step = max(1, _BLOCK // width)
         for start in range(0, len(rxs), step):
