@@ -547,9 +547,12 @@ def _receivers(rx) -> tuple[np.ndarray, bool]:
     block = np.asarray(rx, dtype=float)
     if block.ndim != 2:
         return _point("rx", rx)[None], True
-    if block.shape[1] != 3 or not np.isfinite(block).all():
-        raise ValueError("rx must be three finite numbers or an (N, 3) block of "
-                         f"finite numbers, got an array of shape {block.shape}")
+    if block.shape[1] != 3:
+        raise ValueError(f"rx must be an (N, 3) block, got shape {block.shape}")
+    bad = ~np.isfinite(block).all(axis=1)
+    if bad.any():
+        raise ValueError(f"rx must be an (N, 3) block of finite numbers, got "
+                         f"{block[bad.argmax()].tolist()} at row {bad.argmax()}")
     return block, False
 
 

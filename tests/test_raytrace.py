@@ -791,7 +791,7 @@ def test_trace_takes_a_block_of_receivers(room_scene):
     with pytest.raises(ValueError, match="^tx and rx coincide"):
         trace_static_mpcs(room_scene, tx, [(2, 2, 2), tx])
     for bad in ([(2, 2, math.nan)], [(2, 2)], [(2, 2, 2, 2)]):
-        with pytest.raises(ValueError, match=r"^rx must be .* an \(N, 3\) block"):
+        with pytest.raises(ValueError, match=r"^rx must be an \(N, 3\) block"):
             trace_static_mpcs(room_scene, tx, bad)
 
 
