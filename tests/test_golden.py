@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dcmkit import (AntennaArray, ChannelModel, GbsmConfig, KFactors,
-                    build_map, dumps_map, dynamic_cir, loads_scene,
+                    build_map, dumps_map, dynamic_cir, grid_points, loads_scene,
                     spawn_clusters, trace_static_mpcs)
 from dcmkit.cli import main
 
@@ -28,6 +28,9 @@ LOC = ((1.0, 1.0, 1.5), (2.5, 2.0, 1.5))
 PANEL_TX = (0.5, 0.5, 5.0)
 PANEL_RX = ((-1.0, -8.0, 1.5), (-2.75, 2.5, 1.5), (7.75, 4.25, 1.5),
             (4.25, -6.25, 1.5), (6.0, -6.25, 1.5))
+# The 63-point order-2 room grid of perfbench's update-room map: 24-25 paths
+# per record (1,566 in all), of every kind (los, refl:1, refl:2).
+ROOM_GRID = ((1.75, 1.75, 1.5), (7, 9, 1), 0.25)
 
 GOLDEN = {
     "build":
@@ -48,6 +51,8 @@ GOLDEN = {
         "35bd3ae0dcc45f414d525188fa9b441302f3c1f2133bd2902a85f60eee94a00b",
     "spawn":
         "cd5344a4ff459ac1b1969ea0d24b4f859f825a1d658fba0e1dc588e9c280c889",
+    "room_map":
+        "18c56716110763f1b323e6a498651202c7533d6b95f6b502d47a51f46b9f296c",
 }
 
 
@@ -153,3 +158,9 @@ def test_panel_trace_digest(panel_scene):
 def test_panel_map_digest(panel_scene):
     dmap = build_map(panel_scene, PANEL_TX, PANEL_RX, max_order=3)
     assert _sha(dumps_map(dmap)) == GOLDEN["panel_map"]
+
+
+def test_room_map_digest():
+    dmap = build_map(loads_scene(ROOM_SCENE), LOC[0], grid_points(*ROOM_GRID),
+                     max_order=2)
+    assert _sha(dumps_map(dmap)) == GOLDEN["room_map"]
