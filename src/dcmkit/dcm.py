@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -380,13 +381,24 @@ _RECORD_KEYS = ("tx", "rx", "ks", "kd")
 _MPC_KEYS = ("kind", "delay", "power", "aod", "aoa", "phases", "xpr")
 
 
-def _parse_mpc(line: str) -> tuple:
-    """One `mpc` line as a row of PathSet columns."""
+# an mpc line as dumps_map writes it: the keys in _MPC_KEYS order, one space
+# apart, and every number spelled with the characters of a float's repr; the
+# first group is a reflection's order, None for a line of sight
+_MPC_LINE = re.compile(
+    "mpc kind=(?:los|refl:([1-9][0-9]*)) delay={0} power={0} aod={0},{0} aoa={0},{0}"
+    " phases={0},{0},{0},{0} xpr={0}".format("([-+.0-9a-z]+)"))
+
+
+def _parse_mpc(line: str) -> tuple[int, list[float]]:
+    """One `mpc` line of any spelling the grammar allows, checked key by key:
+    its reflection order and its 11 numbers (delay, power, aod, aoa, phases
+    and xpr)."""
     f = _fields(line.split()[1:], _MPC_KEYS)
     # PathSet checks every value itself, so the vectors skip the finite test
-    return (float(f["delay"]), float(f["power"]), _floats(f["aod"], 2, finite=False),
-            _floats(f["aoa"], 2, finite=False), _floats(f["phases"], 4, finite=False),
-            float(f["xpr"]), _kind_order(f["kind"]))
+    values = [float(f["delay"]), float(f["power"]), *_floats(f["aod"], 2, finite=False),
+              *_floats(f["aoa"], 2, finite=False), *_floats(f["phases"], 4, finite=False),
+              float(f["xpr"])]
+    return _kind_order(f["kind"]), values
 
 
 def dumps_map(dcm: DcmMap) -> str:
@@ -432,15 +444,37 @@ def loads_map(text: str) -> DcmMap:
     records: dict[tuple, DcmRecord] = {}
     section = keys = None
     current: dict = {}  # the section's values so far, each key at most once
-    mpcs: list = []  # the record's parsed mpc rows, and their line numbers
+    # the record's mpc lines: their numbers, in rows of 11, orders and line numbers
+    values: list = []
+    orders: list = []
     mpc_lines: list = []
+    # the groups of the mpc lines _MPC_LINE read since the last other line,
+    # 12 a line; they are converted before any other line is read, so a token
+    # float() refuses fails at its line, as it does in the checked reader
+    pending: list = []
     record_line = 0
+
+    def flush():
+        orders.extend(int(refl or 0) for refl in pending[::12])
+        del pending[::12]
+        try:
+            values.extend(map(float, pending))
+        except ValueError:  # the checked reader names the first such line
+            for at in mpc_lines[len(mpc_lines) - len(pending) // 11:]:
+                try:
+                    _parse_mpc(lines[at - 1])
+                except ValueError as exc:
+                    raise ValueError(f"line {at}: {exc}") from None
+            raise
+        pending.clear()
 
     def finish():
         if section != "record":
             return
+        table = np.array(values, dtype=float).reshape(-1, 11)
         try:
-            paths = PathSet(*zip(*mpcs))
+            paths = PathSet(table[:, 0], table[:, 1], table[:, 2:4], table[:, 4:6],
+                            table[:, 6:10], table[:, 10], orders)
         except ValueError as exc:  # the table names its earliest bad row
             raise ValueError(f"line {mpc_lines[exc._row]}: {exc}") from None
         for need in _RECORD_KEYS:
@@ -454,6 +488,13 @@ def loads_map(text: str) -> DcmMap:
         records[rec.rx] = rec
 
     for no, line in enumerate(lines[1:], start=2):
+        if section == "record":
+            match = _MPC_LINE.fullmatch(line)
+            if match is not None:
+                pending += match.groups()
+                mpc_lines.append(no)
+                continue
+            flush()
         if not line.strip():
             continue
         if line in ("[map]", "[gbsm]", "[record]"):
@@ -464,13 +505,16 @@ def loads_map(text: str) -> DcmMap:
             elif section == "gbsm":
                 keys, current, gbsm_line = _GBSM_KEYS, gbsm_kw, no
             else:
-                keys, current, mpcs, mpc_lines, record_line = _RECORD_KEYS, {}, [], [], no
+                keys, current, record_line = _RECORD_KEYS, {}, no
+                values, orders, mpc_lines = [], [], []
             continue
         try:
             if section is None:
                 raise ValueError("content before any section header")
             if section == "record" and line.startswith("mpc "):
-                mpcs.append(_parse_mpc(line))
+                order, numbers = _parse_mpc(line)
+                orders.append(order)
+                values += numbers
                 mpc_lines.append(no)
                 continue
             # a section line is one key=value token; a scene built in code
@@ -500,6 +544,7 @@ def loads_map(text: str) -> DcmMap:
             raise ValueError(f"line {no}: missing field {exc.args[0]!r}") from None
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {no}: {exc}") from None
+    flush()
     finish()
     try:
         gbsm = GbsmConfig(**gbsm_kw)

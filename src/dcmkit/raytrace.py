@@ -72,6 +72,7 @@ import itertools
 import math
 import re
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -173,6 +174,21 @@ _PATH_COLUMNS = {"delay": (), "power": (), "aod": (2,), "aoa": (2,),
                  "phases": (4,), "xpr": (), "order": ()}
 
 
+# the closed range of each bounded column of a PathSet, in the order of
+# the checks, with an open end as the float next to it: delay, power and
+# xpr, then aod and aoa as (elevation, azimuth)
+_PATH_LOW = np.array([0.0, 0.0, np.nextafter(0.0, 1.0), *(-math.pi / 2, -math.pi) * 2])
+_PATH_HIGH = np.array([sys.float_info.max, sys.float_info.max, math.inf,
+                       *(math.pi / 2, np.nextafter(math.pi, 0.0)) * 2])
+_PATH_RANGE_ERRORS = ("delay must be finite and >= 0, got {}",
+                      "power must be finite and >= 0, got {}",
+                      "xpr must be > 0, got {}",
+                      "aod elevation out of [-pi/2, pi/2]: {}",
+                      "aod azimuth out of [-pi, pi): {}",
+                      "aoa elevation out of [-pi/2, pi/2]: {}",
+                      "aoa azimuth out of [-pi, pi): {}")
+
+
 @dataclass(frozen=True, eq=False)
 class PathSet:
     """Static multipath components as one table of read-only columns.
@@ -210,32 +226,27 @@ class PathSet:
                 or len(self.facets) not in (0, len(self)):
             raise ValueError("path columns must share one length")
         d, p, ph, x, o = self.delay, self.power, self.phases, self.xpr, self.order
-        checks = [
-            ((0.0 <= d) & (d < math.inf), "delay must be finite and >= 0, got {}", d),
-            ((0.0 <= p) & (p < math.inf), "power must be finite and >= 0, got {}", p),
-            (np.isfinite(ph).all(axis=1), "phases must be finite, got {}", ph),
-            (x > 0.0, "xpr must be > 0, got {}", x)]
-        for name in ("aod", "aoa"):
-            el, az = getattr(self, name).T
-            checks += [((-math.pi / 2 <= el) & (el <= math.pi / 2),
-                        name + " elevation out of [-pi/2, pi/2]: {}", el),
-                       ((-math.pi <= az) & (az < math.pi),
-                        name + " azimuth out of [-pi, pi): {}", az)]
-        checks.append((o >= 0, "order must be >= 0, got {}", o))
+        bounded = np.column_stack((d, p, x, self.aod, self.aoa))
+        in_range = (_PATH_LOW <= bounded) & (bounded <= _PATH_HIGH)
+        finite = np.isfinite(ph).all(axis=1)
         los = o == 0
         n_los = np.count_nonzero(los)
+        if in_range.all() and finite.all() and (o >= 0).all() and n_los < 2:
+            return
+        checks = [(in_range[:, k], message, bounded[:, k])
+                  for k, message in enumerate(_PATH_RANGE_ERRORS)]
+        checks[2:2] = [(finite, "phases must be finite, got {}", ph)]
+        checks.append((o >= 0, "order must be >= 0, got {}", o))
         if n_los > 1:  # the table stops being valid at its second line of sight
             checks.append((np.cumsum(los) < 2,
                            f"expected at most one line-of-sight path, got {n_los}", o))
-        failed = [(np.argmin(ok), i) for i, (ok, _, _) in enumerate(checks)
-                  if not ok.all()]
-        if failed:
-            # the error names the earliest bad row, and carries it as `_row`
-            row, i = min(failed)
-            _, message, values = checks[i]
-            error = ValueError(message.format(values[row].tolist()))
-            error._row = int(row)
-            raise error
+        # the error names the earliest bad row, and carries it as `_row`
+        row, i = min((np.argmin(ok), i) for i, (ok, _, _) in enumerate(checks)
+                     if not ok.all())
+        _, message, values = checks[i]
+        error = ValueError(message.format(values[row].tolist()))
+        error._row = int(row)
+        raise error
 
     @classmethod
     def of(cls, rows) -> "PathSet":
@@ -312,23 +323,115 @@ def unit_from_angles(elevation, azimuth) -> np.ndarray:
     return out
 
 
-def _path_rng(kind: str, facets: tuple[int, ...], delay: float) -> np.random.Generator:
-    # geometry-keyed stream: the tracer stays a pure function of its inputs;
-    # the key is the kind, the facets as native int64 and the delay as a
-    # native float64
-    key = b"".join((kind.encode(), struct.pack(f"={len(facets)}q", *facets),
-                    struct.pack("=d", delay)))
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+# numpy's SeedSequence with its pool of four 32-bit words
+# (numpy/random/bit_generator.pyx): the hash constants of its hashmix (A),
+# of generate_state (B) and of mix; and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
-def _draw_phases_xpr(kind: str, facets: tuple[int, ...], delay: float):
-    rng = _path_rng(kind, facets, delay)
-    phases = tuple(rng.uniform(0.0, 2.0 * math.pi, 4).tolist())
-    if kind == "los":
-        return phases, math.inf
-    xpr = float(10.0 ** (rng.normal(XPR_MEAN_DB, XPR_STD_DB) / 10.0))
-    return phases, xpr
+def _hash_consts(value: int, mult: int, calls: int) -> list[int]:
+    """hash_const before each of `calls` hash steps and after the last."""
+    consts = [value]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return consts
+
+
+# hashmix calls 0-3 fill the pool and 4-15 mix each row into the three
+# others; generate_state(4, uint64) hashes the pool cycled twice into 8 words
+_A = _hash_consts(_INIT_A, _MULT_A, 16)
+_B = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _columns(xor: list[int], mult: list[int], shape=(-1, 1)):
+    return tuple(np.array(c, dtype=np.uint32).reshape(shape) for c in (xor, mult))
+
+
+def _mixing(src: int):
+    # calls 4 + 3 src .. 6 + 3 src, one per destination row in order, and a
+    # placeholder 0 at the source's own row
+    calls = [4 + 3 * src + dst - (dst > src) for dst in range(4)]
+    return _columns(*([0 if dst == src else _A[k + j] for dst, k in enumerate(calls)]
+                      for j in (0, 1)))
+
+
+_FILL = _columns(_A[0:4], _A[1:5])
+_MIXING = tuple(map(_mixing, range(4)))
+_GENERATE = _columns(_B[0:8], _B[1:9], (2, 4, 1))
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix, given hash_const before (xor) and after (mult)
+    # its step; uint32 arithmetic wraps mod 2^32, as the C code's does
+    v = (values ^ xor) * mult
+    return v ^ (v >> 16)
+
+
+def _seed_words(keys) -> np.ndarray:
+    """np.random.SeedSequence(k).generate_state(4, np.uint64) of every uint64
+    key k, as rows (N, 4), computed for all keys at once.
+
+    A key's entropy is its low and high 32-bit words.  SeedSequence gives a
+    key below 2^32 the entropy [lo], which hashes as [lo, 0] does: pool
+    words past the entropy hash a 0.  The pool is a stacked (4, N) array:
+    each source row mixes into the other three in one step, and its own
+    row, computed with placeholder constants, is put back.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    entropy = np.zeros((4, len(keys)), dtype=np.uint32)
+    entropy[0] = keys & 0xFFFFFFFF
+    entropy[1] = keys >> 32
+    pool = _hashmix(entropy, *_FILL)
+    for src, consts in enumerate(_MIXING):
+        mixed = pool * _MIX_L - _hashmix(pool[src], *consts) * _MIX_R
+        mixed ^= mixed >> 16
+        mixed[src] = pool[src]
+        pool = mixed
+    # 32-bit words 2j and 2j + 1 are the low and high halves of word j
+    words = _hashmix(pool, *_GENERATE).reshape(4, 2, -1).astype(np.uint64)
+    return (words[:, 0] | words[:, 1] << 32).T
+
+
+def _path_draws(orders, facets, delays) -> tuple[np.ndarray, np.ndarray]:
+    """Initial phases (P, 4) and cross-polarization ratios (P,) of P paths.
+
+    Each path draws from its own geometry-keyed stream, so the tracer stays
+    a pure function of its inputs.  The key is the blake2b-64 digest of the
+    path's kind, its facets as native int64 and its delay as a native
+    float64, read little-endian; it seeds PCG64 through SeedSequence, and
+    the stream gives four uniform phases in [0, 2 pi) and then, for a
+    reflection, one normal XPR in dB.  A line of sight has XPR inf.  This
+    is what np.random.Generator(np.random.PCG64(key)) draws; here the
+    SeedSequence hash runs over all keys at once (`_seed_words`), PCG64's
+    seeding step in Python ints, and one Generator draws every path from
+    its state.
+    """
+    digests = b"".join(
+        hashlib.blake2b(b"".join((_kind(o).encode(), struct.pack(f"={len(f)}q", *f),
+                                  struct.pack("=d", d))), digest_size=8).digest()
+        for o, f, d in zip(orders, facets, delays))
+    rng = np.random.Generator(np.random.PCG64(0))
+    seed = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": seed, "has_uint32": 0, "uinteger": 0}
+    unit = np.empty((len(delays), 4))
+    xpr = np.full(len(delays), math.inf)
+    for i, (w0, w1, w2, w3) in enumerate(
+            _seed_words(np.frombuffer(digests, dtype="<u8")).tolist()):
+        # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps from state
+        # 0 with initstate added between them
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        seed["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+        seed["inc"] = inc
+        rng.bit_generator.state = state
+        rng.random(out=unit[i])
+        if orders[i]:
+            xpr[i] = 10.0 ** (rng.normal(XPR_MEAN_DB, XPR_STD_DB) / 10.0)
+    # uniform(0, 2 pi) is 0.0 + 2 pi u, the same float as 2 pi u
+    return 2.0 * math.pi * unit, xpr
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +574,8 @@ def _children(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray):
         [-2.0 * img, _ROUND_UP * np.einsum("pk,pk->p", img, img)[:, None]], axis=1)
     reach = np.einsum("pk,kc->pc", ray, flat) + geom.flat_sq
     np.sqrt(np.maximum(reach, 0.0, out=reach), out=reach)
-    with np.errstate(divide="ignore"):
+    # an image on or within a subnormal height of f's plane: infinite margin
+    with np.errstate(divide="ignore", over="ignore"):
         growth = (reach + _PRUNE_SLACK) / np.abs(side)[:, None]
     margin = _PRUNE_SLACK * (1.0 + growth)
     keep &= ~(height < -margin[:, None]).reshape(p, nv, nv, n).all(axis=2).any(axis=1)
@@ -514,7 +618,7 @@ def _walk(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, rxs: np.ndarray):
         n_j = geom.normals[fj]
         toward = target - image
         denom = np.einsum("...k,...k->...", toward, n_j)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = -(np.einsum("mk,mk->m", image, n_j) + geom.planes[fj, 3]) / denom
         ok = np.isfinite(t) & (t > 1e-12) & (t < 1.0 - 1e-12)
         t = np.where(ok, t, 0.5)  # placeholder rows, masked out below
@@ -570,7 +674,9 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
     alone.  The image tree is built once per call, and the line-of-sight
     test, the walk, the blocking tests and the Fresnel gains run over
     (receiver, sequence) rows, with receivers chunked so that no array of
-    the walk exceeds _BLOCK elements.  One point is a block of one.
+    the walk exceeds _BLOCK elements.  One point is a block of one.  The
+    phases and XPRs of all the call's paths are drawn in one pass
+    (`_path_draws`), after each receiver's paths are sorted.
     """
     tx, (rxs, single) = _point("tx", tx), _receivers(rx)
     if (rxs == tx).all(axis=1).any():
@@ -579,15 +685,15 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
     frequency = _number("frequency", frequency, 0.0, strict=True)
 
     geom = _geometry(scene.facets)
-    found = [[] for _ in range(len(rxs))]  # PathSet columns of each receiver's paths
+    # each receiver's paths as (delay, power, aod, aoa, order, facets) rows
+    found = [[] for _ in range(len(rxs))]
 
     clear = ~geom.blocked(np.repeat(tx[None, :], len(rxs), axis=0), rxs)
     for r in np.flatnonzero(clear).tolist():
         dist = float(np.linalg.norm(rxs[r] - tx))
-        delay = dist / SPEED_OF_LIGHT
-        found[r].append((delay, 10.0 ** (friis_path_gain(dist, frequency) / 10.0),
-                         direction_angles(rxs[r] - tx), direction_angles(tx - rxs[r]),
-                         *_draw_phases_xpr("los", (), delay), 0, ()))
+        found[r].append((dist / SPEED_OF_LIGHT,
+                         10.0 ** (friis_path_gain(dist, frequency) / 10.0),
+                         direction_angles(rxs[r] - tx), direction_angles(tx - rxs[r]), 0, ()))
 
     for seq, imgs in _image_tree(geom, tx, max_order):
         # receivers per chunk: a walk array holds up to the V edge rows
@@ -598,17 +704,23 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
             _reflections(geom, seq, imgs, tx, rxs[start:start + step], frequency,
                          found[start:start + step])
 
-    tables = []
     for rows in found:
-        rows.sort(key=lambda r: (r[0], _kind(r[6]), r[7]))
-        tables.append(PathSet(*zip(*rows)))
+        rows.sort(key=lambda r: (r[0], _kind(r[4]), r[5]))
+    delay, power, aod, aoa, order, facets = tuple(zip(*itertools.chain(*found))) or ((),) * 6
+    phases, xpr = _path_draws(order, facets, delay)
+    tables, start = [], 0
+    for rows in found:
+        at = slice(start, start + len(rows))
+        tables.append(PathSet(delay[at], power[at], aod[at], aoa[at], phases[at], xpr[at],
+                              order[at], facets[at]))
+        start = at.stop
     return tables[0] if single else tuple(tables)
 
 
 def _reflections(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, tx: np.ndarray,
                  rxs: np.ndarray, frequency: float, found: list) -> None:
-    """Append to found[r] the PathSet columns of every path of the sequences
-    seq (m, order) from tx to receiver rxs[r]."""
+    """Append to found[r] the (delay, power, aod, aoa, order, facets) row of
+    every path of the sequences seq (m, order) from tx to receiver rxs[r]."""
     walked = _walk(geom, seq, imgs, rxs)
     if walked is None:
         return
@@ -634,10 +746,8 @@ def _reflections(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, tx: np.ndar
             geom.eps_r[fseq[:, j]], geom.sigma[fseq[:, j]],
             np.clip(cos_i, 0.0, 1.0), frequency)
         gain *= 0.5 * (np.abs(g_perp) ** 2 + np.abs(g_par) ** 2)
-    kind = _kind(order)
     aod, aoa = qs[:, 0] - tx, qs[:, order - 1] - rx
     for i, (r, facets, dist, g) in enumerate(zip(owner.tolist(), map(tuple, fseq.tolist()),
                                                  length.tolist(), gain.tolist())):
-        delay = dist / SPEED_OF_LIGHT
-        found[r].append((delay, g, direction_angles(aod[i]), direction_angles(aoa[i]),
-                         *_draw_phases_xpr(kind, facets, delay), order, facets))
+        found[r].append((dist / SPEED_OF_LIGHT, g, direction_angles(aod[i]),
+                         direction_angles(aoa[i]), order, facets))

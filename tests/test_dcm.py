@@ -14,7 +14,7 @@ from dcmkit import (AntennaArray, ChannelModel, DcmLookupError, DcmMap,
                     build_map, dumps_map, estimate_k_split, grid_points,
                     load_map, loads_map, match_mpcs, model_from_map, query,
                     save_map, trace_static_mpcs, update_snapshot, worker_count)
-from dcmkit import hybrid
+from dcmkit import dcm, hybrid
 from dcmkit.dcm import MATCH_SCALES, MatchResult
 from dcmkit.gbsm import Taps
 
@@ -363,6 +363,9 @@ def test_map_roundtrip_is_byte_stable(room_scene, tmp_path):
     again = loads_map(text)
     assert again == dmap
     assert dumps_map(again) == text
+    # every line written takes the reader's one-pattern path
+    assert all(dcm._MPC_LINE.fullmatch(line) for line in text.splitlines()
+               if line.startswith("mpc "))
 
     target = tmp_path / "room.dcm"
     save_map(dmap, target)
@@ -567,6 +570,9 @@ def test_map_roundtrip_is_exact(dmap):
     again = loads_map(text)
     assert again == dmap
     assert dumps_map(again) == text
+    # every line written takes the reader's one-pattern path
+    assert all(dcm._MPC_LINE.fullmatch(line) for line in text.splitlines()
+               if line.startswith("mpc "))
 
 
 def test_map_static_taps_equal_direct_model(room_scene):
@@ -679,6 +685,82 @@ def test_mpc_lines_roundtrip_units():
     assert ("mpc kind=los delay=1e-07 power=1.88e-09 aod=0.0,-0.0 "
             "aoa=-1.5707963267948966,-3.141592653589793 "
             "phases=0.0,0.0,0.0,0.0 xpr=inf\n") in dumps_map(dmap)
+
+
+# An mpc line as dumps_map writes it, and other spellings, allowed or not,
+# that the one-pattern reader must leave to the checked reader.
+_MPC = ("mpc kind=refl:2 delay=1.5e-08 power=2.5e-07 aod=0.25,-1.0 aoa=-0.5,3.0 "
+        "phases=0.0,1.5,3.0,6.0 xpr=4.5")
+_SPELLINGS = {
+    "as written": _MPC,
+    "keys out of order": _MPC.replace("kind=refl:2 delay=1.5e-08",
+                                      "delay=1.5e-08 kind=refl:2"),
+    "doubled space": _MPC.replace(" power=", "  power="),
+    "tab": _MPC.replace(" aoa=", "\taoa="),
+    "trailing space": _MPC + " ",
+    "nan": _MPC.replace("xpr=4.5", "xpr=nan"),
+    "1e999": _MPC.replace("delay=1.5e-08", "delay=1e999"),
+    "1_0": _MPC.replace("power=2.5e-07", "power=1_0"),
+    "capital E": _MPC.replace("delay=1.5e-08", "delay=1.5E-08"),
+    "Infinity": _MPC.replace("xpr=4.5", "xpr=Infinity"),
+    "not a number": _MPC.replace("power=2.5e-07", "power=2.5e-0-7"),
+    "three aod numbers": _MPC.replace("aod=0.25,-1.0", "aod=0.25,-1.0,0.5"),
+    "empty aoa number": _MPC.replace("aoa=-0.5,3.0", "aoa=,3.0"),
+    "bad kind": _MPC.replace("kind=refl:2", "kind=refl:02"),
+    "unknown kind": _MPC.replace("kind=refl:2", "kind=dyn:1:2"),
+    "missing key": _MPC.replace(" xpr=4.5", ""),
+    "doubled key": _MPC + " xpr=4.5",
+    "second line of sight": _MPC.replace("kind=refl:2", "kind=los"),
+}
+
+
+# a map whose one record ends in its line-of-sight path at line 12
+_ONE_RECORD = ("DCMv2\n[map]\nfrequency=5.5e9\nmax_order=2\nscene=abc\n[gbsm]\n"
+               "[record]\ntx=0,0,0\nrx=1,0,0\nks=2\nkd=4\n"
+               "mpc kind=los delay=1e-07 power=1.88e-09 aod=0,0 aoa=0,0 "
+               "phases=0,0,0,0 xpr=inf\n")
+
+
+def _load_outcome(text):
+    try:
+        return loads_map(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _fast_and_checked(text, monkeypatch):
+    """loads_map(text), and loads_map(text) with the checked reader alone,
+    each as a DcmMap or as its error message."""
+    fast = _load_outcome(text)
+    monkeypatch.setattr(dcm, "_MPC_LINE", re.compile("(?!)"))  # matches no line
+    return fast, _load_outcome(text)
+
+
+@pytest.mark.parametrize("name", list(_SPELLINGS))
+def test_mpc_reader_agrees_with_the_checked_reader(name, monkeypatch):
+    """Each spelling loads to the same records, or fails with the same line
+    N message, as the checked reader alone gives."""
+    fast, checked = _fast_and_checked(_ONE_RECORD + _SPELLINGS[name] + "\n", monkeypatch)
+    assert fast == checked
+    if name == "as written":
+        assert isinstance(fast, DcmMap) and len(fast.records[(1.0, 0.0, 0.0)].mpcs) == 2
+    elif name == "1_0":
+        assert fast.records[(1.0, 0.0, 0.0)].mpcs.power.tolist() == [1.88e-09, 10.0]
+    elif "space" not in name and name not in ("tab", "keys out of order",
+                                              "capital E", "Infinity"):
+        assert fast.startswith("line 13: "), fast
+
+
+@pytest.mark.parametrize("after", [
+    "", _MPC, "ks=2", _SPELLINGS["bad kind"], "[record]\ntx=0,0,0\nrx=2,0,0\nks=x\nkd=4"],
+    ids=["end", "good mpc", "doubled key", "bad kind", "bad record"])
+def test_mpc_reader_fails_at_the_first_bad_line(after, monkeypatch):
+    """A token float() refuses in a line the pattern reads fails at its own
+    line, before any later line of the map fails."""
+    text = _ONE_RECORD + _MPC + "\n" + _SPELLINGS["not a number"] + "\n" + after + "\n"
+    fast, checked = _fast_and_checked(text, monkeypatch)
+    assert fast == checked
+    assert fast.startswith("line 14: could not convert"), fast
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ implementation.  It shares no code with the package tracer.
 
 import cmath
 import collections
+import hashlib
 import itertools
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -577,6 +579,77 @@ def test_los_xpr_infinite(two_ray_mpcs):
     refl = [m for m in two_ray_mpcs if not m.is_los][0]
     assert math.isinf(los.xpr)
     assert math.isfinite(refl.xpr) and refl.xpr > 0.0
+
+
+# the draw law, path by path, as the tracer wrote it before it drew all the
+# paths of a call in one pass: the reference of the batched draws
+def _reference_draw(kind, facets, delay):
+    key = b"".join((kind.encode(), struct.pack(f"={len(facets)}q", *facets),
+                    struct.pack("=d", delay)))
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+    phases = tuple(rng.uniform(0.0, 2.0 * math.pi, 4).tolist())
+    if kind == "los":
+        return phases, math.inf
+    return phases, float(10.0 ** (rng.normal(raytrace.XPR_MEAN_DB, raytrace.XPR_STD_DB) / 10.0))
+
+
+def _seed_state(key):
+    return np.random.SeedSequence(key).generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_batched_seed_hash_is_seed_sequences(key):
+    words = raytrace._seed_words(np.array([key], dtype=np.uint64))
+    assert words.dtype == np.uint64 and np.array_equal(words, [_seed_state(key)])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=30))
+def test_batched_seed_hash_over_key_streams(keys):
+    words = raytrace._seed_words(np.array(keys, dtype=np.uint64))
+    assert words.shape == (len(keys), 4)
+    for key, row in zip(keys, words):
+        assert np.array_equal(row, _seed_state(key)), key
+
+
+_PATH_KEYS = st.integers(0, 4).flatmap(lambda order: st.tuples(
+    st.just(order),
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=order, max_size=order).map(tuple),
+    st.floats(0.0, 1e-5)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.lists(_PATH_KEYS, max_size=12))
+def test_batched_draws_equal_each_paths_own_generator(paths):
+    orders, facets, delays = zip(*paths) if paths else ((), (), ())
+    phases, xpr = raytrace._path_draws(orders, facets, delays)
+    assert phases.shape == (len(paths), 4) and xpr.shape == (len(paths),)
+    for i, (order, f, delay) in enumerate(paths):
+        kind = "los" if order == 0 else f"refl:{order}"
+        assert (tuple(phases[i].tolist()), float(xpr[i])) == _reference_draw(kind, f, delay)
+
+
+def test_traced_draws_follow_the_law(room_scene):
+    """Every path of a block trace, los and refl:n, draws as its own key."""
+    block = trace_static_mpcs(room_scene, (1.0, 1.0, 1.5),
+                              [(2.0, 2.0, 1.5), (3.5, 4.5, 2.5)], max_order=2)
+    kinds = collections.Counter()
+    for paths in block:
+        for m in paths:
+            kinds[m.kind.partition(":")[0]] += 1
+            assert (m.phases, m.xpr) == _reference_draw(m.kind, m.facets, m.delay)
+    assert kinds["los"] == 2 and kinds["refl"] > 10
+
+
+def test_subnormal_tx_height_traces_as_on_the_plane(room_scene):
+    """A tx a subnormal distance off three walls: the tree's margins and the
+    walk's line parameters overflow to inf, which is their on-plane value,
+    and the trace equals the trace from the corner without a warning."""
+    points = [(2.0, 2.0, 1.5), (1.0, 1.0, 1.0), (3.5, 4.5, 2.5)]
+    near = trace_static_mpcs(room_scene, (0.0, 2.5e-323, 0.0), points, max_order=2)
+    assert near == trace_static_mpcs(room_scene, (0.0, 0.0, 0.0), points, max_order=2)
+    assert [len(paths) for paths in near] == [9, 10, 10]
 
 
 # ---------------------------------------------------------------------------
