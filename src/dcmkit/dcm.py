@@ -57,8 +57,10 @@ class DcmRecord:
     mpcs: PathSet
 
     def __post_init__(self):
-        # the model's rules, so every record that can be saved also loads;
-        # kept for the models made from this record
+        # the reader's and the model's rules, so every record that can be
+        # saved also loads; the ratios are kept for the models made from it
+        for name in ("tx", "rx"):
+            object.__setattr__(self, name, tuple(_point(name, getattr(self, name)).tolist()))
         object.__setattr__(self, "_k", KFactors(self.k_s, self.k_d))
         if not isinstance(self.mpcs, PathSet):
             raise TypeError("mpcs must be a PathSet; convert rows with PathSet.of")
@@ -83,6 +85,9 @@ class DcmMap:
             raise ValueError(f"scene_hash must be printable ASCII, got {self.scene_hash!r}")
         if self.gbsm.carrier_frequency != self.frequency:
             raise ValueError(_carrier_mismatch(self.gbsm.carrier_frequency, self.frequency))
+        for key, record in self.records.items():
+            if key != record.rx:
+                raise ValueError(f"record key {key!r} is not its rx {record.rx!r}")
 
     def locations(self) -> np.ndarray:
         """Record locations (N, 3), read-only, rebuilt when the record keys change."""

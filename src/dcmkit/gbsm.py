@@ -22,7 +22,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .raytrace import DEFAULT_FREQUENCY, SPEED_OF_LIGHT, unit_from_angles
+from .raytrace import DEFAULT_FREQUENCY, SPEED_OF_LIGHT, _angles_of, unit_from_angles
 from .scene import _REALS, _integer, _number
 
 
@@ -473,14 +473,6 @@ class Taps:
         kinds = itemgetter(*order.tolist())(kinds) if len(kinds) > 1 else kinds
         amps = np.concatenate([self.amps, other.amps]).take(order)
         return Taps(delays.take(order), amps, kinds)
-
-
-def _angles_of(x: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """(elevation, azimuth) of vectors given as x, y and z planes."""
-    sin_el = z / np.sqrt(x * x + y * y + z * z)
-    el = np.arcsin(np.minimum(np.maximum(sin_el, -1.0, out=sin_el), 1.0, out=sin_el))
-    az = np.arctan2(y, x)
-    return el, az
 
 
 def _pol_mix(f_rx, f_tx, phases: np.ndarray, xpr: np.ndarray, mu: float) -> np.ndarray:

@@ -25,6 +25,7 @@ import numpy as np
 from .gbsm import (AntennaArray, GbsmConfig, Taps, _pol_mix, dynamic_cir,
                    isotropic_pattern, ray_taps, spawn_clusters)
 from .raytrace import SPEED_OF_LIGHT, PathSet, unit_from_angles
+from .scene import _REALS
 
 # elements of one (rays, samples) block of a narrowband series (1 MiB of
 # complex amplitudes, the fastest size from 2**13 to 2**20); the statistics
@@ -44,6 +45,14 @@ class KFactors:
     k_d: float
 
     def __post_init__(self):
+        for name in ("k_s", "k_d"):
+            value = getattr(self, name)
+            if not isinstance(value, _REALS) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:  # an int beyond the float range is an infinite ratio
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                object.__setattr__(self, name, math.inf if value > 0 else -math.inf)
         if not (self.k_s > 0.0 and self.k_d > 0.0) \
                 or math.isinf(1.0 / self.k_s + 1.0 / self.k_d):
             raise ValueError("component ratios must be > 0 with a finite "

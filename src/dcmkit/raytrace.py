@@ -299,18 +299,21 @@ class PathSet:
         return n_los, first, np.concatenate([np.ones(n_los), refl / total])
 
 
+def _angles_of(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """(elevation, azimuth in [-pi, pi)) of vectors given as x, y and z planes."""
+    sin_el = z / np.sqrt(x * x + y * y + z * z)
+    el = np.arcsin(np.minimum(np.maximum(sin_el, -1.0, out=sin_el), 1.0, out=sin_el))
+    az = np.arctan2(y, x)
+    az[az == math.pi] = -math.pi
+    return el, az
+
+
 def direction_angles(vec) -> tuple[float, float]:
     """(elevation, azimuth) of a direction vector, azimuth wrapped to [-pi, pi)."""
-    v = np.asarray(vec, dtype=float)
-    r = math.sqrt(v.dot(v))  # the dot that np.linalg.norm takes of a vector
-    if r == 0.0:
+    v = np.asarray(vec, dtype=float).reshape(3, 1)
+    if not (v * v).sum():
         raise ValueError("zero direction vector")
-    x, y, z = v.tolist()
-    el = math.asin(max(-1.0, min(1.0, z / r)))
-    az = math.atan2(y, x)
-    if az >= math.pi:
-        az -= 2.0 * math.pi
-    return el, az
+    return tuple(float(angle[0]) for angle in _angles_of(*v))
 
 
 def unit_from_angles(elevation, azimuth) -> np.ndarray:
@@ -323,115 +326,28 @@ def unit_from_angles(elevation, azimuth) -> np.ndarray:
     return out
 
 
-# numpy's SeedSequence with its pool of four 32-bit words
-# (numpy/random/bit_generator.pyx): the hash constants of its hashmix (A),
-# of generate_state (B) and of mix; and PCG64's 128-bit LCG multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the counter of a path's
+# uniform j is its key + (j + 1) gamma
+_COUNTERS = np.arange(1, 7, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
 
-def _hash_consts(value: int, mult: int, calls: int) -> list[int]:
-    """hash_const before each of `calls` hash steps and after the last."""
-    consts = [value]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return consts
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of a uint64 array; arithmetic wraps mod 2^64."""
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
 
 
-# hashmix calls 0-3 fill the pool and 4-15 mix each row into the three
-# others; generate_state(4, uint64) hashes the pool cycled twice into 8 words
-_A = _hash_consts(_INIT_A, _MULT_A, 16)
-_B = _hash_consts(_INIT_B, _MULT_B, 8)
-
-
-def _columns(xor: list[int], mult: list[int], shape=(-1, 1)):
-    return tuple(np.array(c, dtype=np.uint32).reshape(shape) for c in (xor, mult))
-
-
-def _mixing(src: int):
-    # calls 4 + 3 src .. 6 + 3 src, one per destination row in order, and a
-    # placeholder 0 at the source's own row
-    calls = [4 + 3 * src + dst - (dst > src) for dst in range(4)]
-    return _columns(*([0 if dst == src else _A[k + j] for dst, k in enumerate(calls)]
-                      for j in (0, 1)))
-
-
-_FILL = _columns(_A[0:4], _A[1:5])
-_MIXING = tuple(map(_mixing, range(4)))
-_GENERATE = _columns(_B[0:8], _B[1:9], (2, 4, 1))
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    # SeedSequence's hashmix, given hash_const before (xor) and after (mult)
-    # its step; uint32 arithmetic wraps mod 2^32, as the C code's does
-    v = (values ^ xor) * mult
-    return v ^ (v >> 16)
-
-
-def _seed_words(keys) -> np.ndarray:
-    """np.random.SeedSequence(k).generate_state(4, np.uint64) of every uint64
-    key k, as rows (N, 4), computed for all keys at once.
-
-    A key's entropy is its low and high 32-bit words.  SeedSequence gives a
-    key below 2^32 the entropy [lo], which hashes as [lo, 0] does: pool
-    words past the entropy hash a 0.  The pool is a stacked (4, N) array:
-    each source row mixes into the other three in one step, and its own
-    row, computed with placeholder constants, is put back.
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    entropy = np.zeros((4, len(keys)), dtype=np.uint32)
-    entropy[0] = keys & 0xFFFFFFFF
-    entropy[1] = keys >> 32
-    pool = _hashmix(entropy, *_FILL)
-    for src, consts in enumerate(_MIXING):
-        mixed = pool * _MIX_L - _hashmix(pool[src], *consts) * _MIX_R
-        mixed ^= mixed >> 16
-        mixed[src] = pool[src]
-        pool = mixed
-    # 32-bit words 2j and 2j + 1 are the low and high halves of word j
-    words = _hashmix(pool, *_GENERATE).reshape(4, 2, -1).astype(np.uint64)
-    return (words[:, 0] | words[:, 1] << 32).T
-
-
-def _path_draws(orders, facets, delays) -> tuple[np.ndarray, np.ndarray]:
-    """Initial phases (P, 4) and cross-polarization ratios (P,) of P paths.
-
-    Each path draws from its own geometry-keyed stream, so the tracer stays
-    a pure function of its inputs.  The key is the blake2b-64 digest of the
-    path's kind, its facets as native int64 and its delay as a native
-    float64, read little-endian; it seeds PCG64 through SeedSequence, and
-    the stream gives four uniform phases in [0, 2 pi) and then, for a
-    reflection, one normal XPR in dB.  A line of sight has XPR inf.  This
-    is what np.random.Generator(np.random.PCG64(key)) draws; here the
-    SeedSequence hash runs over all keys at once (`_seed_words`), PCG64's
-    seeding step in Python ints, and one Generator draws every path from
-    its state.
-    """
-    digests = b"".join(
-        hashlib.blake2b(b"".join((_kind(o).encode(), struct.pack(f"={len(f)}q", *f),
-                                  struct.pack("=d", d))), digest_size=8).digest()
-        for o, f, d in zip(orders, facets, delays))
-    rng = np.random.Generator(np.random.PCG64(0))
-    seed = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": seed, "has_uint32": 0, "uinteger": 0}
-    unit = np.empty((len(delays), 4))
-    xpr = np.full(len(delays), math.inf)
-    for i, (w0, w1, w2, w3) in enumerate(
-            _seed_words(np.frombuffer(digests, dtype="<u8")).tolist()):
-        # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps from state
-        # 0 with initstate added between them
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        seed["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-        seed["inc"] = inc
-        rng.bit_generator.state = state
-        rng.random(out=unit[i])
-        if orders[i]:
-            xpr[i] = 10.0 ** (rng.normal(XPR_MEAN_DB, XPR_STD_DB) / 10.0)
-    # uniform(0, 2 pi) is 0.0 + 2 pi u, the same float as 2 pi u
-    return 2.0 * math.pi * unit, xpr
+def _path_draws(keys: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Initial phases (P, 4) and cross-polarization ratios (P,) of P paths
+    from their uint64 keys.  Uniform j < 6 is the top 53 bits of
+    splitmix64(key + (j + 1) gamma); the phases are 2 pi u0..u3 and the XPR
+    of a reflection is log-normal from the Box-Muller normal of u4 and u5,
+    that of a line of sight (order 0) inf."""
+    u = (_splitmix64(keys[:, None] + _COUNTERS) >> 11) * 2.0**-53
+    normal = np.sqrt(-2.0 * np.log1p(-u[:, 4])) * np.cos(2.0 * math.pi * u[:, 5])
+    xpr = 10.0 ** ((XPR_MEAN_DB + XPR_STD_DB * normal) / 10.0)
+    return 2.0 * math.pi * u[:, :4], np.where(orders > 0, xpr, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +591,9 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
     test, the walk, the blocking tests and the Fresnel gains run over
     (receiver, sequence) rows, with receivers chunked so that no array of
     the walk exceeds _BLOCK elements.  One point is a block of one.  The
-    phases and XPRs of all the call's paths are drawn in one pass
-    (`_path_draws`), after each receiver's paths are sorted.
+    angles, phases and XPRs of all the call's paths are computed in one
+    pass.  The draws are keyed on each path's (tx, rx, order, facets), so a
+    change of the tracer's arithmetic that keeps the paths keeps the draws.
     """
     tx, (rxs, single) = _point("tx", tx), _receivers(rx)
     if (rxs == tx).all(axis=1).any():
@@ -685,7 +602,8 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
     frequency = _number("frequency", frequency, 0.0, strict=True)
 
     geom = _geometry(scene.facets)
-    # each receiver's paths as (delay, power, aod, aoa, order, facets) rows
+    # each receiver's paths as (delay, power, aod, aoa, order, facets) rows,
+    # with aod and aoa as direction vectors
     found = [[] for _ in range(len(rxs))]
 
     clear = ~geom.blocked(np.repeat(tx[None, :], len(rxs), axis=0), rxs)
@@ -693,7 +611,7 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
         dist = float(np.linalg.norm(rxs[r] - tx))
         found[r].append((dist / SPEED_OF_LIGHT,
                          10.0 ** (friis_path_gain(dist, frequency) / 10.0),
-                         direction_angles(rxs[r] - tx), direction_angles(tx - rxs[r]), 0, ()))
+                         (rxs[r] - tx).tolist(), (tx - rxs[r]).tolist(), 0, ()))
 
     for seq, imgs in _image_tree(geom, tx, max_order):
         # receivers per chunk: a walk array holds up to the V edge rows
@@ -704,23 +622,29 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
             _reflections(geom, seq, imgs, tx, rxs[start:start + step], frequency,
                          found[start:start + step])
 
-    for rows in found:
+    # each path's key: the blake2b-64 digest of its tx and rx as float64 and
+    # its order and facets as int64, native and unaligned, read little-endian
+    keys = []
+    for rx, rows in zip(rxs.tolist(), found):
         rows.sort(key=lambda r: (r[0], _kind(r[4]), r[5]))
+        link = struct.pack("=6d", *tx.tolist(), *rx)
+        keys += (hashlib.blake2b(link + struct.pack(f"=q{len(f)}q", o, *f),
+                                 digest_size=8).digest() for *_, o, f in rows)
     delay, power, aod, aoa, order, facets = tuple(zip(*itertools.chain(*found))) or ((),) * 6
-    phases, xpr = _path_draws(order, facets, delay)
-    tables, start = [], 0
-    for rows in found:
-        at = slice(start, start + len(rows))
-        tables.append(PathSet(delay[at], power[at], aod[at], aoa[at], phases[at], xpr[at],
-                              order[at], facets[at]))
-        start = at.stop
-    return tables[0] if single else tuple(tables)
+    el, az = _angles_of(*np.array((aod, aoa)).reshape(2, -1, 3).transpose(2, 0, 1))
+    aod, aoa = np.stack((el, az), axis=-1)
+    phases, xpr = _path_draws(np.frombuffer(b"".join(keys), dtype="<u8"), np.array(order))
+    ends = list(itertools.accumulate(map(len, found), initial=0))
+    tables = tuple(PathSet(delay[a:b], power[a:b], aod[a:b], aoa[a:b], phases[a:b], xpr[a:b],
+                           order[a:b], facets[a:b]) for a, b in zip(ends, ends[1:]))
+    return tables[0] if single else tables
 
 
 def _reflections(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, tx: np.ndarray,
                  rxs: np.ndarray, frequency: float, found: list) -> None:
     """Append to found[r] the (delay, power, aod, aoa, order, facets) row of
-    every path of the sequences seq (m, order) from tx to receiver rxs[r]."""
+    every path of the sequences seq (m, order) from tx to receiver rxs[r],
+    with aod and aoa as direction vectors."""
     walked = _walk(geom, seq, imgs, rxs)
     if walked is None:
         return
@@ -746,8 +670,7 @@ def _reflections(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, tx: np.ndar
             geom.eps_r[fseq[:, j]], geom.sigma[fseq[:, j]],
             np.clip(cos_i, 0.0, 1.0), frequency)
         gain *= 0.5 * (np.abs(g_perp) ** 2 + np.abs(g_par) ** 2)
-    aod, aoa = qs[:, 0] - tx, qs[:, order - 1] - rx
-    for i, (r, facets, dist, g) in enumerate(zip(owner.tolist(), map(tuple, fseq.tolist()),
-                                                 length.tolist(), gain.tolist())):
-        found[r].append((dist / SPEED_OF_LIGHT, g, direction_angles(aod[i]),
-                         direction_angles(aoa[i]), order, facets))
+    aod, aoa = (qs[:, 0] - tx).tolist(), (qs[:, order - 1] - rx).tolist()
+    for r, facets, dist, g, d, a in zip(owner.tolist(), map(tuple, fseq.tolist()),
+                                        length.tolist(), gain.tolist(), aod, aoa):
+        found[r].append((dist / SPEED_OF_LIGHT, g, d, a, order, facets))

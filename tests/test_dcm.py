@@ -221,6 +221,27 @@ def test_map_construction_applies_the_reader_rules():
             DcmMap(**{**ok, **change})
 
 
+def test_record_and_map_refuse_what_the_reader_refuses(tmp_path):
+    """A record's ends are three finite numbers, stored as float tuples, and
+    a map's record sits at its own rx: anything else could be saved but not
+    loaded, so it is refused when it is made."""
+    paths = PathSet.of([path(1e-7, 0.3)])
+    for name, bad in (("rx", (math.nan, 1.0, 1.0)), ("rx", (1.0, 2.0)),
+                      ("tx", (0.0, 0.0, math.inf)), ("tx", [[0.0, 0.0, 0.0]])):
+        with pytest.raises(ValueError, match=f"^{name} must be three finite numbers, got "):
+            DcmRecord(**{"tx": TX, "rx": POINTS[0], name: bad}, k_s=2.0, k_d=4.0,
+                      mpcs=paths)
+    rec = DcmRecord(tx=np.array(TX), rx=(2, 2, 1.5), k_s=2.0, k_d=4.0, mpcs=paths)
+    assert rec.tx == TX and rec.rx == (2.0, 2.0, 1.5)
+    assert all(type(v) is float for v in rec.tx + rec.rx)
+    ok = dict(frequency=5.5e9, max_order=1, scene_hash="0" * 16, gbsm=GbsmConfig())
+    with pytest.raises(ValueError, match=re.escape(
+            "record key (2.5, 2.0, 1.5) is not its rx (2.0, 2.0, 1.5)")):
+        DcmMap(**ok, records={POINTS[1]: rec})
+    save_map(DcmMap(**ok, records={POINTS[0]: rec}), tmp_path / "one.dcm")
+    assert load_map(tmp_path / "one.dcm").records[POINTS[0]] == rec
+
+
 def test_map_of_a_scene_built_in_code_loads(room_scene):
     """A scene made from facets in code has no hash: its map writes an empty
     scene= line, which loads as "" and dumps again byte for byte."""

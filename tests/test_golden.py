@@ -34,25 +34,25 @@ ROOM_GRID = ((1.75, 1.75, 1.5), (7, 9, 1), 0.25)
 
 GOLDEN = {
     "build":
-        "08775beae08a92dc3daf8a808bedd8381db05dce0ae351d29fc3da9d7893bdff",
+        "23488a7e95d43430f2a9a413d7a1731869061c21b1ecd3d7bc2eff91707964fc",
     "update":
-        "0201adf991085c263820bad086a9894500fc51ecbe48026a323cc0ce26cfbe65",
+        "c3519533fb2ab5854d2b3d04b325a7fd39a1f02fb8a7834c12f15096503f5c6c",
     "simulate":
-        "27d802529f70ec76abd64e62879e221c683a423ae146541d4134225f64a1e545",
+        "6d3ed9aa1b292f395305e85125fd80a12d167e6d27a97a83714c07d087e3d04a",
     "stats_fcf":
         "e2f6571548ec7c62e9fda3ee34858cd123444e36cbc2400fd988999455edbad7",
     "dynamic_cir":
         "0ed574da7fc6613a7d16ffc984da62cbdd8315e00e9dbb6d65fba316f1294ac0",
     "narrowband_series":
-        "f1f2916d8532e63ce626655922f1c765aebd04174e65a2539c91db9b16f2cab8",
+        "39392c16b7eeb9959ab8f08317e076740cefcc639ca13d4925131210278c0d81",
     "panel_trace":
-        "ef3f1943ded800f7e6710d51cb538fc11743fe5f0ed2536538645c7d607b5d83",
+        "aad0b1cf5d1d29c1fee28fe202c9d988921389eb29320cb99712548742a16a5d",
     "panel_map":
-        "35bd3ae0dcc45f414d525188fa9b441302f3c1f2133bd2902a85f60eee94a00b",
+        "1e73e349b0ac1a576c4cbbea5e8821440ea6a0caa713e559bf1dd8e9f86295e9",
     "spawn":
         "cd5344a4ff459ac1b1969ea0d24b4f859f825a1d658fba0e1dc588e9c280c889",
     "room_map":
-        "18c56716110763f1b323e6a498651202c7533d6b95f6b502d47a51f46b9f296c",
+        "fcdb82288dcf11f99d0615bc821cb508e7e461e16248737e414311d17ac40784",
 }
 
 

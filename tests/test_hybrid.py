@@ -44,6 +44,19 @@ def test_compose_k_examples():
             KFactors(k_s, k_d)
 
 
+def test_k_factors_are_real_numbers_stored_as_floats():
+    k = KFactors(2, np.float32(4.0))
+    assert (k.k_s, k.k_d) == (2.0, 4.0)
+    assert type(k.k_s) is float and type(k.k_d) is float
+    assert KFactors(math.inf, 10**400).k_d == math.inf
+    with pytest.raises(ValueError, match="component ratios must be > 0"):
+        KFactors(-10**400, 1.0)
+    for k_s, k_d, name in [(True, 4.0, "k_s"), ("2", 4.0, "k_s"), (2.0, None, "k_d"),
+                           (2.0, 1j, "k_d"), (2.0, np.bool_(True), "k_d")]:
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            KFactors(k_s, k_d)
+
+
 def test_mixing_weights_partition_power():
     for k_s, k_d in [(0.1, 0.1), (1.0, 2.0), (3.0, 1e6), (math.inf, 5.0),
                      (math.inf, math.inf)]:

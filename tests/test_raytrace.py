@@ -581,74 +581,135 @@ def test_los_xpr_infinite(two_ray_mpcs):
     assert math.isfinite(refl.xpr) and refl.xpr > 0.0
 
 
-# the draw law, path by path, as the tracer wrote it before it drew all the
-# paths of a call in one pass: the reference of the batched draws
-def _reference_draw(kind, facets, delay):
-    key = b"".join((kind.encode(), struct.pack(f"={len(facets)}q", *facets),
-                    struct.pack("=d", delay)))
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
-    phases = tuple(rng.uniform(0.0, 2.0 * math.pi, 4).tolist())
-    if kind == "los":
+# the draw law with Python ints, path by path: the reference of the
+# batched draws.  The float transforms of the XPR are numpy's ufuncs over
+# arrays, as the tracer's are: math's, and numpy's scalar power, may round
+# differently.
+_GAMMA = 0x9E3779B97F4A7C15
+_M64 = 2**64 - 1
+
+
+def _splitmix64(x):
+    z = x & _M64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
+
+
+def _reference_draw(key, order):
+    u = [(_splitmix64(key + (j + 1) * _GAMMA) >> 11) * 2.0**-53 for j in range(6)]
+    phases = tuple(2.0 * math.pi * x for x in u[:4])
+    if order == 0:
         return phases, math.inf
-    return phases, float(10.0 ** (rng.normal(raytrace.XPR_MEAN_DB, raytrace.XPR_STD_DB) / 10.0))
+    u4, u5 = np.array(u[4:5]), np.array(u[5:])
+    normal = np.sqrt(-2.0 * np.log1p(-u4)) * np.cos(2.0 * math.pi * u5)
+    xpr = 10.0 ** ((raytrace.XPR_MEAN_DB + raytrace.XPR_STD_DB * normal) / 10.0)
+    return phases, float(xpr[0])
 
 
-def _seed_state(key):
-    return np.random.SeedSequence(key).generate_state(4, np.uint64)
+def _path_key(tx, rx, order, facets):
+    data = struct.pack(f"=6dq{len(facets)}q", *tx, *rx, order, *facets)
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+def test_splitmix64_reference_vectors():
+    """The first three outputs of SplitMix64 from seed 0 (Steele et al. 2014)."""
+    counters = np.array([_GAMMA, 2 * _GAMMA & _M64, 3 * _GAMMA & _M64], dtype=np.uint64)
+    assert raytrace._splitmix64(counters).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 @pytest.mark.parametrize("key", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-def test_batched_seed_hash_is_seed_sequences(key):
-    words = raytrace._seed_words(np.array([key], dtype=np.uint64))
-    assert words.dtype == np.uint64 and np.array_equal(words, [_seed_state(key)])
+def test_batched_draw_counters_are_scalar_splitmix64(key):
+    """Each key's six counters, wrapping past 2^64, hash as the scalar law."""
+    keys = np.array([key], dtype=np.uint64)
+    words = raytrace._splitmix64(keys[:, None] + raytrace._COUNTERS)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [[_splitmix64(key + (j + 1) * _GAMMA) for j in range(6)]]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=30))
 def test_batched_seed_hash_over_key_streams(keys):
-    words = raytrace._seed_words(np.array(keys, dtype=np.uint64))
-    assert words.shape == (len(keys), 4)
-    for key, row in zip(keys, words):
-        assert np.array_equal(row, _seed_state(key)), key
-
-
-_PATH_KEYS = st.integers(0, 4).flatmap(lambda order: st.tuples(
-    st.just(order),
-    st.lists(st.integers(-2**63, 2**63 - 1), min_size=order, max_size=order).map(tuple),
-    st.floats(0.0, 1e-5)))
+    words = raytrace._splitmix64(np.array(keys, dtype=np.uint64))
+    assert words.tolist() == [_splitmix64(key) for key in keys]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(st.lists(_PATH_KEYS, max_size=12))
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 4)), max_size=12))
 def test_batched_draws_equal_each_paths_own_generator(paths):
-    orders, facets, delays = zip(*paths) if paths else ((), (), ())
-    phases, xpr = raytrace._path_draws(orders, facets, delays)
+    keys, orders = zip(*paths) if paths else ((), ())
+    phases, xpr = raytrace._path_draws(np.array(keys, dtype=np.uint64), np.array(orders))
     assert phases.shape == (len(paths), 4) and xpr.shape == (len(paths),)
-    for i, (order, f, delay) in enumerate(paths):
-        kind = "los" if order == 0 else f"refl:{order}"
-        assert (tuple(phases[i].tolist()), float(xpr[i])) == _reference_draw(kind, f, delay)
+    for i, (key, order) in enumerate(paths):
+        assert (tuple(phases[i].tolist()), float(xpr[i])) == _reference_draw(key, order)
 
 
 def test_traced_draws_follow_the_law(room_scene):
     """Every path of a block trace, los and refl:n, draws as its own key."""
-    block = trace_static_mpcs(room_scene, (1.0, 1.0, 1.5),
-                              [(2.0, 2.0, 1.5), (3.5, 4.5, 2.5)], max_order=2)
+    tx, rxs = (1.0, 1.0, 1.5), [(2.0, 2.0, 1.5), (3.5, 4.5, 2.5)]
+    block = trace_static_mpcs(room_scene, tx, rxs, max_order=2)
     kinds = collections.Counter()
-    for paths in block:
-        for m in paths:
+    for rx, paths in zip(rxs, block):
+        for m, order in zip(paths, paths.order.tolist()):
             kinds[m.kind.partition(":")[0]] += 1
-            assert (m.phases, m.xpr) == _reference_draw(m.kind, m.facets, m.delay)
+            key = _path_key(tx, rx, order, m.facets)
+            assert (m.phases, m.xpr) == _reference_draw(key, order)
     assert kinds["los"] == 2 and kinds["refl"] > 10
+
+
+def test_draw_law_is_uniform_and_log_normal():
+    """Over 20,000 consecutive keys the phases are uniform on [0, 2 pi) and
+    the XPR is log-normal with mean 8 dB and deviation 3 dB, within four
+    standard errors of each moment."""
+    n = 20_000
+    phases, xpr = raytrace._path_draws(np.arange(n, dtype=np.uint64), np.ones(n, dtype=int))
+    assert ((0.0 <= phases) & (phases < 2.0 * math.pi)).all()
+    u = phases / (2.0 * math.pi)
+    # a uniform's mean has variance 1/12 n, its variance 1/180 n
+    assert np.abs(u.mean(axis=0) - 0.5).max() < 4.0 * math.sqrt(1.0 / (12.0 * n))
+    assert np.abs(u.var(axis=0) - 1.0 / 12.0).max() < 4.0 * math.sqrt(1.0 / (180.0 * n))
+    xpr_db = 10.0 * np.log10(xpr)
+    assert abs(xpr_db.mean() - raytrace.XPR_MEAN_DB) < 4.0 * raytrace.XPR_STD_DB / math.sqrt(n)
+    assert abs(xpr_db.std() - raytrace.XPR_STD_DB) \
+        < 4.0 * raytrace.XPR_STD_DB / math.sqrt(2.0 * n)
+    # distinct paths draw distinct phases
+    assert len(np.unique(phases[:, 0])) == n
+
+
+def test_draws_keep_when_a_wall_moves_by_a_picometer(room_scene):
+    """The draws are keyed on the path's identity, not on its delay: moving
+    the x = 4 m wall out by 1e-12 m moves the delays of the paths that meet
+    it and leaves every path's phases and XPR as they were."""
+    wall = "v=4,0,0;4,5,0;4,5,3;4,0,3"
+    x = repr(4.0 + 1e-12)
+    moved = loads_scene(ROOM_SCENE.replace(wall, f"v={x},0,0;{x},5,0;{x},5,3;{x},0,3"))
+    points = [(2.0, 2.0, 1.5), (3.5, 4.5, 2.5)]
+    before = trace_static_mpcs(room_scene, (1.0, 1.0, 1.5), points, max_order=2)
+    after = trace_static_mpcs(moved, (1.0, 1.0, 1.5), points, max_order=2)
+    changed = 0
+    for a, b in zip(before, after):
+        by_path = {(m.kind, m.facets): m for m in b}
+        assert sorted(by_path) == sorted((m.kind, m.facets) for m in a)
+        for m in a:
+            moved_path = by_path[m.kind, m.facets]
+            changed += moved_path.delay != m.delay
+            assert (moved_path.phases, moved_path.xpr) == (m.phases, m.xpr)
+    assert changed > 4
 
 
 def test_subnormal_tx_height_traces_as_on_the_plane(room_scene):
     """A tx a subnormal distance off three walls: the tree's margins and the
     walk's line parameters overflow to inf, which is their on-plane value,
-    and the trace equals the trace from the corner without a warning."""
+    and the trace equals the trace from the corner without a warning.  The
+    tx enters each path's key, so the phases and XPRs are drawn anew."""
     points = [(2.0, 2.0, 1.5), (1.0, 1.0, 1.0), (3.5, 4.5, 2.5)]
     near = trace_static_mpcs(room_scene, (0.0, 2.5e-323, 0.0), points, max_order=2)
-    assert near == trace_static_mpcs(room_scene, (0.0, 0.0, 0.0), points, max_order=2)
+    corner = trace_static_mpcs(room_scene, (0.0, 0.0, 0.0), points, max_order=2)
+    for a, b in zip(near, corner):
+        assert a.facets == b.facets
+        for name in ("delay", "power", "aod", "aoa", "order"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert [len(paths) for paths in near] == [9, 10, 10]
 
 
