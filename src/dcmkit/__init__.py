@@ -9,6 +9,8 @@ functions, power spectra, spreads, and level crossing rates from the same
 model objects.
 """
 
+from importlib import import_module as _import_module
+
 from .scene import (Facet, Material, Scene, SceneError, load_scene,
                     loads_scene, scene_text_hash)
 from .raytrace import (Mpc, PathSet, direction_angles, fresnel_coefficients,
@@ -17,10 +19,6 @@ from .gbsm import (AntennaArray, ClusterSet, GbsmConfig, Taps, dynamic_cir,
                    spawn_clusters)
 from .hybrid import (ChannelModel, ChannelSnapshot, KFactors, combine_cir,
                      rician_params, static_cir)
-from .stats import (LcrInputs, Psd, angular_psd, branch_power_coefficients,
-                    delay_psd, doppler_psd, doppler_psd_from_lags,
-                    empirical_cdf, fcf_closed_form, lcr_analytic,
-                    lcr_empirical, lcr_time_inputs, rms_spread, stfcf)
 from .dcm import (DcmLookupError, DcmMap, DcmRecord, MatchResult, build_map,
                   dumps_map, estimate_k_split, grid_points, load_map,
                   loads_map, match_mpcs, model_from_map, query, save_map,
@@ -44,3 +42,23 @@ __all__ = [
     "trace_static_mpcs", "unit_from_angles", "update_snapshot",
     "worker_count",
 ]
+
+# The statistics layer is imported on first use of one of its names
+# (PEP 562), so `import dcmkit` and the commands that never derive a
+# statistic do not pay for it.
+_STATS = frozenset((
+    "LcrInputs", "Psd", "angular_psd", "branch_power_coefficients", "delay_psd",
+    "doppler_psd", "doppler_psd_from_lags", "empirical_cdf", "fcf_closed_form",
+    "lcr_analytic", "lcr_empirical", "lcr_time_inputs", "rms_spread", "stfcf",
+))
+
+
+def __getattr__(name):
+    if name in _STATS or name == "stats":
+        stats = _import_module(".stats", __name__)
+        return stats if name == "stats" else getattr(stats, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_STATS, "stats"})

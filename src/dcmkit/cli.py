@@ -8,13 +8,13 @@ Results are CSV on stdout or, with
 --out, written atomically next to the target path.  Diagnostics go to
 stderr only, so stdout stays machine-readable.  Commands that draw random
 numbers require an explicit --seed; identical invocations produce
-byte-identical output.
+byte-identical output.  A command imports only the modules it runs: the
+statistics layer, for one, loads inside the `stats` handlers.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -27,9 +27,6 @@ from .gbsm import AntennaArray, GbsmConfig
 from .hybrid import ChannelModel, KFactors, rician_params
 from .raytrace import trace_static_mpcs
 from .scene import _floats, load_scene
-from .stats import (angular_psd, delay_psd, doppler_psd, empirical_cdf,
-                    fcf_closed_form, lcr_analytic, lcr_empirical,
-                    lcr_time_inputs, rms_spread)
 
 
 def _numbers(text: str, n: int) -> tuple[float, ...]:
@@ -130,6 +127,7 @@ def _load_config(path: str | None) -> dict:
     """Scatter config overrides from a JSON object; GbsmConfig checks the types."""
     if path is None:
         return {}
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -240,6 +238,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _fcf(args):
+    from .stats import fcf_closed_form
     model = _model_for(args)
     df = np.arange(args.df_count) * args.df_step
     return df, fcf_closed_form(model, df, ensemble=args.ensemble)
@@ -254,6 +253,7 @@ def _cmd_stats_fcf(args) -> int:
 
 
 def _cmd_stats_delay_psd(args) -> int:
+    from .stats import delay_psd
     df, values = _fcf(args)
     psd = delay_psd(values, df)
     widths = np.gradient(psd.support)
@@ -266,6 +266,7 @@ def _cmd_stats_delay_psd(args) -> int:
 
 def _spread_cdf(args, base: ChannelModel, header: str, spread_of) -> int:
     """CSV of the empirical CDF of one spread per reseeded realization."""
+    from .stats import empirical_cdf
     spreads = [spread_of(base.reseeded(args.seed + s)) for s in range(args.samples)]
     values, probs = empirical_cdf(spreads)
     rows = [",".join([_fmt(v), _fmt(p)]) for v, p in zip(values, probs)]
@@ -274,17 +275,20 @@ def _spread_cdf(args, base: ChannelModel, header: str, spread_of) -> int:
 
 
 def _cmd_stats_angular(args) -> int:
+    from .stats import angular_psd, rms_spread
     base = _model_for(args, rx_elements=args.rx_elements)
     return _spread_cdf(args, base, "spread_deg,cdf", lambda model: math.degrees(
         rms_spread(angular_psd(model, n_lags=args.n_lags, ensemble=1))))
 
 
 def _cmd_stats_doppler(args) -> int:
+    from .stats import doppler_psd, rms_spread
     return _spread_cdf(args, _model_for(args), "spread_hz,cdf", lambda model: rms_spread(
         doppler_psd(model, duration=args.duration, dt=args.dt, ensemble=1)))
 
 
 def _cmd_stats_lcr(args) -> int:
+    from .stats import lcr_analytic, lcr_empirical, lcr_time_inputs
     model = _model_for(args)
     inputs = lcr_time_inputs(model, ensemble=args.ensemble)
     levels = np.array([10.0 ** (db / 20.0) for db in args.levels_db])

@@ -26,7 +26,6 @@ import math
 import os
 import re
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -81,8 +80,7 @@ class DcmMap:
         # the reader's header rules, so every map that can be saved also loads
         self.frequency = _number("frequency", self.frequency, 0.0, strict=True)
         self.max_order = _integer("max_order", self.max_order, 0)
-        if not (self.scene_hash.isascii() and self.scene_hash.isprintable()):
-            raise ValueError(f"scene_hash must be printable ASCII, got {self.scene_hash!r}")
+        _scene_hash(self.scene_hash)
         if self.gbsm.carrier_frequency != self.frequency:
             raise ValueError(_carrier_mismatch(self.gbsm.carrier_frequency, self.frequency))
         for key, record in self.records.items():
@@ -259,6 +257,7 @@ def build_map(scene: Scene, tx, points, max_order: int = 2,
         # one contiguous block of locations per worker
         size = -(-len(pts) // workers)
         blocks = [pts[i:i + size] for i in range(0, len(pts), size)]
+        from concurrent.futures import ProcessPoolExecutor  # only pooled builds load it
         with ProcessPoolExecutor(max_workers=len(blocks), initializer=_start_worker,
                                  initargs=(build,)) as pool:
             records = [r for block in pool.map(_worker_trace, blocks) for r in block]
@@ -531,6 +530,8 @@ def loads_map(text: str) -> DcmMap:
                     val = _number(key, float(val), 0.0, strict=True)
                 elif key == "max_order":
                     val = _integer(key, int(val), 0)
+                else:
+                    val = _scene_hash(val)
                 header[key] = val
             elif section == "gbsm":
                 gbsm_kw[key] = config_field(key, _config_text(val))
@@ -565,6 +566,13 @@ def loads_map(text: str) -> DcmMap:
                          f"{_carrier_mismatch(gbsm.carrier_frequency, header['frequency'])}")
     return DcmMap(frequency=header["frequency"], max_order=header["max_order"],
                   scene_hash=header["scene"], gbsm=gbsm, records=records)
+
+
+def _scene_hash(value: str) -> str:
+    """A map's scene hash: printable ASCII, so its header line reads back."""
+    if not (value.isascii() and value.isprintable()):
+        raise ValueError(f"scene_hash must be printable ASCII, got {value!r}")
+    return value
 
 
 def _carrier_mismatch(carrier: float, frequency: float) -> str:

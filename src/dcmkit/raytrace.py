@@ -67,7 +67,6 @@ the scalar power.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import re
@@ -555,16 +554,24 @@ def _walk(geom: _Geometry, seq: np.ndarray, imgs: np.ndarray, rxs: np.ndarray):
 
 
 def _point(name: str, value) -> np.ndarray:
-    point = np.asarray(value, dtype=float)
+    point = _floats_of(name, value)
     # math.isfinite over the three floats costs a fifth of np.isfinite's call
     if point.shape != (3,) or not all(map(math.isfinite, point.tolist())):
         raise ValueError(f"{name} must be three finite numbers, got {value!r}")
     return point
 
 
+def _floats_of(name: str, value) -> np.ndarray:
+    """`value` as a float array; what numpy cannot convert fails naming `name`."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be three finite numbers, got {value!r}") from None
+
+
 def _receivers(rx) -> tuple[np.ndarray, bool]:
     """rx as an (N, 3) block, and whether it was one point, a block of one."""
-    block = np.asarray(rx, dtype=float)
+    block = _floats_of("rx", rx)
     if block.ndim != 2:
         return _point("rx", rx)[None], True
     if block.shape[1] != 3:
@@ -624,6 +631,7 @@ def trace_static_mpcs(scene: Scene, tx, rx, max_order: int = 2,
 
     # each path's key: the blake2b-64 digest of its tx and rx as float64 and
     # its order and facets as int64, native and unaligned, read little-endian
+    import hashlib  # imported here, so a command that traces nothing skips it
     keys = []
     for rx, rows in zip(rxs.tolist(), found):
         rows.sort(key=lambda r: (r[0], _kind(r[4]), r[5]))

@@ -20,7 +20,6 @@ rule for numbers passed in from Python, in every module.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -152,6 +151,7 @@ class Scene:
 
 
 def scene_text_hash(text: str) -> str:
+    import hashlib  # imported here, so a command that hashes no scene skips it
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 

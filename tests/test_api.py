@@ -16,7 +16,7 @@ import dcmkit
 from dcmkit import (AntennaArray, DcmMap, GbsmConfig, LcrInputs, Material, Scene,
                     angular_psd, build_map, doppler_psd, doppler_psd_from_lags,
                     dynamic_cir, fresnel_coefficients, friis_path_gain, grid_points,
-                    lcr_analytic, lcr_empirical, model_from_map, stfcf,
+                    lcr_analytic, lcr_empirical, model_from_map, query, stfcf,
                     trace_static_mpcs)
 
 from conftest import make_model
@@ -91,6 +91,8 @@ def test_modules_use_every_import():
 
 GOOD_LCR = dict(k=0.0, b0=1.0, b1=0.0, b2=1.0)
 EMPTY = Scene(())
+# values numpy cannot read as floats at all, rather than as three
+NOT_A_POINT = ("0,0,0", b"0,0,0", object())
 
 # (id, argument, values out of its range, a call that passes `v` as the
 # argument); `c` holds a model with a two-element receive array, its
@@ -150,6 +152,12 @@ RULE = [
      lambda v, c: fresnel_coefficients(Material("m", 2.0, 0.0), v, 5.5e9)),
     ("t-38", "t", (-1.0,), lambda v, c: stfcf(c.model, t=v, ensemble=2)),
     ("level-39", "level", (math.inf,), lambda v, c: lcr_empirical([1.0, 2.0], v, 1.0)),
+    ("tx-trace_static_mpcs", "tx", NOT_A_POINT,
+     lambda v, c: trace_static_mpcs(EMPTY, v, (1, 0, 0))),
+    ("rx-trace_static_mpcs", "rx", NOT_A_POINT,
+     lambda v, c: trace_static_mpcs(EMPTY, (0, 0, 0), v)),
+    ("location-query", "location", NOT_A_POINT, lambda v, c: query(c.map, v)),
+    ("dloc-stfcf", "dloc", NOT_A_POINT, lambda v, c: stfcf(c.model, dloc=v, ensemble=2)),
 ]
 
 

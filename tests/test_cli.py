@@ -382,14 +382,22 @@ def test_points_file_validation(workdir, capsys):
     assert err == "error: receiver location 2.0,2.0,1.5 is given twice\n"
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_only_what_update_and_query_run():
+    """A cold `import dcmkit.cli` loads none of the modules that only other
+    commands use, and the statistics names still bind on a star import."""
     src = os.path.dirname(os.path.dirname(dcmkit.__file__))
-    probe = ("import sys, dcmkit.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    skipped = ("scipy", "dcmkit.stats", "concurrent.futures.process",
+               "multiprocessing", "hashlib", "json")
+    probe = ("import sys, dcmkit.cli\n"
+             f"skipped = tuple(m + '.' for m in {skipped!r})\n"
+             "print(sorted(m for m in sys.modules if (m + '.').startswith(skipped)))\n"
+             "names = {}\n"
+             "exec('from dcmkit import *', names)\n"
+             "print(sorted(set(dcmkit.__all__) - set(names)))\n")
     proc = subprocess.run([sys.executable, "-c", probe],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_stats_fcf_rejects_powerless_reflections(built_map, workdir, capsys):

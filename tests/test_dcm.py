@@ -482,6 +482,10 @@ def test_loads_map_error_reporting():
             loads_map(head.replace("frequency=5.5e9", "frequency=" + bad) + record)
     with pytest.raises(ValueError, match="line 4: max_order must be an integer >= 0"):
         loads_map(head.replace("max_order=1", "max_order=-3") + record)
+    # a scene hash the writer could not have written names its line too
+    for bad in ("ab\tcd", "ab\x00cd", "caf\u00e9"):
+        with pytest.raises(ValueError, match="^line 5: scene_hash must be printable ASCII, got "):
+            loads_map(head.replace("scene=abc", "scene=" + bad) + record)
     loads_map(head.replace("max_order=1", "max_order=0") + record)
     with pytest.raises(ValueError, match="line 7: .*cluster_speed must be finite"):
         loads_map(head + "cluster_speed=nan\n" + record)
